@@ -2,8 +2,12 @@
 
 Every function is described by its rule on prime powers; evaluation at a
 single n goes through the sieve factorization, while values_upto(x) produces
-a whole table at once (catalog entries have dedicated fast paths, arbitrary
-prime-power rules go through a blockwise multiplicative dynamic program).
+a whole table at once.  Catalog entries with a sieve table of their own
+(mobius, sigma, tau, Omega, omega, the squarefree indicator) read that table;
+liouville, phi(n)/n, the Archimedean and Dirichlet characters, the
+e(xi * Omega) families and the constant 1 have closed forms over those tables;
+any other prime-power rule runs through the sieve's prime-power kernel in
+bulk_values.
 
 Functions carry a ``kind`` tag (multiplicative / completely_multiplicative /
 additive) and an ``in_unit_ball`` flag marking membership in the class of
@@ -115,16 +119,19 @@ def _with_fast_table(fn, table_builder):
     return fn
 
 
+def _with_sieve_table(fn, name):
+    """values_upto(x) reads the sieve table `name` as float64."""
+    return _with_fast_table(fn, lambda x, s: s.table(name)[: x + 1].astype(np.float64))
+
+
 # -- bulk evaluation of arbitrary prime-power rules -------------------------
 
 def bulk_values(fn: ArithmeticFunction, x: int, sieve: FactorSieve) -> np.ndarray:
-    """values[n] for n <= x via the prime-power-part dynamic program."""
+    """values[n] for n <= x through the sieve's prime-power kernel."""
     if x > sieve.limit:
         raise ValueError(f"x={x} exceeds sieve limit {sieve.limit}")
-    pp = sieve.table("prime_power_part")[: x + 1]
 
     # rule values on every prime power q = p^m <= x, placed densely at q
-    additive = fn.kind == "additive"
     ppval = np.zeros(x + 1, dtype=complex)
     for p in sieve.primes(x):
         p = int(p)
@@ -135,21 +142,8 @@ def bulk_values(fn: ArithmeticFunction, x: int, sieve: FactorSieve) -> np.ndarra
             m += 1
     if not ppval.imag.any():
         ppval = ppval.real  # keep real rules in float tables
-
-    out = np.zeros(x + 1, dtype=ppval.dtype)
-    if not additive:
-        out[1] = 1
-    n = np.arange(x + 1, dtype=np.int64)
-    lo = 2
-    while lo <= x:
-        hi = min(2 * lo, x + 1)
-        rest = n[lo:hi] // pp[lo:hi]
-        if additive:
-            out[lo:hi] = out[rest] + ppval[pp[lo:hi]]
-        else:
-            out[lo:hi] = out[rest] * ppval[pp[lo:hi]]
-        lo = hi
-    return out
+    return sieve._kernel(lambda p, e: ppval[p.astype(np.int64) ** e], ppval.dtype,
+                         fn.kind == "additive", x)
 
 
 # -- catalog -----------------------------------------------------------------
@@ -159,7 +153,7 @@ def mobius() -> ArithmeticFunction:
         "mobius", lambda p, m: -1 if m == 1 else 0,
         in_unit_ball=True, integer_valued=True,
     )
-    return _with_fast_table(fn, lambda x, s: s.table("mobius")[: x + 1].astype(np.float64))
+    return _with_sieve_table(fn, "mobius")
 
 
 def liouville() -> ArithmeticFunction:
@@ -179,7 +173,7 @@ def squarefree_indicator() -> ArithmeticFunction:
         "squarefree_indicator", lambda p, m: 1 if m == 1 else 0,
         in_unit_ball=True, integer_valued=True,
     )
-    return _with_fast_table(fn, lambda x, s: s.table("squarefree")[: x + 1].astype(np.float64))
+    return _with_sieve_table(fn, "squarefree")
 
 
 def euler_phi_ratio() -> ArithmeticFunction:
@@ -201,22 +195,22 @@ def sigma() -> ArithmeticFunction:
     fn = ArithmeticFunction(
         "sigma", lambda p, m: (p ** (m + 1) - 1) // (p - 1), integer_valued=True,
     )
-    return _with_fast_table(fn, lambda x, s: s.table("sigma")[: x + 1].astype(np.float64))
+    return _with_sieve_table(fn, "sigma")
 
 
 def tau() -> ArithmeticFunction:
     fn = ArithmeticFunction("tau", lambda p, m: m + 1, integer_valued=True)
-    return _with_fast_table(fn, lambda x, s: s.table("tau")[: x + 1].astype(np.float64))
+    return _with_sieve_table(fn, "tau")
 
 
 def big_omega() -> ArithmeticFunction:
     fn = ArithmeticFunction("big_omega", lambda p, m: m, kind="additive", integer_valued=True)
-    return _with_fast_table(fn, lambda x, s: s.table("big_omega")[: x + 1].astype(np.float64))
+    return _with_sieve_table(fn, "big_omega")
 
 
 def small_omega() -> ArithmeticFunction:
     fn = ArithmeticFunction("small_omega", lambda p, m: 1, kind="additive", integer_valued=True)
-    return _with_fast_table(fn, lambda x, s: s.table("small_omega")[: x + 1].astype(np.float64))
+    return _with_sieve_table(fn, "small_omega")
 
 
 def archimedean(t: float) -> ArithmeticFunction:
@@ -239,24 +233,20 @@ def archimedean(t: float) -> ArithmeticFunction:
 def _omega_exponential(name, xi, weight_of_m, restrict_squarefree=False):
     xi = as_constant(xi)
 
-    def rule(p, m):
-        if restrict_squarefree and m > 1:
-            return 0
-        k = weight_of_m(m)
-        if xi.kind == "rational":
-            v = xi.value_exact * k
-            return root_of_unity(v.numerator, v.denominator)
-        return _e_of(float(xi.frac_mul(np.array(k))))
-
-    kind = "completely_multiplicative" if (name == "lambda_xi") else "multiplicative"
-    fn = ArithmeticFunction(name, rule, kind=kind, in_unit_ball=True,
-                            params={"xi": xi.to_json()})
-
     def phase_at(k):
         if xi.kind == "rational":
             v = xi.value_exact * k
             return root_of_unity(v.numerator, v.denominator)
         return _e_of(float(xi.frac_mul(np.array(k))))
+
+    def rule(p, m):
+        if restrict_squarefree and m > 1:
+            return 0
+        return phase_at(weight_of_m(m))
+
+    kind = "completely_multiplicative" if (name == "lambda_xi") else "multiplicative"
+    fn = ArithmeticFunction(name, rule, kind=kind, in_unit_ball=True,
+                            params={"xi": xi.to_json()})
 
     def table(x, s):
         counts = s.table("small_omega" if name == "kappa_xi" else "big_omega")[: x + 1]

@@ -1,7 +1,8 @@
 """Level sets of multiplicative functions: membership, enumeration, density.
 
-Each set variant decides membership from a factorization alone, and also
-provides a vectorized members_upto(x) boolean table for sieve-scale work.
+Each set variant is one predicate on (f(n), n): contains(n) feeds it the
+value from the factorization of n, members_upto(x) feeds it the sieve table
+of f, so the two agree by construction.
 Rotation and real-threshold variants return a boundary flag when the decisive
 quantity lands within eps_b of an interval endpoint or threshold (the verdict
 itself is always by strict comparison).
@@ -21,10 +22,11 @@ import numpy as np
 
 from .constants import Constant, as_constant
 from .functions import ArithmeticFunction, from_json as function_from_json
-from .sieve import FactorSieve, SieveRangeError
+from .sieve import _RULES, FactorSieve, SieveRangeError, _kfree_mask
 from .reports import DensityReport, SeriesReport
 
 BOUNDARY_EPS = 1e-12
+_BLOCK = 1 << 20  # members_upto applies the predicate this many n at a time
 
 
 class Verdict(NamedTuple):
@@ -130,20 +132,44 @@ class IntervalSetMod1:
 
 
 class LevelSet:
-    """Base: a membership predicate decidable from a factorization."""
+    """Base: a membership predicate on (value, n), where value is f(n).
+
+    contains(n) applies the predicate to the value from the factorization of
+    n, members_upto(x) applies the same predicate to the sieve table of f.  A
+    subclass names its sieve table (or overrides _value / _values) and gives
+    _holds, plus _boundary where the verdict can sit on a real endpoint.
+    """
 
     name = "abstract"
     is_multiplicative_set = False
+    table = None  # sieve table holding f
+
+    def _value(self, n, sieve):
+        return _factor_value(self.table, n, sieve)
+
+    def _values(self, x, sieve):
+        return sieve.table(self.table)[: x + 1]
+
+    def _holds(self, v, n):
+        raise NotImplementedError
+
+    def _boundary(self, v, n):
+        return False
 
     def contains(self, n: int, sieve: FactorSieve) -> Verdict:
-        raise NotImplementedError
+        v = self._value(n, sieve)
+        return Verdict(bool(self._holds(v, n)), bool(self._boundary(v, n)))
 
     def members_upto(self, x: int, sieve: FactorSieve) -> np.ndarray:
-        raise NotImplementedError
-
-    def _check(self, x, sieve):
         if x > sieve.limit:
             raise SieveRangeError(f"x={x} exceeds sieve limit {sieve.limit}")
+        values = self._values(x, sieve)
+        out = np.empty(x + 1, dtype=bool)
+        for lo in range(0, x + 1, _BLOCK):
+            hi = min(lo + _BLOCK, x + 1)
+            out[lo:hi] = self._holds(values[lo:hi], np.arange(lo, hi, dtype=np.int64))
+        out[0] = False
+        return out
 
     def to_json(self):
         raise NotImplementedError
@@ -154,22 +180,16 @@ class LevelSet:
         return f"LevelSet({json.dumps(self.to_json(), sort_keys=True)})"
 
 
-class Squarefree(LevelSet):
-    name = "squarefree"
-    is_multiplicative_set = True
-
-    def contains(self, n, sieve):
-        return Verdict(all(e == 1 for _, e in sieve.factorize(n)))
-
-    def members_upto(self, x, sieve):
-        self._check(x, sieve)
-        return sieve.table("squarefree")[: x + 1].copy()
-
-    def to_json(self):
-        return {"variant": "squarefree"}
+def _factor_value(table, n, sieve):
+    """table[n] from the factorization of n, by the sieve kernel's own rule."""
+    rule, _, additive = _RULES[table]
+    parts = [rule(p, e) for p, e in sieve.factorize(n)]
+    return int(sum(parts) if additive else math.prod(parts))
 
 
 class KFree(LevelSet):
+    """No p^k divides n."""
+
     is_multiplicative_set = True
 
     def __init__(self, k: int):
@@ -178,24 +198,49 @@ class KFree(LevelSet):
         self.k = int(k)
         self.name = f"{k}free"
 
-    def contains(self, n, sieve):
-        return Verdict(all(e < self.k for _, e in sieve.factorize(n)))
+    def _value(self, n, sieve):
+        return all(e < self.k for _, e in sieve.factorize(n))
 
-    def members_upto(self, x, sieve):
-        self._check(x, sieve)
-        out = np.ones(x + 1, dtype=bool)
-        out[0] = False
-        for p in sieve.primes(int(x ** (1.0 / self.k)) + 1):
-            q = int(p) ** self.k
-            if q <= x:
-                out[q::q] = False
-        return out
+    def _values(self, x, sieve):
+        return _kfree_mask(self.k, x, sieve)
+
+    def _holds(self, v, n):
+        return v
 
     def to_json(self):
         return {"variant": "kfree", "k": self.k}
 
 
-class OmegaMod(LevelSet):
+class Squarefree(KFree):
+    """KFree(2), read from the sieve's memoized squarefree table."""
+
+    def __init__(self):
+        super().__init__(2)
+        self.name = "squarefree"
+
+    def _values(self, x, sieve):
+        return sieve.table("squarefree")[: x + 1]
+
+    def to_json(self):
+        return {"variant": "squarefree"}
+
+
+class _CountMod(LevelSet):
+    """{n : f(n) = r mod b} for an integer-valued sieve table f."""
+
+    def __init__(self, b: int, r: int, table: str, variant: str):
+        self.b, self.r, self.table = int(b), int(r) % int(b), table
+        self._variant = variant
+        self.name = f"{variant}({b},{r})"
+
+    def _holds(self, v, n):
+        return v % self.b == self.r
+
+    def to_json(self):
+        return {"variant": self._variant, "b": self.b, "r": self.r}
+
+
+class OmegaMod(_CountMod):
     """Residue class of omega(n) or Omega(n) modulo b."""
 
     def __init__(self, b: int, r: int, counted="big_omega"):
@@ -203,27 +248,18 @@ class OmegaMod(LevelSet):
             raise ValueError("modulus must be positive")
         if counted not in ("big_omega", "small_omega"):
             raise ValueError("counted must be 'big_omega' or 'small_omega'")
-        self.b, self.r, self.counted = int(b), int(r) % int(b), counted
-        tag = "big_omega_mod" if counted == "big_omega" else "omega_mod"
-        self.name = f"{tag}({b},{r})"
+        variant = "big_omega_mod" if counted == "big_omega" else "omega_mod"
+        super().__init__(b, r, counted, variant)
+        self.counted = counted
 
-    def _count(self, n, sieve):
-        f = sieve.factorize(n)
-        return sum(e for _, e in f) if self.counted == "big_omega" else len(f)
 
-    def contains(self, n, sieve):
-        return Verdict(self._count(n, sieve) % self.b == self.r)
+class TauMod(_CountMod):
+    """{n : tau(n) = r mod b} with gcd(b, r) = 1."""
 
-    def members_upto(self, x, sieve):
-        self._check(x, sieve)
-        counts = sieve.table(self.counted)[: x + 1]
-        out = counts % self.b == self.r
-        out[0] = False
-        return out
-
-    def to_json(self):
-        return {"variant": "big_omega_mod" if self.counted == "big_omega" else "omega_mod",
-                "b": self.b, "r": self.r}
+    def __init__(self, b: int, r: int):
+        if b < 1 or math.gcd(b, r) != 1:
+            raise ValueError("tau_mod needs b >= 1 and gcd(b, r) = 1")
+        super().__init__(b, r, "tau", "tau_mod")
 
 
 class OmegaRot(LevelSet):
@@ -234,89 +270,58 @@ class OmegaRot(LevelSet):
         self.window = window
         if counted not in ("big_omega", "small_omega"):
             raise ValueError("counted must be 'big_omega' or 'small_omega'")
-        self.counted = counted
-        tag = "big_omega_rot" if counted == "big_omega" else "omega_rot"
-        self.name = f"{tag}({self.alpha})"
+        self.counted = self.table = counted
+        self._variant = "big_omega_rot" if counted == "big_omega" else "omega_rot"
+        self.name = f"{self._variant}({self.alpha})"
 
-    def _lut(self, kmax):
-        fracs = self.alpha.frac_mul(np.arange(kmax + 1, dtype=np.int64))
-        return self.window.contains(fracs), self.window.near_boundary(fracs)
+    def _fracs(self, k):
+        return self.alpha.frac_mul(np.arange(int(np.max(k)) + 1, dtype=np.int64))
 
-    def contains(self, n, sieve):
-        f = sieve.factorize(n)
-        k = sum(e for _, e in f) if self.counted == "big_omega" else len(f)
-        member, boundary = self._lut(k)
-        return Verdict(bool(member[k]), bool(boundary[k]))
+    def _holds(self, k, n):
+        return self.window.contains(self._fracs(k))[k]
 
-    def members_upto(self, x, sieve):
-        self._check(x, sieve)
-        counts = sieve.table(self.counted)[: x + 1]
-        member, _ = self._lut(int(counts.max(initial=0)))
-        out = member[counts]
-        out[0] = False
-        return out
-
-    def boundary_upto(self, x, sieve):
-        counts = sieve.table(self.counted)[: x + 1]
-        _, boundary = self._lut(int(counts.max(initial=0)))
-        out = boundary[counts]
-        out[0] = False
-        return out
+    def _boundary(self, k, n):
+        return self.window.near_boundary(self._fracs(k))[k]
 
     def to_json(self):
         return {
-            "variant": "big_omega_rot" if self.counted == "big_omega" else "omega_rot",
+            "variant": self._variant,
             "alpha": self.alpha.to_json(),
             "window": self.window.to_json(),
         }
 
 
-class Abundant(LevelSet):
+class _SigmaVersusDouble(LevelSet):
+    """sign(sigma(n) - 2n) = _sign, strict: perfect numbers are in neither set."""
+
+    table = "sigma"
+    _sign = 0
+
+    def _holds(self, v, n):
+        return self._sign * (v - 2 * n) > 0
+
+    def to_json(self):
+        return {"variant": self.name}
+
+
+class Abundant(_SigmaVersusDouble):
     """sigma(n) > 2n, strict (perfect numbers excluded exactly)."""
 
     name = "abundant"
-
-    def contains(self, n, sieve):
-        sig = 1
-        for p, e in sieve.factorize(n):
-            sig *= (p ** (e + 1) - 1) // (p - 1)
-        return Verdict(sig > 2 * n)
-
-    def members_upto(self, x, sieve):
-        self._check(x, sieve)
-        sig = sieve.table("sigma")[: x + 1]
-        out = sig > 2 * np.arange(x + 1, dtype=np.int64)
-        out[0] = False
-        return out
-
-    def to_json(self):
-        return {"variant": "abundant"}
+    _sign = 1
 
 
-class Deficient(LevelSet):
+class Deficient(_SigmaVersusDouble):
     """sigma(n) < 2n, strict."""
 
     name = "deficient"
-
-    def contains(self, n, sieve):
-        sig = 1
-        for p, e in sieve.factorize(n):
-            sig *= (p ** (e + 1) - 1) // (p - 1)
-        return Verdict(sig < 2 * n)
-
-    def members_upto(self, x, sieve):
-        self._check(x, sieve)
-        sig = sieve.table("sigma")[: x + 1]
-        out = sig < 2 * np.arange(x + 1, dtype=np.int64)
-        out[0] = False
-        return out
-
-    def to_json(self):
-        return {"variant": "deficient"}
+    _sign = -1
 
 
 class PhiRatioBelow(LevelSet):
     """{n : phi(n) < x * n}; exact for rational x, flagged near real x."""
+
+    table = "phi"
 
     def __init__(self, threshold):
         self.threshold = as_constant(threshold)
@@ -325,56 +330,18 @@ class PhiRatioBelow(LevelSet):
             raise ValueError("threshold must lie in (0, 1)")
         self.name = f"phi_ratio_below({self.threshold})"
 
-    def contains(self, n, sieve):
-        phi = 1
-        for p, e in sieve.factorize(n):
-            phi *= p ** (e - 1) * (p - 1)
+    def _holds(self, v, n):
         if self.threshold.kind == "rational":
-            v = self.threshold.value_exact
-            return Verdict(phi * v.denominator < v.numerator * n)
-        t = float(self.threshold)
-        ratio = phi / n
-        return Verdict(ratio < t, abs(ratio - t) < BOUNDARY_EPS)
+            q = self.threshold.value_exact
+            return v * q.denominator < q.numerator * n
+        return v < float(self.threshold) * n
 
-    def members_upto(self, x, sieve):
-        self._check(x, sieve)
-        phi = sieve.table("phi")[: x + 1]
-        n = np.arange(x + 1, dtype=np.int64)
-        if self.threshold.kind == "rational":
-            v = self.threshold.value_exact
-            out = phi * v.denominator < v.numerator * n
-        else:
-            out = phi < float(self.threshold) * n
-        out[0] = False
-        return out
+    def _boundary(self, v, n):
+        return (self.threshold.kind != "rational"
+                and abs(v / n - float(self.threshold)) < BOUNDARY_EPS)
 
     def to_json(self):
         return {"variant": "phi_ratio_below", "threshold": self.threshold.to_json()}
-
-
-class TauMod(LevelSet):
-    """{n : tau(n) = r mod b} with gcd(b, r) = 1."""
-
-    def __init__(self, b: int, r: int):
-        if b < 1 or math.gcd(b, r) != 1:
-            raise ValueError("tau_mod needs b >= 1 and gcd(b, r) = 1")
-        self.b, self.r = int(b), int(r) % int(b)
-        self.name = f"tau_mod({b},{r})"
-
-    def contains(self, n, sieve):
-        t = 1
-        for _, e in sieve.factorize(n):
-            t *= e + 1
-        return Verdict(t % self.b == self.r)
-
-    def members_upto(self, x, sieve):
-        self._check(x, sieve)
-        out = sieve.table("tau")[: x + 1] % self.b == self.r
-        out[0] = False
-        return out
-
-    def to_json(self):
-        return {"variant": "tau_mod", "b": self.b, "r": self.r}
 
 
 class GenericLevel(LevelSet):
@@ -392,23 +359,22 @@ class GenericLevel(LevelSet):
         self.tolerance = float(tolerance)
         self.name = f"level({fn.name},{target})"
 
-    def contains(self, n, sieve):
-        v = self.fn.eval(n, sieve)
-        if self.tolerance == 0.0:
-            return Verdict(v == self.target)
-        dist = abs(complex(v) - complex(self.target))
-        return Verdict(dist <= self.tolerance,
-                       abs(dist - self.tolerance) < BOUNDARY_EPS)
+    def _value(self, n, sieve):
+        return self.fn.eval(n, sieve)
 
-    def members_upto(self, x, sieve):
-        self._check(x, sieve)
-        vals = self.fn.values_upto(x, sieve)
+    def _values(self, x, sieve):
+        return self.fn.values_upto(x, sieve)
+
+    def _holds(self, v, n):
         if self.tolerance == 0.0:
-            out = vals == complex(self.target) if np.iscomplexobj(vals) else vals == float(self.target)
-        else:
-            out = np.abs(vals - complex(self.target)) <= self.tolerance
-        out[0] = False
-        return out
+            return v == self.target
+        return np.abs(v - complex(self.target)) <= self.tolerance
+
+    def _boundary(self, v, n):
+        if self.tolerance == 0.0:
+            return False
+        dist = abs(complex(v) - complex(self.target))
+        return abs(dist - self.tolerance) < BOUNDARY_EPS
 
     def to_json(self):
         t = self.target

@@ -21,7 +21,7 @@ import numpy as np
 
 from .functions import ArithmeticFunction
 from .reports import MeanValueReport, SeriesReport
-from .sieve import FactorSieve, SieveRangeError
+from .sieve import FactorSieve, SieveRangeError, _simple_spf
 from .levelsets import divergence_slope
 from .summation import checkpoint_sums
 
@@ -69,7 +69,7 @@ def euler_product_mean(rule, prime_cutoff: int, sieve: FactorSieve | None = None
     if sieve is not None and prime_cutoff <= sieve.limit:
         primes = sieve.primes(prime_cutoff)
     else:
-        primes = _primes_upto(prime_cutoff)
+        primes = FactorSieve(prime_cutoff, _simple_spf(prime_cutoff)).primes()
     g = rule.prime_power if isinstance(rule, ArithmeticFunction) else rule
     product = complex(1.0)
     for p in primes:
@@ -98,15 +98,6 @@ def euler_product_mean(rule, prime_cutoff: int, sieve: FactorSieve | None = None
         product *= local
     tail = 2.0 / prime_cutoff
     return product, tail
-
-
-def _primes_upto(x: int) -> np.ndarray:
-    flags = np.ones(x + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(x) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.nonzero(flags)[0].astype(np.int64)
 
 
 def mean_with_product(fn: ArithmeticFunction, n_max: int, checkpoints,

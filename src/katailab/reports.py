@@ -284,14 +284,16 @@ def _cplx(z):
     return {"re": z.real, "im": z.imag}
 
 
-def _atomic_write(path, data: bytes):
+def _atomic_write(path, *chunks):
+    """Write the bytes-like chunks to path through a temp file and a rename."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -5,27 +5,36 @@ the smallest prime factor of every n up to its limit, built segment-parallel
 but byte-identical for any thread count.  Factorization is then an O(log n)
 chase n -> n / spf[n].
 
-Bulk tables (big_omega, small_omega, mobius, sigma, tau, phi, ...) are built
-by a blockwise dynamic program over div[n] = n / spf[n]: within the block
-[2^j, 2^(j+1)) every div value is already below the block, so each block is
-one vectorized gather.  Tables are memoized on the sieve instance.
+A multiplicative (or additive) function is fixed by its values g(p^e) on
+prime powers, so every bulk table (big_omega, small_omega, mobius, tau, phi,
+sigma, and any prime-power rule through functions.bulk_values) comes from one
+kernel,
+
+    v(n) = v(n / p^e) * g(p, e)   (+ for additive tables),  p = spf[n], p^e || n,
+
+run block by block over [lo, hi) with hi <= 2 lo: n / p^e <= n / 2 lies below
+the block, so each block is one vectorized gather.  The cofactor n / p^e and
+the exponent e are memoized once per sieve; tables are memoized on the sieve
+instance.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
 
+from .reports import _atomic_write
+
 MAX_LIMIT = 2**31
 CACHE_MAGIC = b"KATAISV1"
 _SPOT_CHECK_SEED = 0x5EED
 _SEGMENT = 1 << 22
+_BLOCK = 1 << 16
 
 
 class SieveRangeError(ValueError):
@@ -59,6 +68,7 @@ class FactorSieve:
         self.limit = int(limit)
         self.spf = spf
         self._tables: dict[str, np.ndarray] = {}
+        self._rest_e: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -71,9 +81,7 @@ class FactorSieve:
             )
         root = isqrt(limit)
         base = _simple_spf(max(root, 2))
-        base_primes = np.nonzero(
-            base[2:] == np.arange(2, root + 1, dtype=np.uint32)
-        )[0].astype(np.int64) + 2
+        base_primes = FactorSieve(base.size - 1, base).primes(root)
 
         spf = np.zeros(limit + 1, dtype=np.uint32)
         if root >= 2:
@@ -134,147 +142,57 @@ class FactorSieve:
 
     # -- bulk tables -------------------------------------------------------
 
-    def _blocks(self):
-        lo = 2
-        while lo <= self.limit:
-            hi = min(2 * lo, self.limit + 1)
-            yield lo, hi
-            lo = hi
+    def _split(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rest, e) with n = spf[n]^e[n] * rest[n]; rest = 1, e = 0 at n < 2."""
+        if self._rest_e is None:
+            spf = self.spf
+            rest = np.ones(self.limit + 1, dtype=np.uint32)
+            e = np.zeros(self.limit + 1, dtype=np.int8)
+            for lo, hi in _blocks(self.limit):
+                p = spf[lo:hi]
+                div32 = np.arange(lo, hi, dtype=np.uint32) // p
+                div = div32.astype(np.intp)  # take() is fastest with intp indices
+                same = spf.take(div) == p  # spf[1] = 0 never matches
+                rest[lo:hi] = np.where(same, rest.take(div), div32)
+                e[lo:hi] = e.take(div) * same + 1
+            self._rest_e = rest, e
+        return self._rest_e
 
-    def _div_table(self) -> np.ndarray:
-        # div[n] = n / spf[n] for n >= 2; div[0] = div[1] = 1
-        if "div" not in self._tables:
-            n = np.arange(self.limit + 1, dtype=np.int64)
-            div = np.ones(self.limit + 1, dtype=np.int64)
-            div[2:] = n[2:] // self.spf[2:]
-            self._tables["div"] = div
-        return self._tables["div"]
+    def _kernel(self, rule, dtype, additive: bool, upto: int) -> np.ndarray:
+        """out[n] = out[n / p^e] (+ or *) rule(p, e) for 2 <= n <= upto.
+
+        rule is vectorized over a block's (spf uint32, e int8) arrays; out[1]
+        is the unit of the combination and out[0] = 0.
+        """
+        rest, e = self._split()
+        spf = self.spf
+        out = np.zeros(upto + 1, dtype=dtype)
+        if not additive:
+            out[1] = 1
+        for lo, hi in _blocks(upto):
+            head = out.take(rest[lo:hi].astype(np.intp))
+            g = rule(spf[lo:hi], e[lo:hi])
+            out[lo:hi] = head + g if additive else head * g
+        return out
 
     def table(self, name: str) -> np.ndarray:
         """Memoized bulk table over 0..limit; entries at 0 (and 1) are padding."""
         if name not in self._tables:
-            self._tables[name] = getattr(self, "_build_" + name)()
+            if name in _RULES:
+                self._tables[name] = self._kernel(*_RULES[name], upto=self.limit)
+            elif name == "prime_power_part":
+                # spf[n]^e, the full power of the smallest prime in n; 1 at n < 2
+                self._tables[name] = np.power(self.spf, self._split()[1], dtype=np.int64)
+            elif name == "squarefree":
+                self._tables[name] = _kfree_mask(2, self.limit, self)
         return self._tables[name]
-
-    def _build_big_omega(self) -> np.ndarray:
-        div = self._div_table()
-        out = np.zeros(self.limit + 1, dtype=np.int8)
-        for lo, hi in self._blocks():
-            out[lo:hi] = out[div[lo:hi]] + 1
-        return out
-
-    def _build_small_omega(self) -> np.ndarray:
-        div = self._div_table()
-        spf = self.spf
-        out = np.zeros(self.limit + 1, dtype=np.int8)
-        for lo, hi in self._blocks():
-            d = div[lo:hi]
-            new = (d == 1) | (spf[d] != spf[lo:hi])
-            out[lo:hi] = out[d] + new
-        return out
-
-    def _build_mobius(self) -> np.ndarray:
-        div = self._div_table()
-        spf = self.spf
-        out = np.zeros(self.limit + 1, dtype=np.int8)
-        out[1] = 1
-        for lo, hi in self._blocks():
-            d = div[lo:hi]
-            squarefree_step = (d == 1) | (spf[d] != spf[lo:hi])
-            out[lo:hi] = np.where(squarefree_step, -out[d], 0)
-        return out
-
-    def _build_squarefree(self) -> np.ndarray:
-        out = np.ones(self.limit + 1, dtype=bool)
-        out[0] = False
-        for p in self.primes(isqrt(self.limit)):
-            out[p * p :: p * p] = False
-        return out
-
-    def _build_prime_power_part(self) -> np.ndarray:
-        # pp[n] = spf[n]^e where e is the exponent of spf[n] in n
-        div = self._div_table()
-        spf = self.spf
-        out = np.ones(self.limit + 1, dtype=np.int64)
-        for lo, hi in self._blocks():
-            d = div[lo:hi]
-            p = spf[lo:hi].astype(np.int64)
-            same = spf[d] == spf[lo:hi]
-            out[lo:hi] = np.where(same & (d > 1), out[d] * p, p)
-        return out
-
-    def _build_sigma(self) -> np.ndarray:
-        # sigma of the prime-power part first: sigma(p^e) = p*sigma(p^(e-1)) + 1
-        div = self._div_table()
-        spf = self.spf
-        pp = self.table("prime_power_part")
-        sig_pp = np.ones(self.limit + 1, dtype=np.int64)
-        for lo, hi in self._blocks():
-            d = div[lo:hi]
-            p = spf[lo:hi].astype(np.int64)
-            same = (spf[d] == spf[lo:hi]) & (d > 1)
-            sig_pp[lo:hi] = np.where(same, sig_pp[d] * p + 1, p + 1)
-        out = np.ones(self.limit + 1, dtype=np.int64)
-        out[0] = 0
-        n = np.arange(self.limit + 1, dtype=np.int64)
-        for lo, hi in self._blocks():
-            rest = n[lo:hi] // pp[lo:hi]
-            out[lo:hi] = out[rest] * sig_pp[lo:hi]
-        return out
-
-    def _build_tau(self) -> np.ndarray:
-        div = self._div_table()
-        spf = self.spf
-        pp = self.table("prime_power_part")
-        # exponent of spf[n] in n
-        e = np.zeros(self.limit + 1, dtype=np.int16)
-        for lo, hi in self._blocks():
-            d = div[lo:hi]
-            same = (spf[d] == spf[lo:hi]) & (d > 1)
-            e[lo:hi] = np.where(same, e[d] + 1, 1)
-        out = np.ones(self.limit + 1, dtype=np.int32)
-        out[0] = 0
-        n = np.arange(self.limit + 1, dtype=np.int64)
-        for lo, hi in self._blocks():
-            rest = n[lo:hi] // pp[lo:hi]
-            out[lo:hi] = out[rest] * (e[lo:hi] + 1)
-        return out
-
-    def _build_phi(self) -> np.ndarray:
-        div = self._div_table()
-        spf = self.spf
-        pp = self.table("prime_power_part")
-        # phi(p^e) = p^e - p^(e-1) = pp - pp/p
-        n = np.arange(self.limit + 1, dtype=np.int64)
-        phi_pp = pp - pp // np.maximum(spf.astype(np.int64), 1)
-        out = np.ones(self.limit + 1, dtype=np.int64)
-        out[0] = 0
-        for lo, hi in self._blocks():
-            rest = n[lo:hi] // pp[lo:hi]
-            out[lo:hi] = out[rest] * phi_pp[lo:hi]
-        return out
-
-    def drop_tables(self):
-        """Free memoized bulk tables (they rebuild on demand)."""
-        self._tables.clear()
 
     # -- cache file --------------------------------------------------------
 
     def save(self, path: str | os.PathLike):
         """Write the cache file atomically (magic, LE limit, LE uint32 entries)."""
-        path = os.fspath(path)
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(CACHE_MAGIC)
-                fh.write(struct.pack("<Q", self.limit))
-                fh.write(self.spf.astype("<u4", copy=False).tobytes())
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        _atomic_write(path, CACHE_MAGIC, struct.pack("<Q", self.limit),
+                      self.spf.astype("<u4", copy=False))
 
     @staticmethod
     def load(path: str | os.PathLike) -> "FactorSieve":
@@ -295,6 +213,48 @@ class FactorSieve:
             if int(spf[n]) != _trial_spf(int(n)):
                 raise ValueError(f"sieve cache failed spot check at n={int(n)}")
         return FactorSieve(int(limit), spf.astype(np.uint32, copy=False))
+
+
+def _blocks(upto: int):
+    # hi <= 2 * lo keeps n / p^e below the block; the cap keeps each block's
+    # temporaries small enough to stay in cache
+    lo = 2
+    while lo <= upto:
+        hi = min(2 * lo, lo + _BLOCK, upto + 1)
+        yield lo, hi
+        lo = hi
+
+
+def _sigma_pp(p, e):
+    p = np.int64(p)
+    return (p ** (e + 1) - 1) // (p - 1)
+
+
+def _phi_pp(p, e):
+    p = np.int64(p)
+    return p ** (e - 1) * (p - 1)
+
+
+# name -> (rule g(p, e) on the prime power p^e, table dtype, additive)
+_RULES = {
+    "big_omega": (lambda p, e: e, np.int8, True),
+    "small_omega": (lambda p, e: 1, np.int8, True),
+    "mobius": (lambda p, e: (e == 1) * np.int8(-1), np.int8, False),
+    "tau": (lambda p, e: e + 1, np.int32, False),
+    "phi": (_phi_pp, np.int64, False),
+    "sigma": (_sigma_pp, np.int64, False),
+}
+
+
+def _kfree_mask(k: int, x: int, sieve: FactorSieve) -> np.ndarray:
+    """Bool table over 0..x: no p^k divides n (index 0 is False)."""
+    out = np.ones(x + 1, dtype=bool)
+    out[0] = False
+    for p in sieve.primes(int(x ** (1.0 / k)) + 1):
+        q = int(p) ** k
+        if q <= x:
+            out[q::q] = False
+    return out
 
 
 def _simple_spf(limit: int) -> np.ndarray:

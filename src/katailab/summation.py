@@ -90,16 +90,6 @@ def fit_loglog_slope(xs, ys, decade: float = 10.0):
     return float(slope)
 
 
-def fit_linear_slope(xs, ys, decade: float = 10.0):
-    """Least-squares slope of y against x over the last decade of xs."""
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    keep = xs >= xs.max() / decade
-    if keep.sum() < 2 or np.ptp(xs[keep]) == 0:
-        return 0.0
-    return float(np.polyfit(xs[keep], ys[keep], 1)[0])
-
-
 def geometric_checkpoints(x: int, per_decade: int = 2, x_min: int = 10_000):
     """Default experiment grid: half-decade steps from x_min up to x."""
     if x <= x_min:

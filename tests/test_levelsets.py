@@ -86,6 +86,7 @@ def all_variants():
         Deficient(),
         PhiRatioBelow(rational(Fraction(1, 2))),
         PhiRatioBelow(rational("0.35")),
+        PhiRatioBelow(Constant("log", 2)),
         TauMod(4, 1),
         GenericLevel(fns.mobius(), -1),
         GenericLevel(fns.lambda_xi(Constant("sqrt", 2)), 1.0, tolerance=1e-9),

@@ -200,7 +200,8 @@ def test_atomic_write_leaves_no_temp_files(tmp_path, cache):
     out = tmp_path / "x.csv"
     run(["density", "--set", "squarefree", "--x", "10000", "--cache", cache,
          "--csv", str(out)])
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
+    FactorSieve.build(1000).save(tmp_path / "c.spf")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.spf", "x.csv"]
 
 
 def test_experiment_config_roundtrip():
