@@ -304,15 +304,11 @@ def cmd_dist(args):
         if fn.kind != "additive":
             raise ValueError("--series three needs an additive function "
                              "(big_omega or small_omega)")
-        s1, s2, s3 = meanvalues.three_series(
-            lambda p: float(fn.prime_power(p, 1)), args.y, checkpoints, sieve)
-        rep = reports.ThreeSeriesReport(
-            checkpoints, s1.partial_sums, s2.partial_sums, s3.partial_sums,
-            slopes=(s1.slope, s2.slope, s3.slope))
+        rep = reports.ThreeSeriesReport(*meanvalues.three_series(
+            lambda p: float(fn.prime_power(p, 1)), args.y, checkpoints, sieve))
         emit(rep, config, args,
-             f"three-series[{fn.name}] at y={args.y}: "
-             f"{s1.partial_sums[-1]:.4f} / {s2.partial_sums[-1]:.4f} / "
-             f"{s3.partial_sums[-1]:.4f}")
+             f"three-series[{fn.name}] at y={args.y}: " +
+             " / ".join(f"{s.partial_sums[-1]:.4f}" for s in rep.series()))
         return 0
     if args.series == "halasz":
         rep = meanvalues.halasz_series(fn, args.t, args.y, checkpoints, sieve)

@@ -320,10 +320,7 @@ def star_discrepancy(seq: Mod1Sequence) -> float:
 def ud_test(h: HardyFunction, spec: LevelSet, count: int, k_max: int,
             sieve: FactorSieve) -> DiscrepancyReport:
     """Equidistribution report for {h(n_j)}: W_N(k) for k <= k_max, and D*."""
-    seq = fractional_parts_along(h, spec, count, sieve)
-    weyl = [weyl_sum(seq, k) for k in range(1, k_max + 1)]
-    return DiscrepancyReport(len(seq), star_discrepancy(seq), weyl,
-                             provenance=seq.provenance)
+    return _discrepancy_report(fractional_parts_along(h, spec, count, sieve), k_max)
 
 
 def pq_dilation_check(h: HardyFunction, p: int, q: int, count: int,
@@ -334,6 +331,10 @@ def pq_dilation_check(h: HardyFunction, p: int, q: int, count: int,
     n = np.arange(1, count + 1, dtype=np.int64)
     vals = h.dilated_difference_parts(p, q, n)
     seq = Mod1Sequence(vals, provenance={"hardy": h.to_json(), "p": p, "q": q})
+    return _discrepancy_report(seq, k_max)
+
+
+def _discrepancy_report(seq: Mod1Sequence, k_max: int) -> DiscrepancyReport:
     weyl = [weyl_sum(seq, k) for k in range(1, k_max + 1)]
     return DiscrepancyReport(len(seq), star_discrepancy(seq), weyl,
                              provenance=seq.provenance)
@@ -372,11 +373,7 @@ def total_ergodicity_test(spec: LevelSet, alpha, count: int, sieve: FactorSieve,
             "total ergodicity is characterized by Weyl averages at irrational "
             "frequencies; rational alpha needs negative_control=True"
         )
-    members = first_members(spec, count, sieve)
-    grid = _prefix_grid(count, grid)
-    z = e_of(alpha.frac_mul(members))
-    vals = [abs(z[:g].sum()) / g for g in grid]
-    return DecayProfile(grid, vals, slope=fit_loglog_slope(grid, vals))
+    return ergodic_weyl_test(first_members(spec, count, sieve), alpha, grid)
 
 
 def _prefix_grid(n: int, grid=None):

@@ -128,9 +128,7 @@ def _with_sieve_table(fn, name):
 
 def bulk_values(fn: ArithmeticFunction, x: int, sieve: FactorSieve) -> np.ndarray:
     """values[n] for n <= x through the sieve's prime-power kernel."""
-    if x > sieve.limit:
-        raise ValueError(f"x={x} exceeds sieve limit {sieve.limit}")
-
+    sieve.require_upto("x", x)
     # rule values on every prime power q = p^m <= x, placed densely at q
     ppval = np.zeros(x + 1, dtype=complex)
     for p in sieve.primes(x):

@@ -22,8 +22,9 @@ import numpy as np
 
 from .constants import Constant, as_constant
 from .functions import ArithmeticFunction, from_json as function_from_json
-from .sieve import _RULES, FactorSieve, SieveRangeError, _kfree_mask
+from .sieve import _RULES, FactorSieve, _kfree_mask
 from .reports import DensityReport, SeriesReport
+from .summation import checkpoint_sums, divergence_slope, prime_series
 
 BOUNDARY_EPS = 1e-12
 _BLOCK = 1 << 20  # members_upto applies the predicate this many n at a time
@@ -161,8 +162,7 @@ class LevelSet:
         return Verdict(bool(self._holds(v, n)), bool(self._boundary(v, n)))
 
     def members_upto(self, x: int, sieve: FactorSieve) -> np.ndarray:
-        if x > sieve.limit:
-            raise SieveRangeError(f"x={x} exceeds sieve limit {sieve.limit}")
+        sieve.require_upto("x", x)
         values = self._values(x, sieve)
         out = np.empty(x + 1, dtype=bool)
         for lo in range(0, x + 1, _BLOCK):
@@ -234,7 +234,8 @@ class _CountMod(LevelSet):
         self.name = f"{variant}({b},{r})"
 
     def _holds(self, v, n):
-        return v % self.b == self.r
+        # a lookup over 0..max(v): v % b overflows the int8 tables for b >= 128
+        return (np.arange(int(np.max(v)) + 1) % self.b == self.r).take(v)
 
     def to_json(self):
         return {"variant": self._variant, "b": self.b, "r": self.r}
@@ -328,6 +329,10 @@ class PhiRatioBelow(LevelSet):
         t = float(self.threshold)
         if not (0.0 < t < 1.0):
             raise ValueError("threshold must lie in (0, 1)")
+        if self.threshold.kind == "rational" and self.threshold.value_exact.denominator > 2**31:
+            # keeps phi * den and num * n below 2^62 in int64 for n <= 2^31
+            raise ValueError(f"threshold {self.threshold} has a denominator above "
+                             f"2^31; give a shorter decimal or a fraction p/q")
         self.name = f"phi_ratio_below({self.threshold})"
 
     def _holds(self, v, n):
@@ -439,8 +444,6 @@ def from_json(obj) -> LevelSet:
 
 def enumerate_members(spec: LevelSet, x: int, sieve: FactorSieve, chunk=1 << 20):
     """Stream the members of spec in [1, x] in increasing order."""
-    if x > sieve.limit:
-        raise SieveRangeError(f"x={x} exceeds sieve limit {sieve.limit}")
     table = spec.members_upto(x, sieve)
     for lo in range(0, x + 1, chunk):
         hi = min(lo + chunk, x + 1)
@@ -464,16 +467,9 @@ def first_members(spec: LevelSet, count: int, sieve: FactorSieve) -> np.ndarray:
 def empirical_density(spec: LevelSet, checkpoints, sieve: FactorSieve) -> DensityReport:
     """|E cap [1,x]| / x at each checkpoint (exact integer counts)."""
     checkpoints = sorted(int(c) for c in checkpoints)
-    if checkpoints[-1] > sieve.limit:
-        raise SieveRangeError(f"checkpoint {checkpoints[-1]} exceeds sieve limit")
     table = spec.members_upto(checkpoints[-1], sieve)
-    densities = []
-    acc = 0
-    prev = 1
-    for c in checkpoints:
-        acc += int(np.count_nonzero(table[prev : c + 1]))
-        prev = c + 1
-        densities.append(acc / c)
+    counts = checkpoint_sums(lambda lo, hi: np.count_nonzero(table[lo:hi]), checkpoints)
+    densities = [int(k) / c for k, c in zip(counts, checkpoints)]
     return DensityReport(checkpoints, densities, set_spec=spec.to_json())
 
 
@@ -487,44 +483,14 @@ def concentration_scan(fn: ArithmeticFunction, target, y: int, checkpoints,
     how the torus-criteria series are probed.  The divergence slope is
     advisory only.
     """
-    if y > sieve.limit:
-        raise SieveRangeError(f"y={y} exceeds sieve limit {sieve.limit}")
-    checkpoints = sorted(int(c) for c in checkpoints)
     if predicate is None:
         if tolerance == 0.0:
             predicate = lambda v: v == target
         else:
             predicate = lambda v: abs(complex(v) - complex(target)) <= tolerance
-    primes = sieve.primes(y)
-    sums = []
-    acc = 0.0
-    i = 0
-    for c in checkpoints:
-        while i < primes.size and primes[i] <= c:
-            p = int(primes[i])
-            if predicate(fn.prime_power(p, 1)):
-                acc += 1.0 / p
-            i += 1
-        sums.append(acc)
-    slope = divergence_slope(checkpoints, sums)
+    checkpoints, sums = prime_series(sieve, y, checkpoints, lambda primes: [
+        1.0 / p if predicate(fn.prime_power(p, 1)) else 0.0 for p in primes.tolist()])
     return SeriesReport(
-        name=f"concentration({fn.name})", cutoffs=checkpoints, partial_sums=sums,
-        slope=slope,
+        name=f"concentration({fn.name})", cutoffs=checkpoints, partial_sums=sums.tolist(),
+        slope=divergence_slope(checkpoints, sums),
     )
-
-
-def divergence_slope(cutoffs, sums) -> float:
-    """Advisory slope of the partial sum against log log y over the last decade.
-
-    Slope near 1 suggests Mertens-type divergence; near 0 suggests convergence.
-    Never a decision, only a report.
-    """
-    ys = np.asarray(cutoffs, dtype=np.float64)
-    ss = np.asarray(sums, dtype=np.float64)
-    keep = (ys >= ys.max() / 10.0) & (ys > math.e)
-    if keep.sum() < 2:
-        return 0.0
-    ll = np.log(np.log(ys[keep]))
-    if np.ptp(ll) == 0:
-        return 0.0
-    return float(np.polyfit(ll, ss[keep], 1)[0])

@@ -21,9 +21,8 @@ import numpy as np
 
 from .functions import ArithmeticFunction
 from .reports import MeanValueReport, SeriesReport
-from .sieve import FactorSieve, SieveRangeError, _simple_spf
-from .levelsets import divergence_slope
-from .summation import checkpoint_sums
+from .sieve import FactorSieve, _simple_spf
+from .summation import checkpoint_sums, divergence_slope, prime_series
 
 POWER_CUTOFF = 1e-18
 
@@ -31,27 +30,24 @@ POWER_CUTOFF = 1e-18
 def empirical_mean(fn: ArithmeticFunction, n_max: int, checkpoints,
                    sieve: FactorSieve, threads: int = 1) -> MeanValueReport:
     """Running means (1/x) sum_{n<=x} f(n) at each checkpoint."""
-    if n_max > sieve.limit:
-        raise SieveRangeError(f"N={n_max} exceeds sieve limit {sieve.limit}")
-    checkpoints = sorted(set(int(c) for c in checkpoints) | {int(n_max)})
-    values = fn.values_upto(n_max, sieve)
-
-    sums = checkpoint_sums(lambda lo, hi: values[lo:hi], checkpoints, threads=threads)
-    means = [s / c for s, c in zip(sums, checkpoints)]
-    return MeanValueReport(checkpoints, means, function_spec=fn.to_json())
+    return _running_means(fn.values_upto, n_max, checkpoints, sieve, threads,
+                          fn.to_json())
 
 
 def seminorm_l1(fn: ArithmeticFunction, n_max: int, checkpoints,
                 sieve: FactorSieve, threads: int = 1) -> MeanValueReport:
     """Running means of |f(n)| (the limsup of these is the averaged seminorm)."""
-    if n_max > sieve.limit:
-        raise SieveRangeError(f"N={n_max} exceeds sieve limit {sieve.limit}")
+    return _running_means(lambda x, s: np.abs(fn.values_upto(x, s)), n_max,
+                          checkpoints, sieve, threads, {"seminorm_of": fn.to_json()})
+
+
+def _running_means(values_upto, n_max, checkpoints, sieve, threads, spec):
+    sieve.require_upto("N", n_max)
     checkpoints = sorted(set(int(c) for c in checkpoints) | {int(n_max)})
-    values = np.abs(fn.values_upto(n_max, sieve))
+    values = values_upto(n_max, sieve)
     sums = checkpoint_sums(lambda lo, hi: values[lo:hi], checkpoints, threads=threads)
-    means = [s / c for s, c in zip(sums, checkpoints)]
-    return MeanValueReport(checkpoints, means,
-                           function_spec={"seminorm_of": fn.to_json()})
+    return MeanValueReport(checkpoints, [s / c for s, c in zip(sums, checkpoints)],
+                           function_spec=spec)
 
 
 class LocalFactorError(ValueError):
@@ -118,25 +114,18 @@ def halasz_series(fn: ArithmeticFunction, t: float, y: int, checkpoints,
 
     Terms lie in [0, 2/p], so the partial sums are nondecreasing.
     """
-    if y > sieve.limit:
-        raise SieveRangeError(f"y={y} exceeds sieve limit {sieve.limit}")
-    checkpoints = sorted(int(c) for c in checkpoints)
-    primes = sieve.primes(y)
-    sums, acc, i = [], 0.0, 0
-    for c in checkpoints:
-        while i < primes.size and primes[i] <= c:
-            p = int(primes[i])
-            gp = complex(fn.prime_power(p, 1))
-            if abs(gp) > 1.0 + 1e-12:
-                raise ValueError(f"|g({p})| = {abs(gp):.3f} > 1: series terms "
-                                 f"would leave [0, 2/p]")
-            term = (1.0 - (gp * complex(math.cos(t * math.log(p)),
-                                        math.sin(t * math.log(p)))).real) / p
-            acc += term
-            i += 1
-        sums.append(acc)
+    def term(p):
+        gp = complex(fn.prime_power(p, 1))
+        if abs(gp) > 1.0 + 1e-12:
+            raise ValueError(f"|g({p})| = {abs(gp):.3f} > 1: series terms "
+                             f"would leave [0, 2/p]")
+        w = t * math.log(p)
+        return (1.0 - (gp * complex(math.cos(w), math.sin(w))).real) / p
+
+    checkpoints, sums = prime_series(sieve, y, checkpoints,
+                                     lambda primes: [term(p) for p in primes.tolist()])
     return SeriesReport(
-        name=f"halasz({fn.name},t={t})", cutoffs=checkpoints, partial_sums=sums,
+        name=f"halasz({fn.name},t={t})", cutoffs=checkpoints, partial_sums=sums.tolist(),
         slope=divergence_slope(checkpoints, sums),
     )
 
@@ -147,28 +136,17 @@ def three_series(a_of_p, y: int, checkpoints, sieve: FactorSieve):
     Returns SeriesReports for sum 1/p over |a(p)|>1, sum a(p)/p and
     sum a(p)^2/p over |a(p)|<=1, split applied per prime.
     """
-    if y > sieve.limit:
-        raise SieveRangeError(f"y={y} exceeds sieve limit {sieve.limit}")
-    checkpoints = sorted(int(c) for c in checkpoints)
-    primes = sieve.primes(y)
-    s1, s2, s3 = [], [], []
-    acc1 = acc2 = acc3 = 0.0
-    i = 0
-    for c in checkpoints:
-        while i < primes.size and primes[i] <= c:
-            p = int(primes[i])
-            a = float(a_of_p(p))
-            if not math.isfinite(a):
-                raise ValueError(f"a(p) not finite at p={p}")
-            if abs(a) > 1.0:
-                acc1 += 1.0 / p
-            else:
-                acc2 += a / p
-                acc3 += a * a / p
-            i += 1
-        s1.append(acc1)
-        s2.append(acc2)
-        s3.append(acc3)
+    def terms(primes):
+        a = np.array([float(a_of_p(p)) for p in primes.tolist()])
+        if not np.isfinite(a).all():
+            raise ValueError(f"a(p) not finite at p={primes[~np.isfinite(a)][0]}")
+        large = np.abs(a) > 1.0
+        return np.stack([np.where(large, 1.0 / primes, 0.0),
+                         np.where(large, 0.0, a / primes),
+                         np.where(large, 0.0, a * a / primes)], axis=1)
+
+    checkpoints, sums = prime_series(sieve, y, checkpoints, terms)
+    s1, s2, s3 = sums.T.tolist()
     return (
         SeriesReport("large_values", checkpoints, s1, divergence_slope(checkpoints, s1)),
         SeriesReport("first_moment", checkpoints, s2, divergence_slope(checkpoints, s2),

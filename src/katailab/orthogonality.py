@@ -188,8 +188,7 @@ def orthogonality_sum(spec: LevelSet, seq: BoundedSequence, x: int,
                       checkpoints, sieve: FactorSieve,
                       threads: int = 1) -> DecayProfile:
     """|sum_{n<=x'} 1_E(n) a(n)| / x' on the checkpoint grid, with slope."""
-    if x > sieve.limit:
-        raise SieveRangeError(f"x={x} exceeds sieve limit {sieve.limit}")
+    sieve.require_upto("x", x)
     checkpoints = sorted(set(int(c) for c in checkpoints) | {int(x)})
     members = spec.members_upto(x, sieve)
 
@@ -214,8 +213,7 @@ def turan_kubilius_variance(prime_set, x: int, sieve: FactorSieve) -> TuranKubil
         raise ValueError("prime set must be nonempty")
     if max(primes) > x:
         raise ValueError(f"max(P) = {max(primes)} exceeds x = {x}")
-    if x > sieve.limit:
-        raise SieveRangeError(f"x={x} exceeds sieve limit {sieve.limit}")
+    sieve.require_upto("x", x)
     for p in primes:
         if int(sieve.spf[p]) != p:
             raise ValueError(f"{p} is not prime")

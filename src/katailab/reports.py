@@ -223,29 +223,26 @@ class CdfReport:
 class ThreeSeriesReport:
     """The three additive-function convergence series, side by side."""
 
-    cutoffs: list
-    large_values: list
-    first_moment: list
-    second_moment: list
-    slopes: tuple = (0.0, 0.0, 0.0)
+    large_values: SeriesReport
+    first_moment: SeriesReport
+    second_moment: SeriesReport
+
+    def series(self):
+        return self.large_values, self.first_moment, self.second_moment
 
     def rows(self):
         header = ("y", "large_values", "first_moment", "second_moment")
         body = [
             (int(y), float(a), float(b), float(c))
-            for y, a, b, c in zip(self.cutoffs, self.large_values,
-                                  self.first_moment, self.second_moment)
+            for y, a, b, c in zip(self.large_values.cutoffs,
+                                  *(s.partial_sums for s in self.series()))
         ]
         return [header], body
 
     def summary(self):
         return {
-            "final": {
-                "large_values": float(self.large_values[-1]),
-                "first_moment": float(self.first_moment[-1]),
-                "second_moment": float(self.second_moment[-1]),
-            },
-            "advisory_slopes": list(self.slopes),
+            "final": {s.name: float(s.partial_sums[-1]) for s in self.series()},
+            "advisory_slopes": [s.slope for s in self.series()],
         }
 
 

@@ -115,9 +115,15 @@ class FactorSieve:
 
     # -- factorization -----------------------------------------------------
 
+    def require_upto(self, label: str, x: int):
+        """SieveRangeError unless x <= limit; label names x in the message."""
+        if x > self.limit:
+            raise SieveRangeError(f"{label}={x} exceeds sieve limit {self.limit}")
+
     def _check(self, n: int):
-        if not (1 <= n <= self.limit):
+        if n < 1:
             raise SieveRangeError(f"n must be in [1, {self.limit}], got {n}")
+        self.require_upto("n", n)
 
     def factorize(self, n: int) -> Factorization:
         """Canonical factorization of n (1 <= n <= limit); n=1 gives ()."""

@@ -1,13 +1,18 @@
-"""Deterministic chunked accumulation shared by all empirical averages.
+"""Checkpointed partial sums: the one reduction path of every empirical
+mean, density, decay profile, correlation and prime series, plus the advisory
+slope fits that summarize them.
 
-Ranges are cut at checkpoint boundaries, then into fixed chunks of 2^16
-values.  Each chunk is summed independently (numpy's pairwise kernel) and the
-chunk results are combined by a fixed binary tree, so the result is
-bit-identical no matter how many threads computed the chunks.
+checkpoint_sums (sums over n) cuts [1, c] at the checkpoints, then into
+fixed chunks of 2^16 values.  Each chunk is summed independently (numpy's
+pairwise kernel) and the chunk results are combined by a fixed binary tree,
+so the result is bit-identical no matter how many threads computed the chunks.
+prime_series (sums over primes p <= y) adds the terms one prime at a time in
+increasing order and reads the running sum off at each checkpoint.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -38,41 +43,43 @@ def _chunks(lo: int, hi: int):
     return [(edges[i], edges[i + 1]) for i in range(len(edges) - 1) if edges[i] < edges[i + 1]]
 
 
-def checkpoint_sums(values_of, checkpoints, threads: int = 1, start: int = 1):
-    """Cumulative sums of values_of over [start, c] for each checkpoint c.
+def checkpoint_sums(values_of, checkpoints, threads: int = 1):
+    """Cumulative sums of values_of over [1, c] for each checkpoint c.
 
     values_of(lo, hi) must return the summand array for n in [lo, hi).
     Returns a list of cumulative sums, one per checkpoint, deterministic in
     the thread count.
     """
-    checkpoints = sorted(int(c) for c in checkpoints)
-    segments = []
-    prev = start
-    for c in checkpoints:
-        if c + 1 > prev:
-            segments.append((prev, c + 1))
-            prev = c + 1
-        else:
-            segments.append(None)  # duplicate/contained checkpoint
-
-    def segment_sum(seg):
-        lo, hi = seg
-        chunks = _chunks(lo, hi)
-        if threads > 1 and len(chunks) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                parts = list(pool.map(lambda c: np.sum(values_of(*c)), chunks))
-        else:
-            parts = [np.sum(values_of(*c)) for c in chunks]
-        return pairwise_total(parts)
-
-    out = []
-    acc = None
-    for seg in segments:
-        if seg is not None:
-            s = segment_sum(seg)
+    out, acc, lo = [], None, 1
+    for c in sorted(int(c) for c in checkpoints):
+        if c + 1 > lo:  # a duplicate or contained checkpoint adds nothing
+            chunks = _chunks(lo, c + 1)
+            if threads > 1 and len(chunks) > 1:
+                with ThreadPoolExecutor(max_workers=threads) as pool:
+                    parts = list(pool.map(lambda ch: np.sum(values_of(*ch)), chunks))
+            else:
+                parts = [np.sum(values_of(*ch)) for ch in chunks]
+            s = pairwise_total(parts)
             acc = s if acc is None else acc + s
-        out.append(acc if acc is not None else 0.0)
+            lo = c + 1
+        out.append(0.0 if acc is None else acc)
     return out
+
+
+def prime_series(sieve, y: int, checkpoints, terms):
+    """Sorted checkpoints and the sums of terms over primes p <= min(y, c).
+
+    terms(primes) gets the int64 primes up to min(y, last checkpoint) and
+    returns one value (or one row of values) per prime; the result holds one
+    sum (or row) per checkpoint, bit-equal to adding the terms one by one.
+    """
+    sieve.require_upto("y", y)
+    checkpoints = sorted(int(c) for c in checkpoints)
+    primes = sieve.primes(max(1, min(y, checkpoints[-1])))
+    vals = np.asarray(terms(primes), dtype=np.float64)
+    # the leading 0.0 also turns a first term of -0.0 into 0.0, as 0.0 + t does
+    sums = np.cumsum(np.concatenate([np.zeros((1,) + vals.shape[1:]), vals]), axis=0)
+    return checkpoints, sums[np.searchsorted(primes, checkpoints, side="right")]
 
 
 def fit_loglog_slope(xs, ys, decade: float = 10.0):
@@ -88,6 +95,23 @@ def fit_loglog_slope(xs, ys, decade: float = 10.0):
         return 0.0
     slope = np.polyfit(np.log10(xs[keep]), np.log10(ys[keep]), 1)[0]
     return float(slope)
+
+
+def divergence_slope(cutoffs, sums) -> float:
+    """Advisory slope of the partial sum against log log y over the last decade.
+
+    Slope near 1 suggests Mertens-type divergence; near 0 suggests convergence.
+    Never a decision, only a report.
+    """
+    ys = np.asarray(cutoffs, dtype=np.float64)
+    ss = np.asarray(sums, dtype=np.float64)
+    keep = (ys >= ys.max() / 10.0) & (ys > math.e)
+    if keep.sum() < 2:
+        return 0.0
+    ll = np.log(np.log(ys[keep]))
+    if np.ptp(ll) == 0:
+        return 0.0
+    return float(np.polyfit(ll, ss[keep], 1)[0])
 
 
 def geometric_checkpoints(x: int, per_decade: int = 2, x_min: int = 10_000):

@@ -79,6 +79,8 @@ def all_variants():
         KFree(3),
         OmegaMod(3, 1, "small_omega"),
         OmegaMod(2, 0, "big_omega"),
+        OmegaMod(200, 1),  # moduli above the int8 range of the count tables
+        OmegaMod(130, 3, "small_omega"),
         Intersection(OmegaMod(2, 1, "small_omega"), OmegaMod(3, 0, "big_omega")),
         OmegaRot(Constant("sqrt", 2), window, "big_omega"),
         OmegaRot(Constant("golden"), window, "small_omega"),
@@ -86,6 +88,7 @@ def all_variants():
         Deficient(),
         PhiRatioBelow(rational(Fraction(1, 2))),
         PhiRatioBelow(rational("0.35")),
+        PhiRatioBelow(rational("0.607927101")),
         PhiRatioBelow(Constant("log", 2)),
         TauMod(4, 1),
         GenericLevel(fns.mobius(), -1),
@@ -102,6 +105,21 @@ def test_enumerate_membership_agreement_exhaustive(sieve_small):
         for n in range(1, x + 1):
             m = spec.contains(n, sieve_small).member
             assert m == bool(table[n]) == (n in members), (spec.name, n)
+
+
+def test_phi_ratio_rejects_long_rational_threshold(tmp_path):
+    from katailab.cli import main
+
+    # a pasted 6/pi^2: its denominator 10^16 would wrap phi * den in int64
+    with pytest.raises(ValueError, match="shorter decimal"):
+        PhiRatioBelow(rational("0.6079271018540267"))
+    with pytest.raises(ValueError, match="shorter decimal"):
+        PhiRatioBelow(rational(Fraction(1, 2**31 + 1)))
+    PhiRatioBelow(rational(Fraction(2**31 - 1, 2**31)))  # the longest accepted
+    out = tmp_path / "d.csv"
+    assert main(["density", "--set", "phi_below:0.6079271018540267", "--x", "1000",
+                 "--csv", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_multiplicative_set_closure(sieve_small):

@@ -1,10 +1,33 @@
 """CLI subcommands, report files, provenance, and thread determinism."""
 
+import hashlib
 import json
+import math
+from fractions import Fraction
 
 import pytest
 
+from katailab import functions as fns
+from katailab import reports
 from katailab.cli import ExperimentConfig, main, parse_function, parse_hardy, parse_set
+from katailab.constants import Constant, rational
+from katailab.equidist import (
+    ergodic_weyl_test,
+    floor_sequence,
+    power,
+    pq_dilation_check,
+    t_log_t,
+    total_ergodicity_test,
+    ud_test,
+)
+from katailab.levelsets import (
+    Abundant,
+    OmegaMod,
+    Squarefree,
+    concentration_scan,
+    empirical_density,
+)
+from katailab.meanvalues import empirical_mean, halasz_series, seminorm_l1, three_series
 from katailab.sieve import FactorSieve
 
 
@@ -242,3 +265,69 @@ def test_parsers_cover_spec_spellings(sieve_small):
                  "tlogt", "toverlogt", "loggamma"):
         h = parse_hardy(text)
         h.eval(4.0)
+
+
+def _pinned_reports(small, mid):
+    def three(a_of_p, y, cps, sieve):
+        return reports.ThreeSeriesReport(*three_series(a_of_p, y, cps, sieve))
+
+    return {
+        "halasz_xi": lambda: halasz_series(fns.lambda_xi(Constant("golden")), 1.5, 100_000,
+                                           [10, 1000, 50_000, 200_000], mid),
+        "halasz_liouville": lambda: halasz_series(fns.liouville(), 0.0, 10_000,
+                                                  [1, 100, 10_000], small),
+        "three_log": lambda: three(lambda p: math.log(1 - 1 / p) * (1 + p % 3), 100_000,
+                                   [2, 1000, 100_000], mid),
+        "three_omega": lambda: three(lambda p: 1.0, 10_000, [10, 10_000, 20_000], small),
+        "concentration": lambda: concentration_scan(fns.liouville(), -1, 100_000,
+                                                    [10, 1000, 10_000, 100_000], mid),
+        "concentration_tol": lambda: concentration_scan(
+            fns.lambda_xi(Constant("sqrt", 2)), 1.0, 10_000, [5, 10_000], small, tolerance=0.5),
+        "density_abundant": lambda: empirical_density(Abundant(), [1, 10, 1000, 100_000], mid),
+        "density_omega": lambda: empirical_density(OmegaMod(3, 1, "small_omega"),
+                                                   [100, 100, 7], small),
+        "seminorm_phi": lambda: seminorm_l1(fns.euler_phi_ratio(), 100_000, [10, 1000], mid),
+        "mean_liouville": lambda: empirical_mean(fns.liouville(), 100_000, [10, 1000], mid,
+                                                 threads=2),
+        "total_golden": lambda: total_ergodicity_test(Squarefree(), Constant("golden"),
+                                                      20_000, mid),
+        "total_integer": lambda: total_ergodicity_test(Squarefree(), rational(2), 5_000, mid,
+                                                       negative_control=True),
+        "total_third": lambda: total_ergodicity_test(Squarefree(), rational(Fraction(1, 3)),
+                                                     5_000, mid, negative_control=True),
+        "floor_ergodic": lambda: ergodic_weyl_test(
+            floor_sequence(power(Fraction(3, 2)), Squarefree(), 20_000, mid),
+            Constant("sqrt", 2)),
+        "ud_power": lambda: ud_test(power(Fraction(3, 2)), Squarefree(), 10_000, 3, mid),
+        "dilation": lambda: pq_dilation_check(t_log_t(), 2, 3, 10_000, 3),
+    }
+
+
+# SHA-256 of render_json(report, {"case": name}); a change to the reduction
+# paths must leave these bytes alone, one that alters them on purpose updates them
+PINNED_DIGESTS = {
+    "halasz_xi": "21bd189900bc45d331b3e53559fe79f386558f1b343fa9ee251f12ba0be90288",
+    "halasz_liouville": "6a6c8b2f09cca039e8fe3c4d40c7921741ff3e23fda900f240bea8e4ce19afaa",
+    "three_log": "3b59b44158c8d8a6b8085807a7cb005d035e3b3c4d499b5a6cd113a5f2d56420",
+    "three_omega": "9d5457e209dba70d4ff48a7dbc955d568761ccfefdb55991e6b949350df7206f",
+    "concentration": "d217d4f4ff4293735bb441f418a9e18e94f5024ee222e27a17543c68ed38eccd",
+    "concentration_tol": "845cb9a07edb0d4471a65d3dabeca6061885701d71cb9df39182d704a6f3f0fa",
+    "density_abundant": "d25b80ec8e8a7a3cce04c9cf4fada20906c168e68d3c8603e69e90a6ba10e799",
+    "density_omega": "3d5cfd289e867b98ce3f87fee91f3a287a7b2e379a9f09f9705728fde3f4eb57",
+    "seminorm_phi": "3dc7275f666ae2b8e49126d7debf919cdc73b710c08ba87c164e22f129ddf4af",
+    "mean_liouville": "22ee0d89cbc142ff2a59db4552ef6b5133065b23722d17817302b0a1f41bf258",
+    "total_golden": "dd43b35ba23629b1f7c237a520ba3cbeb6b0845dbfabbe3ceadce9a3d5245c32",
+    "total_integer": "c3b39fef6ff154537c401601c939e1ecf5be0c7a12519ecfd42b4f3b1f0e9b42",
+    "total_third": "cd439f30c0bef3139ed1ea6eaced0637f72898ae7347c473cc2f6fd842d4028a",
+    "floor_ergodic": "d4f58d7616728dbfe3ff72bf1314f8617cd907141e69f9cdfbf6539bed57621c",
+    "ud_power": "f2fb6e472631244d78aa5dd0403e810b548f5035a248ac4a777cf1d3ea1b0cb6",
+    "dilation": "e105166ffa482ee6d0112475f6889b6c750b6fcd50cc0bd79db75d13add5741e",
+}
+
+
+def test_report_bytes_are_pinned(sieve_small, sieve_mid):
+    made = _pinned_reports(sieve_small, sieve_mid)
+    assert sorted(made) == sorted(PINNED_DIGESTS)
+    for name, make in made.items():
+        data = reports.render_json(make(), {"case": name})
+        assert hashlib.sha256(data).hexdigest() == PINNED_DIGESTS[name], name

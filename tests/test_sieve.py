@@ -3,6 +3,20 @@
 import numpy as np
 import pytest
 
+from katailab import functions as fns
+from katailab.constants import Constant
+from katailab.levelsets import (
+    Squarefree,
+    concentration_scan,
+    empirical_density,
+    enumerate_members,
+)
+from katailab.meanvalues import empirical_mean, halasz_series, seminorm_l1, three_series
+from katailab.orthogonality import (
+    LinearExponential,
+    orthogonality_sum,
+    turan_kubilius_variance,
+)
 from katailab.sieve import (
     CACHE_MAGIC,
     FactorSieve,
@@ -91,6 +105,30 @@ def test_factorize_reconstructs_n(sieve_small):
 def test_factorize_out_of_range(sieve_small):
     with pytest.raises(SieveRangeError):
         sieve_small.factorize(10_001)
+
+
+RANGE_CHECKED = {
+    "bulk_values": lambda x, s: fns.bulk_values(fns.mobius(), x, s),
+    "members_upto": lambda x, s: Squarefree().members_upto(x, s),
+    "enumerate_members": lambda x, s: next(enumerate_members(Squarefree(), x, s)),
+    "empirical_density": lambda x, s: empirical_density(Squarefree(), [10, x], s),
+    "empirical_mean": lambda x, s: empirical_mean(fns.mobius(), x, [10], s),
+    "seminorm_l1": lambda x, s: seminorm_l1(fns.mobius(), x, [10], s),
+    "halasz_series": lambda x, s: halasz_series(fns.liouville(), 0.0, x, [10], s),
+    "three_series": lambda x, s: three_series(lambda p: 1.0, x, [10], s),
+    "concentration_scan": lambda x, s: concentration_scan(fns.liouville(), -1, x, [10], s),
+    "orthogonality_sum": lambda x, s: orthogonality_sum(
+        Squarefree(), LinearExponential(Constant("sqrt", 2)), x, [10], s),
+    "turan_kubilius_variance": lambda x, s: turan_kubilius_variance([2, 3], x, s),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANGE_CHECKED))
+def test_entry_points_reject_x_past_the_sieve(name, sieve_small):
+    call = RANGE_CHECKED[name]
+    call(sieve_small.limit, sieve_small)  # the limit itself is in range
+    with pytest.raises(SieveRangeError, match="exceeds sieve limit"):
+        call(sieve_small.limit + 1, sieve_small)
 
 
 def test_primes_list(sieve_small):
