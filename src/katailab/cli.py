@@ -7,7 +7,8 @@ carrying the exact experiment configuration (thread count and output paths
 are execution details, not experiment identity, so they are excluded and the
 output bytes are identical for any --threads).
 
-Exit codes: 0 success, 2 validation error, 3 numeric-budget violation.
+Exit codes: 0 success, 2 validation error, 3 numeric-budget violation or
+out of memory.
 """
 
 from __future__ import annotations
@@ -382,6 +383,13 @@ def _config(command, args, params) -> ExperimentConfig:
                             threads=getattr(args, "threads", 1), outputs=outputs)
 
 
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _common(sub, cache=True):
     sub.add_argument("--csv", help="write the report as CSV")
     sub.add_argument("--json", dest="json_out", help="write the report as JSON")
@@ -457,8 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sp.add_parser("weyl", help="equidistribution report along a level set")
     s.add_argument("--set", default="squarefree")
     s.add_argument("--hardy", required=True)
-    s.add_argument("--n", type=int, required=True, help="number of points")
-    s.add_argument("--kmax", type=int, default=5)
+    s.add_argument("--n", type=_count, required=True, help="number of points")
+    s.add_argument("--kmax", type=_count, default=5)
     s.add_argument("--dilate", nargs=2, type=int, metavar=("P", "Q"))
     s.add_argument("--sieve-limit", type=int)
     _common(s)
@@ -467,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sp.add_parser("ergodic", help="ergodic-sequence Weyl averages")
     s.add_argument("--set", required=True)
     s.add_argument("--alpha", required=True)
-    s.add_argument("--n", type=int, required=True)
+    s.add_argument("--n", type=_count, required=True)
     s.add_argument("--mode", choices=["total", "floor"], default="total")
     s.add_argument("--hardy", default="power:1.5")
     s.add_argument("--sieve-limit", type=int)
@@ -488,6 +496,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except SieveRangeError as err:
         print(f"numeric budget violated: {err}", file=sys.stderr)
+        return 3
+    except MemoryError as err:
+        print(f"out of memory: {err}" if str(err) else "out of memory", file=sys.stderr)
         return 3
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -9,6 +9,14 @@ n^i < 2^80.
 The kernels (two_sum, two_prod via Dekker splitting, exp/log by argument
 reduction plus Newton) follow the classic QD library algorithms.  They assume
 round-to-nearest binary64 and no FMA contraction, which CPython/numpy provide.
+
+Every kernel is elementwise, and each dd operation makes several temporaries
+the size of its input.  Callers that map a long array through a whole phase
+pipeline (t -> dd value -> fractional part or floor) run it through
+blockwise(), which feeds the pipeline aligned slices of BLOCK entries
+(128 KB per float64 array, so a block's temporaries stay in a core's L2
+cache) and fills one output array.  Because every step is elementwise, the
+output is bit-identical to a whole-array evaluation.
 """
 
 from __future__ import annotations
@@ -16,11 +24,32 @@ from __future__ import annotations
 import numpy as np
 
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant
+BLOCK = 1 << 14  # entries per blockwise() slice
 
 # log(2) to double-double precision.
 LOG2 = (0.6931471805599453, 2.3190468138462996e-17)
 # log(2*pi)/2 to double-double precision.
 HALF_LOG_2PI = (0.9189385332046728, -3.8782941580672414e-17)
+
+
+def blockwise(fn, x):
+    """fn(x) for an elementwise fn, evaluated BLOCK entries at a time.
+
+    fn takes an array slice and returns one array of the same length.  The
+    output has x's shape and the dtype of fn's first result.  An error from
+    any block propagates unchanged; checks whose message depends on the
+    whole input (a maximum, an argmax) belong before or after the call.
+    """
+    x = np.asarray(x)
+    if x.size <= BLOCK:
+        return fn(x)
+    flat = x.reshape(-1)
+    first = fn(flat[:BLOCK])
+    out = np.empty(flat.size, dtype=first.dtype)
+    out[:BLOCK] = first
+    for lo in range(BLOCK, flat.size, BLOCK):
+        out[lo:lo + BLOCK] = fn(flat[lo:lo + BLOCK])
+    return out.reshape(x.shape)
 
 
 def two_sum(a, b):

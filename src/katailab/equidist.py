@@ -9,10 +9,11 @@ experiments need (log^r with r <= 2, all-rational polynomials) are
 constructible only behind an explicit negative_control flag.
 
 Fractional parts go through the double-double layer (monomials reduced
-per-monomial, budget-guarded at n^i < 2^80); floors of rational powers go
-through exact integer k-th roots.  Values at n = 1 follow the germ-at-
-infinity convention: every catalog variant is assigned fractional part 0 and
-floor h(1) there, so sets containing 1 stay usable.
+per-monomial, budget-guarded at n^i < 2^80), one ddmath.blockwise() slice at
+a time from n to the final float; floors of rational powers go through exact
+integer k-th roots.  Values at n = 1 follow the germ-at-infinity convention:
+every catalog variant is assigned fractional part 0 and floor h(1) there, so
+sets containing 1 stay usable.
 """
 
 from __future__ import annotations
@@ -137,7 +138,8 @@ class HardyFunction:
         out = np.zeros(n.shape, dtype=np.float64)
         big = n >= 2
         if big.any():
-            out[big] = ddmath.frac(self._dd_values(n[big].astype(np.float64)))
+            out[big] = ddmath.blockwise(lambda t: ddmath.frac(self._dd_values(t)),
+                                        n[big].astype(np.float64))
         return out
 
     def dilated_difference_parts(self, p: int, q: int, n: np.ndarray) -> np.ndarray:
@@ -149,9 +151,13 @@ class HardyFunction:
             scaled = [ddmath.mul_f(c.dd, float(p**i - q**i))
                       for i, c in enumerate(self.coefficients)]
             return polynomial_frac(scaled, n)
-        hp = self._dd_values((p * n).astype(np.float64))
-        hq = self._dd_values((q * n).astype(np.float64))
-        return ddmath.frac(ddmath.sub(hp, hq))
+
+        def parts(m):
+            hp = self._dd_values((p * m).astype(np.float64))
+            hq = self._dd_values((q * m).astype(np.float64))
+            return ddmath.frac(ddmath.sub(hp, hq))
+
+        return ddmath.blockwise(parts, n)
 
     def floor_values(self, n: np.ndarray) -> np.ndarray:
         """floor(h(n)) as exact int64; overflow-guarded at 2^62.
@@ -162,31 +168,29 @@ class HardyFunction:
         """
         n = np.asarray(n, dtype=np.int64)
         if self.variant == "power" and not self.c.is_irrational:
-            u = self.c.value_exact.numerator
-            v = self.c.value_exact.denominator
-            out = np.empty(n.shape, dtype=np.int64)
-            for i, m in enumerate(n.ravel()):
-                root = _int_root(int(m) ** u, v)
-                if root >= 2**62:
-                    raise SieveRangeError(
-                        f"floor(h({int(m)})) = {root} overflows the 2^62 guard"
-                    )
-                out[i] = root
-            return out
+            return _rational_power_floors(n, self.c.value_exact.numerator,
+                                          self.c.value_exact.denominator)
         vals = np.zeros(n.shape, dtype=np.int64)
         big = n >= 2
         if self.variant == "polynomial":
             big = n >= 1
-        if big.any():
+
+        def floors(m):
             if self.variant == "polynomial":
-                h, l = _polynomial_dd(self.coefficients, n[big])
+                h, l = _polynomial_dd(self.coefficients, m)
             else:
-                h, l = self._dd_values(n[big].astype(np.float64))
-            if np.any(h >= float(2**62)):
-                bad = int(n[big][int(np.argmax(h))])
-                raise SieveRangeError(f"h({bad}) overflows the 2^62 floor guard")
+                h, l = self._dd_values(m.astype(np.float64))
             fh, fl = ddmath.floor((h, l))
-            vals[big] = (fh + fl).astype(np.int64)
+            # the floor of a normalized dd rounds to at most h, so keeping h
+            # past the guard gives f >= 2^62 exactly where h is, same argmax
+            return np.where(h >= float(2**62), h, fh + fl)
+
+        if big.any():
+            f = ddmath.blockwise(floors, n[big])
+            if np.any(f >= float(2**62)):
+                bad = int(n[big][int(np.argmax(f))])
+                raise SieveRangeError(f"h({bad}) overflows the 2^62 floor guard")
+            vals[big] = f.astype(np.int64)
         if self.variant == "power":
             vals[~big] = 1  # 1^c = 1
         return vals
@@ -226,6 +230,43 @@ def _polynomial_dd(coefficients, n: np.ndarray):
         npow = ddmath.mul(npow, nf)
         total = ddmath.add(total, ddmath.mul(npow, c.dd))
     return total
+
+
+def _rational_power_floors(n: np.ndarray, u: int, v: int) -> np.ndarray:
+    """floor(m^(u/v)) for an int64 array, exact; guarded at 2^62.
+
+    Entries with 0 <= m^u < 2^62 take the int64 route of _int64_roots; the
+    rest go through exact Python integers, in order, so the guard names the
+    same first m as an elementwise loop would.
+    """
+    flat = n.reshape(-1)
+    out = np.empty(flat.size, dtype=np.int64)
+    fast = (flat >= 0) & (flat <= _int_root(2**62 - 1, u))
+    out[fast] = _int64_roots(flat[fast] ** u, v)
+    for i in np.flatnonzero(~fast):
+        m = int(flat[i])
+        root = _int_root(m**u, v)
+        if root >= 2**62:
+            raise SieveRangeError(f"floor(h({m})) = {root} overflows the 2^62 guard")
+        out[i] = root
+    return out.reshape(n.shape)
+
+
+def _int64_roots(mu: np.ndarray, k: int) -> np.ndarray:
+    """floor(mu^(1/k)) for an int64 array with 0 <= mu < 2^62, exact."""
+    r = np.floor(mu.astype(np.float64) ** (1.0 / k)).astype(np.int64)
+    # the float estimate is off by a unit or so; step it onto the root
+    while (over := ~_pow_at_most(r, k, mu)).any():
+        r[over] -= 1
+    while (under := _pow_at_most(r + 1, k, mu)).any():
+        r[under] += 1
+    return r
+
+
+def _pow_at_most(r: np.ndarray, k: int, mu: np.ndarray) -> np.ndarray:
+    """r^k <= mu for int64 r >= 0 and mu < 2^62, with no int64 overflow."""
+    fits = r.astype(np.float64) ** k < 2.0**62.5
+    return fits & (np.where(fits, r, 0) ** k <= mu)
 
 
 def _int_root(m: int, k: int) -> int:
@@ -320,6 +361,8 @@ def star_discrepancy(seq: Mod1Sequence) -> float:
 def ud_test(h: HardyFunction, spec: LevelSet, count: int, k_max: int,
             sieve: FactorSieve) -> DiscrepancyReport:
     """Equidistribution report for {h(n_j)}: W_N(k) for k <= k_max, and D*."""
+    _require_positive("count", count)
+    _require_positive("k_max", k_max)
     return _discrepancy_report(fractional_parts_along(h, spec, count, sieve), k_max)
 
 
@@ -328,10 +371,17 @@ def pq_dilation_check(h: HardyFunction, p: int, q: int, count: int,
     """Equidistribution report for {h(pn) - h(qn)}, n = 1..count."""
     if p == q:
         raise ValueError("dilation check needs distinct primes p != q")
+    _require_positive("count", count)
+    _require_positive("k_max", k_max)
     n = np.arange(1, count + 1, dtype=np.int64)
     vals = h.dilated_difference_parts(p, q, n)
     seq = Mod1Sequence(vals, provenance={"hardy": h.to_json(), "p": p, "q": q})
     return _discrepancy_report(seq, k_max)
+
+
+def _require_positive(name: str, value: int):
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def _discrepancy_report(seq: Mod1Sequence, k_max: int) -> DiscrepancyReport:
@@ -343,6 +393,7 @@ def _discrepancy_report(seq: Mod1Sequence, k_max: int) -> DiscrepancyReport:
 def floor_sequence(h: HardyFunction, spec: LevelSet, count: int,
                    sieve: FactorSieve) -> np.ndarray:
     """floor(h(n_j)) over the first `count` members, exact int64."""
+    _require_positive("count", count)
     members = first_members(spec, count, sieve)
     return h.floor_values(members)
 
@@ -373,6 +424,7 @@ def total_ergodicity_test(spec: LevelSet, alpha, count: int, sieve: FactorSieve,
             "total ergodicity is characterized by Weyl averages at irrational "
             "frequencies; rational alpha needs negative_control=True"
         )
+    _require_positive("count", count)
     return ergodic_weyl_test(first_members(spec, count, sieve), alpha, grid)
 
 

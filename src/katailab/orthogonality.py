@@ -120,23 +120,27 @@ def polynomial_frac(coefficients, n: np.ndarray) -> np.ndarray:
     n = np.asarray(n, dtype=np.int64)
     nmax = int(n.max(initial=0))
     coeff_dd = [c if isinstance(c, tuple) else c.dd for c in coefficients]
-    total = np.zeros(n.shape, dtype=np.float64)
-    npow = ddmath.from_float(np.ones(n.shape))
-    nf = ddmath.from_float(n.astype(np.float64))
-    for i, c in enumerate(coeff_dd):
-        if i > 0:
-            if nmax**i >= 2**80:
-                raise SieveRangeError(
-                    f"monomial n^{i} exceeds the 2^80 phase-precision budget "
-                    f"at n={nmax}"
-                )
-            npow = ddmath.mul(npow, nf)
+    for i in range(1, len(coeff_dd)):
+        if nmax**i >= 2**80:
+            raise SieveRangeError(
+                f"monomial n^{i} exceeds the 2^80 phase-precision budget "
+                f"at n={nmax}"
+            )
+
+    def frac_sum(m):
+        total = np.zeros(m.shape, dtype=np.float64)
+        npow = ddmath.from_float(np.ones(m.shape))
+        mf = ddmath.from_float(m.astype(np.float64))
+        for c in coeff_dd[1:]:
+            npow = ddmath.mul(npow, mf)
             total += ddmath.frac(ddmath.mul(npow, c))
-    # constant term shifts every phase identically; include it for fidelity
-    if coeff_dd:
-        total += (coeff_dd[0][0] + coeff_dd[0][1]) % 1.0
-    total -= np.floor(total)
-    return np.where(total >= 1.0, total - 1.0, total)
+        # constant term shifts every phase identically; include it for fidelity
+        if coeff_dd:
+            total += (coeff_dd[0][0] + coeff_dd[0][1]) % 1.0
+        total -= np.floor(total)
+        return np.where(total >= 1.0, total - 1.0, total)
+
+    return ddmath.blockwise(frac_sum, n)
 
 
 def sequence_from_json(obj) -> BoundedSequence:

@@ -142,7 +142,9 @@ class FactorSieve:
     def primes(self, upto: int | None = None) -> np.ndarray:
         """All primes <= upto (default: the sieve limit), as int64."""
         upto = self.limit if upto is None else int(upto)
-        self._check(max(upto, 1))
+        if upto < 2:
+            return np.empty(0, dtype=np.int64)
+        self._check(upto)
         idx = np.arange(upto + 1, dtype=np.uint32)
         return np.nonzero(self.spf[: upto + 1] == idx)[0][1:].astype(np.int64)
 

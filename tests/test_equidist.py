@@ -1,17 +1,21 @@
 """Hardy catalog, Weyl sums, star discrepancy, dilation and ergodic tests."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
+from katailab import ddmath
 from katailab import functions as fns
+from katailab.cli import parse_hardy
 from katailab.constants import GOLDEN, SQRT2, rational
 from katailab.equidist import (
     AdmissibilityError,
     HardyFunction,
     Mod1Sequence,
+    _int_root,
     ergodic_weyl_test,
     floor_sequence,
     fractional_parts_along,
@@ -28,6 +32,8 @@ from katailab.equidist import (
     weyl_sum,
 )
 from katailab.levelsets import GenericLevel, OmegaMod, Squarefree, TruncationError
+from katailab.orthogonality import polynomial_frac
+from katailab.sieve import SieveRangeError
 
 mpmath.mp.dps = 40
 
@@ -225,8 +231,6 @@ def test_floor_sequence_dd_variants_match_mpmath(sieve_small):
 
 
 def test_floor_overflow_guard():
-    from katailab.sieve import SieveRangeError
-
     hp = power(rational("15.5"))
     with pytest.raises(SieveRangeError, match="2\\^62"):
         hp.floor_values(np.array([10_000], dtype=np.int64))
@@ -298,3 +302,92 @@ def test_hardy_json_roundtrip():
               log_power(rational("1.5"), negative_control=True)):
         clone = HardyFunction.from_json(h.to_json())
         assert clone.to_json() == h.to_json()
+
+
+def test_counts_and_kmax_must_be_positive(sieve_small):
+    h = power(rational("1.5"))
+    calls = {
+        "count": [lambda: ud_test(h, Squarefree(), 0, 3, sieve_small),
+                  lambda: pq_dilation_check(h, 2, 3, 0, 3),
+                  lambda: floor_sequence(h, Squarefree(), 0, sieve_small),
+                  lambda: total_ergodicity_test(Squarefree(), SQRT2, 0, sieve_small)],
+        "k_max": [lambda: ud_test(h, Squarefree(), 10, 0, sieve_small),
+                  lambda: pq_dilation_check(h, 2, 3, 10, 0)],
+    }
+    for name, makers in calls.items():
+        for call in makers:
+            with pytest.raises(ValueError, match=f"{name} must be >= 1, got 0"):
+                call()
+
+
+@pytest.mark.parametrize("c", ["3/2", "7/3", "1/2", "5/4", "1/40"])
+def test_rational_power_floors_match_int_root(c):
+    u, v = Fraction(c).numerator, Fraction(c).denominator
+    cut = _int_root(2**62 - 1, u)  # the largest m on the int64 route
+    top = _int_root(2 ** (62 * v) - 1, u)  # the largest m under the 2^62 guard
+    # m = k^v: m^(u/v) = k^u exactly
+    perfect = np.array([k**v for k in range(1, 3000) if k**v < min(top, 2**62)])
+    rng = np.random.default_rng(5)
+    m = np.concatenate([
+        [0, 1, 2], perfect - 1, perfect, perfect + 1,
+        np.arange(cut - 3, cut + 4),
+        rng.integers(0, min(4 * cut, top, 2**62), 2000),
+    ]).astype(np.int64)
+    got = power(rational(Fraction(c))).floor_values(m)
+    want = np.array([_int_root(int(x) ** u, v) for x in m], dtype=np.int64)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
+# -- blocked evaluation -------------------------------------------------------
+
+B = ddmath.BLOCK
+HARDY_SPECS = ("power:1.5", "power:sqrt2", "poly:0,1,sqrt2", "logpow:2.5", "tlogt",
+               "toverlogt", "loggamma")
+
+
+def _phase_maps(h, n):
+    return h.fractional_parts(n), h.dilated_difference_parts(2, 3, n), h.floor_values(n)
+
+
+@pytest.mark.parametrize("spec", HARDY_SPECS)
+def test_blocked_phase_maps_match_whole_array(spec, monkeypatch):
+    h = parse_hardy(spec)
+    rng = np.random.default_rng(11)
+    for size in (0, 1, B - 1, B, B + 1, 3 * B + 7):
+        n = rng.integers(1, 2_000_000, size)
+        n[::997] = 1  # the germ convention's n = 1 entries
+        blocked = _phase_maps(h, n)
+        with monkeypatch.context() as m:
+            m.setattr(ddmath, "BLOCK", 2**62)  # one block: the whole-array pipeline
+            whole = _phase_maps(h, n)
+        for got, want in zip(blocked, whole):
+            assert got.dtype == want.dtype and got.shape == (size,)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (spec, size)
+
+
+def test_blocked_guards_match_whole_array(monkeypatch):
+    n = np.arange(1, 3 * B + 8, dtype=np.int64)
+    past_budget = n.copy()
+    past_budget[B + 5] = 2**41  # n^2 = 2^82
+    past_guard = n.copy()
+    past_guard[10], past_guard[2 * B + 3] = 2**45, 2**46  # h >= 2^62 in two blocks
+    zero_late = n.copy()
+    zero_late[-1] = 0  # log(0) in the last block
+    poly = [rational(0), rational(1), SQRT2]
+    cases = [
+        (lambda: polynomial_frac(poly, past_budget), "n\\^2 exceeds .* at n=2199023255552"),
+        (lambda: power(SQRT2).floor_values(past_guard), "h\\(70368744177664\\)"),
+        (lambda: polynomial(poly).floor_values(past_guard), "h\\(70368744177664\\)"),
+        (lambda: t_log_t().dilated_difference_parts(2, 3, zero_late), "positive"),
+        (lambda: log_gamma().dilated_difference_parts(2, 3, zero_late), ">= 2"),
+    ]
+    for call, match in cases:
+        with pytest.raises(ValueError, match=match) as blocked:
+            call()
+        with monkeypatch.context() as m:
+            m.setattr(ddmath, "BLOCK", 2**62)
+            with pytest.raises(ValueError) as whole:
+                call()
+        assert type(whole.value) is type(blocked.value)
+        assert str(whole.value) == str(blocked.value)

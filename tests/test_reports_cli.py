@@ -7,13 +7,15 @@ from fractions import Fraction
 
 import pytest
 
+from katailab import cli, reports
 from katailab import functions as fns
-from katailab import reports
 from katailab.cli import ExperimentConfig, main, parse_function, parse_hardy, parse_set
 from katailab.constants import Constant, rational
 from katailab.equidist import (
     ergodic_weyl_test,
     floor_sequence,
+    log_gamma,
+    polynomial,
     power,
     pq_dilation_check,
     t_log_t,
@@ -194,6 +196,36 @@ def test_exit_codes():
                 "--n", "100", "--unknown-flag"]) == 2
 
 
+def test_tk_rejects_an_empty_prime_set(cache, capsys):
+    assert run(["tk", "--pmax", "-5", "--x", "1000", "--cache", cache]) == 2
+    assert "prime set must be nonempty" in capsys.readouterr().err
+
+
+def test_weyl_and_ergodic_reject_sizes_below_one(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "obtain_sieve", lambda *a: pytest.fail("sieve requested"))
+    cases = [
+        (["weyl", "--hardy", "power:1.5", "--n", "0"], "--n"),
+        (["weyl", "--hardy", "power:1.5", "--dilate", "2", "3", "--n", "-3"], "--n"),
+        (["weyl", "--hardy", "power:1.5", "--n", "100", "--kmax", "0"], "--kmax"),
+        (["ergodic", "--set", "squarefree", "--alpha", "golden", "--n", "0"], "--n"),
+    ]
+    for argv, flag in cases:
+        assert run(argv) == 2
+        assert f"argument {flag}: must be >= 1, got {argv[-1]}" in capsys.readouterr().err
+
+
+def test_memory_error_exits_3(monkeypatch, capsys):
+    for err, line in ((MemoryError("Unable to allocate 8.00 GiB"),
+                       "out of memory: Unable to allocate 8.00 GiB\n"),
+                      (MemoryError(), "out of memory\n")):
+        def fail(args, err=err):
+            raise err
+
+        monkeypatch.setattr(cli, "cmd_tk", fail)
+        assert run(["tk", "--pmax", "10", "--x", "100"]) == 3
+        assert capsys.readouterr().err == line
+
+
 def test_exit_code_numeric_budget(cache):
     # x beyond the cache limit is a budget violation, not a parse error
     code = run(["density", "--set", "squarefree", "--x", "10000000",
@@ -300,11 +332,22 @@ def _pinned_reports(small, mid):
             Constant("sqrt", 2)),
         "ud_power": lambda: ud_test(power(Fraction(3, 2)), Squarefree(), 10_000, 3, mid),
         "dilation": lambda: pq_dilation_check(t_log_t(), 2, 3, 10_000, 3),
+        "ud_power_blocks": lambda: ud_test(power(Fraction(3, 2)), Squarefree(), 50_000, 3,
+                                           mid),
+        "ud_loggamma_blocks": lambda: ud_test(log_gamma(), Squarefree(), 50_000, 3, mid),
+        "dilation_blocks": lambda: pq_dilation_check(t_log_t(), 2, 3, 40_000, 3),
+        "ud_poly_blocks": lambda: ud_test(polynomial([rational(0), rational(1),
+                                                      Constant("sqrt", 2)]),
+                                          OmegaMod(2, 0), 40_000, 3, mid),
+        "floor_ergodic_tlogt": lambda: ergodic_weyl_test(
+            floor_sequence(t_log_t(), Squarefree(), 50_000, mid), Constant("sqrt", 2)),
     }
 
 
 # SHA-256 of render_json(report, {"case": name}); a change to the reduction
-# paths must leave these bytes alone, one that alters them on purpose updates them
+# or phase paths must leave these bytes alone, one that alters them on purpose
+# updates them.  The *_blocks cases span several ddmath.BLOCK slices with a
+# partial last one.
 PINNED_DIGESTS = {
     "halasz_xi": "21bd189900bc45d331b3e53559fe79f386558f1b343fa9ee251f12ba0be90288",
     "halasz_liouville": "6a6c8b2f09cca039e8fe3c4d40c7921741ff3e23fda900f240bea8e4ce19afaa",
@@ -322,6 +365,11 @@ PINNED_DIGESTS = {
     "floor_ergodic": "d4f58d7616728dbfe3ff72bf1314f8617cd907141e69f9cdfbf6539bed57621c",
     "ud_power": "f2fb6e472631244d78aa5dd0403e810b548f5035a248ac4a777cf1d3ea1b0cb6",
     "dilation": "e105166ffa482ee6d0112475f6889b6c750b6fcd50cc0bd79db75d13add5741e",
+    "ud_power_blocks": "5f0304f68bf13dbbf7d4bc42d94907d411660cf6a7bfa82c3271efbe25ddf778",
+    "ud_loggamma_blocks": "3d041667cddd1af5e237709ee96adcb21b7848390df47ae1a2241c644dc48b57",
+    "dilation_blocks": "b5068bcae1b844d1226db851bf94c8d907dc81eca7e3a80ecab7da8edab3adf2",
+    "ud_poly_blocks": "e0fd560feab409957f5cf3aa5e75534b4196ed7056c30eb5c47820118dbda7a6",
+    "floor_ergodic_tlogt": "d35c10175144f80f012ca75850b8ff16da2d7661ee39aa3fdb2d78c23f13d9ab",
 }
 
 

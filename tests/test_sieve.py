@@ -134,6 +134,9 @@ def test_entry_points_reject_x_past_the_sieve(name, sieve_small):
 def test_primes_list(sieve_small):
     ps = sieve_small.primes(30)
     assert list(ps) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    for upto in (-5, 0, 1):
+        ps = sieve_small.primes(upto)
+        assert ps.dtype == np.int64 and ps.size == 0
 
 
 def brute_big_omega(n):
