@@ -1,5 +1,5 @@
-"""Command-line front end: experiment configuration, sieve-cache persistence,
-and report emission.
+"""Command-line front end: spec parsing, sieve-cache persistence and report
+emission.
 
 Subcommands: sieve, density, katai, tk, meanvalue, dist, weyl, ergodic.
 Reports are written atomically; every CSV starts with a ``# config:`` comment
@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -28,33 +27,6 @@ from .sieve import FactorSieve, SieveRangeError
 from .summation import geometric_checkpoints
 
 SCHEMA_VERSION = 1
-
-
-@dataclass
-class ExperimentConfig:
-    """Full invocation record; round-trips losslessly through JSON."""
-
-    command: str
-    params: dict
-    threads: int = 1
-    outputs: dict = field(default_factory=dict)
-    schema_version: int = SCHEMA_VERSION
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_json(obj) -> "ExperimentConfig":
-        return ExperimentConfig(
-            command=obj["command"], params=obj["params"],
-            threads=obj.get("threads", 1), outputs=obj.get("outputs", {}),
-            schema_version=obj.get("schema_version", SCHEMA_VERSION),
-        )
-
-    def provenance(self) -> dict:
-        # what reports embed: stable under --threads and output relocation
-        return {"command": self.command, "params": self.params,
-                "schema_version": self.schema_version}
 
 
 def default_cache_dir() -> str:
@@ -168,8 +140,9 @@ def obtain_sieve(args, needed: int) -> FactorSieve:
     return sieve
 
 
-def emit(report, config: ExperimentConfig, args, summary_line: str):
-    prov = config.provenance()
+def emit(report, command: str, params: dict, args, summary_line: str):
+    # what reports embed: stable under --threads and output relocation
+    prov = {"command": command, "params": params, "schema_version": SCHEMA_VERSION}
     if getattr(args, "csv", None):
         reports.write_csv(report, prov, args.csv)
     if getattr(args, "json_out", None):
@@ -194,10 +167,8 @@ def cmd_density(args):
     checkpoints = parse_checkpoints(args.checkpoints, args.x)
     sieve = obtain_sieve(args, args.x)
     rep = levelsets.empirical_density(spec, checkpoints, sieve)
-    config = _config("density", args, {
-        "set": spec.to_json(), "x": args.x, "checkpoints": checkpoints,
-    })
-    emit(rep, config, args,
+    params = {"set": spec.to_json(), "x": args.x, "checkpoints": checkpoints}
+    emit(rep, "density", params, args,
          f"density[{spec.name}] at {args.x}: {rep.last_value:.6f} "
          f"(oscillation last decade {rep.max_oscillation_last_decade:.2e})")
     return 0
@@ -216,11 +187,9 @@ def cmd_katai(args):
         p, q = args.correlation
         rep = orthogonality.katai_correlation(seq, p, q, args.x, checkpoints,
                                               threads=args.threads)
-        config = _config("katai", args, {
-            "sequence": seq.to_json(), "p": p, "q": q, "x": args.x,
-            "checkpoints": checkpoints, "negative_control": args.negative_control,
-        })
-        emit(rep, config, args,
+        params = {"sequence": seq.to_json(), "p": p, "q": q, "x": args.x,
+                  "checkpoints": checkpoints, "negative_control": args.negative_control}
+        emit(rep, "katai", params, args,
              f"correlation p={p} q={q} at {args.x}: "
              f"|value| = {abs(rep.correlations[-1]):.3e}")
         return 0
@@ -228,17 +197,17 @@ def cmd_katai(args):
     sieve = obtain_sieve(args, args.x)
     rep = orthogonality.orthogonality_sum(spec, seq, args.x, checkpoints, sieve,
                                           threads=args.threads)
-    config = _config("katai", args, {
-        "set": spec.to_json(), "sequence": seq.to_json(), "x": args.x,
-        "checkpoints": checkpoints, "negative_control": args.negative_control,
-    })
-    emit(rep, config, args,
+    params = {"set": spec.to_json(), "sequence": seq.to_json(), "x": args.x,
+              "checkpoints": checkpoints, "negative_control": args.negative_control}
+    emit(rep, "katai", params, args,
          f"orthogonality[{spec.name}] at {args.x}: {rep.values[-1]:.3e} "
          f"(slope {rep.slope:+.2f})")
     return 0
 
 
 def cmd_tk(args):
+    if args.x is None and not args.x_list:
+        raise ValueError("tk needs --x or --x-list")
     xs = sorted({int(float(t)) for t in args.x_list.split(",")}) if args.x_list else [args.x]
     sieve = obtain_sieve(args, max(xs))
     primes = [int(p) for p in sieve.primes(args.pmax)]
@@ -249,8 +218,7 @@ def cmd_tk(args):
         lines.append(f"tk x={x}: variance={float(rep.variance):.6g} "
                      f"m={float(rep.m):.6f} ratio={rep.ratio:.4f}")
         last = rep
-    config = _config("tk", args, {"pmax": args.pmax, "x_list": xs})
-    emit(last, config, args, "\n".join(lines))
+    emit(last, "tk", {"pmax": args.pmax, "x_list": xs}, args, "\n".join(lines))
     return 0
 
 
@@ -268,12 +236,10 @@ def cmd_meanvalue(args):
         rep = meanvalues.empirical_mean(fn, args.n, checkpoints, sieve,
                                         threads=args.threads)
         tail = ""
-    config = _config("meanvalue", args, {
-        "function": fn.to_json(), "n": args.n, "checkpoints": checkpoints,
-        "euler_product": bool(args.euler_product), "prime_cutoff": args.prime_cutoff,
-    })
+    params = {"function": fn.to_json(), "n": args.n, "checkpoints": checkpoints,
+              "euler_product": bool(args.euler_product), "prime_cutoff": args.prime_cutoff}
     m = complex(rep.means[-1])
-    emit(rep, config, args,
+    emit(rep, "meanvalue", params, args,
          f"mean[{fn.name}] at {args.n}: {m.real:.7f}{m.imag:+.1e}i{tail}")
     return 0
 
@@ -286,28 +252,24 @@ def cmd_dist(args):
         lo, hi, k = (float(t) for t in args.thresholds.split(":"))
         table = meanvalues.empirical_cdf(values, np.linspace(lo, hi, int(k)))
         rep = reports.CdfReport([t for t, _ in table], [y for _, y in table])
-        config = _config("dist", args, {
-            "function": fn.to_json(), "n": args.n, "series": "cdf",
-            "thresholds": args.thresholds,
-        })
-        emit(rep, config, args,
+        params = {"function": fn.to_json(), "n": args.n, "series": "cdf",
+                  "thresholds": args.thresholds}
+        emit(rep, "dist", params, args,
              f"cdf[{fn.name}] at {args.n}: " +
              " ".join(f"F({t:g})={y:.6f}" for t, y in table[:: max(1, len(table) // 5)]))
         return 0
     sieve = obtain_sieve(args, args.y)
     checkpoints = parse_checkpoints(args.checkpoints, args.y)
-    config = _config("dist", args, {
-        "function": fn.to_json(), "series": args.series, "y": args.y,
-        "checkpoints": checkpoints, "t": args.t, "target": args.target,
-        "tolerance": args.tolerance,
-    })
+    params = {"function": fn.to_json(), "series": args.series, "y": args.y,
+              "checkpoints": checkpoints, "t": args.t, "target": args.target,
+              "tolerance": args.tolerance}
     if args.series == "three":
         if fn.kind != "additive":
             raise ValueError("--series three needs an additive function "
                              "(big_omega or small_omega)")
         rep = reports.ThreeSeriesReport(*meanvalues.three_series(
             lambda p: float(fn.prime_power(p, 1)), args.y, checkpoints, sieve))
-        emit(rep, config, args,
+        emit(rep, "dist", params, args,
              f"three-series[{fn.name}] at y={args.y}: " +
              " / ".join(f"{s.partial_sums[-1]:.4f}" for s in rep.series()))
         return 0
@@ -319,7 +281,7 @@ def cmd_dist(args):
             target = target.real
         rep = levelsets.concentration_scan(fn, target, args.y, checkpoints, sieve,
                                            tolerance=args.tolerance)
-    emit(rep, config, args,
+    emit(rep, "dist", params, args,
          f"{rep.name} at y={args.y}: {rep.partial_sums[-1]:.6f} "
          f"(advisory slope {rep.slope:+.3f})")
     return 0
@@ -330,20 +292,16 @@ def cmd_weyl(args):
     if args.dilate:
         p, q = args.dilate
         rep = equidist.pq_dilation_check(h, p, q, args.n, args.kmax)
-        config = _config("weyl", args, {
-            "hardy": h.to_json(), "p": p, "q": q, "n": args.n, "kmax": args.kmax,
-        })
-        emit(rep, config, args,
+        params = {"hardy": h.to_json(), "p": p, "q": q, "n": args.n, "kmax": args.kmax}
+        emit(rep, "weyl", params, args,
              f"dilation ({p},{q}) N={rep.n_points}: D*={rep.dstar:.5f} "
              f"max|W|={rep.max_abs_weyl:.5f}")
         return 0
     spec = parse_set(args.set)
     sieve = obtain_sieve(args, args.sieve_limit or 4 * args.n)
     rep = equidist.ud_test(h, spec, args.n, args.kmax, sieve)
-    config = _config("weyl", args, {
-        "hardy": h.to_json(), "set": spec.to_json(), "n": args.n, "kmax": args.kmax,
-    })
-    emit(rep, config, args,
+    params = {"hardy": h.to_json(), "set": spec.to_json(), "n": args.n, "kmax": args.kmax}
+    emit(rep, "weyl", params, args,
          f"ud[{spec.name}] N={rep.n_points}: D*={rep.dstar:.5f} "
          f"max|W|={rep.max_abs_weyl:.5f}")
     return 0
@@ -366,21 +324,10 @@ def cmd_ergodic(args):
         label = f"total-ergodic[{spec.name}]"
         params = {"set": spec.to_json(), "alpha": alpha.to_json(), "n": args.n,
                   "mode": "total", "negative_control": args.negative_control}
-    config = _config("ergodic", args, params)
-    emit(rep, config, args,
+    emit(rep, "ergodic", params, args,
          f"{label} alpha={alpha} N={args.n}: {rep.values[-1]:.3e} "
          f"(slope {rep.slope:+.2f})")
     return 0
-
-
-def _config(command, args, params) -> ExperimentConfig:
-    outputs = {}
-    if getattr(args, "csv", None):
-        outputs["csv"] = args.csv
-    if getattr(args, "json_out", None):
-        outputs["json"] = args.json_out
-    return ExperimentConfig(command=command, params=params,
-                            threads=getattr(args, "threads", 1), outputs=outputs)
 
 
 def _count(text: str) -> int:

@@ -96,10 +96,6 @@ def from_int(n):
     return hi, lo
 
 
-def to_float(x):
-    return x[0] + x[1]
-
-
 def neg(x):
     return -x[0], -x[1]
 
@@ -285,14 +281,12 @@ def log_gamma(x):
     l = np.atleast_1d(np.asarray(x[1], dtype=np.float64)) * np.ones_like(h)
     if np.any(h < 2.0):
         raise ValueError("log_gamma requires arguments >= 2")
-    rh, rl = _log_gamma_stirling((np.maximum(h, 12.0), np.where(h < 12.0, 0.0, l)))
-    small = np.nonzero(h < 12.0)[0]
-    for i in small:
-        t = (h[i], l[i])
-        acc = (0.0, 0.0)
-        while t[0] < 12.0:
-            acc = add(acc, log(t))
-            t = add_f(t, 1.0)
-        g = sub(_log_gamma_stirling(t), acc)
-        rh[i], rl[i] = g
-    return rh, rl
+    # log_gamma(t) = log_gamma(t + k) - sum of log(t + j) for j < k, with the
+    # least k that puts t + k at 12 or above
+    th, tl = h.copy(), l
+    ah, al = np.zeros_like(h), np.zeros_like(h)
+    while (small := np.flatnonzero(th < 12.0)).size:
+        t = (th[small], tl[small])
+        ah[small], al[small] = add((ah[small], al[small]), log(t))
+        th[small], tl[small] = add_f(t, 1.0)
+    return sub(_log_gamma_stirling((th, tl)), (ah, al))

@@ -167,6 +167,8 @@ class HardyFunction:
         worst-case margin near an integer).
         """
         n = np.asarray(n, dtype=np.int64)
+        if np.any(n < 0):
+            raise ValueError(f"floor_values needs n >= 0, got n = {int(n[n < 0][0])}")
         if self.variant == "power" and not self.c.is_irrational:
             return _rational_power_floors(n, self.c.value_exact.numerator,
                                           self.c.value_exact.denominator)
@@ -233,15 +235,15 @@ def _polynomial_dd(coefficients, n: np.ndarray):
 
 
 def _rational_power_floors(n: np.ndarray, u: int, v: int) -> np.ndarray:
-    """floor(m^(u/v)) for an int64 array, exact; guarded at 2^62.
+    """floor(m^(u/v)) for an int64 array with m >= 0, exact; guarded at 2^62.
 
-    Entries with 0 <= m^u < 2^62 take the int64 route of _int64_roots; the
+    Entries with m^u < 2^62 take the int64 route of _int64_roots; the
     rest go through exact Python integers, in order, so the guard names the
     same first m as an elementwise loop would.
     """
     flat = n.reshape(-1)
     out = np.empty(flat.size, dtype=np.int64)
-    fast = (flat >= 0) & (flat <= _int_root(2**62 - 1, u))
+    fast = flat <= _int_root(2**62 - 1, u)
     out[fast] = _int64_roots(flat[fast] ** u, v)
     for i in np.flatnonzero(~fast):
         m = int(flat[i])

@@ -2,12 +2,13 @@
 
 Every function is described by its rule on prime powers; evaluation at a
 single n goes through the sieve factorization, while values_upto(x) produces
-a whole table at once.  Catalog entries with a sieve table of their own
-(mobius, sigma, tau, Omega, omega, the squarefree indicator) read that table;
-liouville, phi(n)/n, the Archimedean and Dirichlet characters, the
-e(xi * Omega) families and the constant 1 have closed forms over those tables;
-any other prime-power rule runs through the sieve's prime-power kernel in
-bulk_values.
+a whole table at once through the builder passed as ``table=``.  Catalog
+entries with a sieve table of their own (mobius, sigma, tau, Omega, omega,
+the squarefree indicator) read that table; liouville, phi(n)/n, the
+Archimedean and Dirichlet characters, the e(xi * Omega) families and the
+constant 1 have closed forms over those tables; a function built without a
+table (any other prime-power rule) runs through the sieve's prime-power
+kernel in bulk_values.
 
 Functions carry a ``kind`` tag (multiplicative / completely_multiplicative /
 additive) and an ``in_unit_ball`` flag marking membership in the class of
@@ -56,21 +57,19 @@ class ArithmeticFunction:
     """An arithmetic function given by its rule on prime powers.
 
     kind: "multiplicative", "completely_multiplicative" or "additive".
+    table: builder (x, sieve) -> values for n = 0..x; None means bulk_values.
     """
 
     def __init__(self, name, prime_power, kind="multiplicative",
-                 in_unit_ball=False, integer_valued=False, params=None):
+                 in_unit_ball=False, integer_valued=False, params=None, table=None):
         self.name = name
         self._rule = prime_power
         self.kind = kind
         self.in_unit_ball = in_unit_ball
         self.integer_valued = integer_valued
         self.params = params or {}
+        self._table = table
         self._memo = {}
-
-    @property
-    def is_multiplicative(self):
-        return self.kind in ("multiplicative", "completely_multiplicative")
 
     def prime_power(self, p: int, m: int):
         """Value on p^m (m >= 1); memoized, validated finite."""
@@ -102,26 +101,15 @@ class ArithmeticFunction:
 
     def values_upto(self, x: int, sieve: FactorSieve) -> np.ndarray:
         """Table of values for n = 0..x (index 0 is padding)."""
-        fast = getattr(self, "_fast_table", None)
-        if fast is not None:
-            return fast(x, sieve)
-        return bulk_values(self, x, sieve)
+        if self._table is None:
+            return bulk_values(self, x, sieve)
+        return self._table(x, sieve)
 
     def to_json(self):
         return {"function": self.name, **self.params}
 
     def __repr__(self):
         return f"ArithmeticFunction({self.name})"
-
-
-def _with_fast_table(fn, table_builder):
-    fn._fast_table = table_builder
-    return fn
-
-
-def _with_sieve_table(fn, name):
-    """values_upto(x) reads the sieve table `name` as float64."""
-    return _with_fast_table(fn, lambda x, s: s.table(name)[: x + 1].astype(np.float64))
 
 
 # -- bulk evaluation of arbitrary prime-power rules -------------------------
@@ -146,77 +134,64 @@ def bulk_values(fn: ArithmeticFunction, x: int, sieve: FactorSieve) -> np.ndarra
 
 # -- catalog -----------------------------------------------------------------
 
+def _sieve_table(name):
+    """Table builder reading the sieve table `name` as float64."""
+    return lambda x, s: s.table(name)[: x + 1].astype(np.float64)
+
+
+def _phi_ratio_table(x, s):
+    phi = s.table("phi")[: x + 1].astype(np.float64)
+    n = np.arange(x + 1, dtype=np.float64)
+    n[0] = 1.0
+    return phi / n
+
+
 def mobius() -> ArithmeticFunction:
-    fn = ArithmeticFunction(
-        "mobius", lambda p, m: -1 if m == 1 else 0,
-        in_unit_ball=True, integer_valued=True,
-    )
-    return _with_sieve_table(fn, "mobius")
+    return ArithmeticFunction("mobius", lambda p, m: -1 if m == 1 else 0, in_unit_ball=True,
+                              integer_valued=True, table=_sieve_table("mobius"))
 
 
 def liouville() -> ArithmeticFunction:
-    fn = ArithmeticFunction(
+    return ArithmeticFunction(
         "liouville", lambda p, m: (-1) ** m,
         kind="completely_multiplicative", in_unit_ball=True, integer_valued=True,
+        table=lambda x, s: np.where(s.table("big_omega")[: x + 1] % 2 == 0, 1.0, -1.0),
     )
-
-    def table(x, s):
-        return np.where(s.table("big_omega")[: x + 1] % 2 == 0, 1.0, -1.0)
-
-    return _with_fast_table(fn, table)
 
 
 def squarefree_indicator() -> ArithmeticFunction:
-    fn = ArithmeticFunction(
-        "squarefree_indicator", lambda p, m: 1 if m == 1 else 0,
-        in_unit_ball=True, integer_valued=True,
-    )
-    return _with_sieve_table(fn, "squarefree")
+    return ArithmeticFunction("squarefree_indicator", lambda p, m: 1 if m == 1 else 0,
+                              in_unit_ball=True, integer_valued=True,
+                              table=_sieve_table("squarefree"))
 
 
 def euler_phi_ratio() -> ArithmeticFunction:
-    def rule(p, m):
-        return Fraction(p - 1, p)
-
-    fn = ArithmeticFunction("euler_phi_ratio", rule, in_unit_ball=True)
-
-    def table(x, s):
-        phi = s.table("phi")[: x + 1].astype(np.float64)
-        n = np.arange(x + 1, dtype=np.float64)
-        n[0] = 1.0
-        return phi / n
-
-    return _with_fast_table(fn, table)
+    return ArithmeticFunction("euler_phi_ratio", lambda p, m: Fraction(p - 1, p),
+                              in_unit_ball=True, table=_phi_ratio_table)
 
 
 def sigma() -> ArithmeticFunction:
-    fn = ArithmeticFunction(
-        "sigma", lambda p, m: (p ** (m + 1) - 1) // (p - 1), integer_valued=True,
-    )
-    return _with_sieve_table(fn, "sigma")
+    return ArithmeticFunction("sigma", lambda p, m: (p ** (m + 1) - 1) // (p - 1),
+                              integer_valued=True, table=_sieve_table("sigma"))
 
 
 def tau() -> ArithmeticFunction:
-    fn = ArithmeticFunction("tau", lambda p, m: m + 1, integer_valued=True)
-    return _with_sieve_table(fn, "tau")
+    return ArithmeticFunction("tau", lambda p, m: m + 1, integer_valued=True,
+                              table=_sieve_table("tau"))
 
 
 def big_omega() -> ArithmeticFunction:
-    fn = ArithmeticFunction("big_omega", lambda p, m: m, kind="additive", integer_valued=True)
-    return _with_sieve_table(fn, "big_omega")
+    return ArithmeticFunction("big_omega", lambda p, m: m, kind="additive",
+                              integer_valued=True, table=_sieve_table("big_omega"))
 
 
 def small_omega() -> ArithmeticFunction:
-    fn = ArithmeticFunction("small_omega", lambda p, m: 1, kind="additive", integer_valued=True)
-    return _with_sieve_table(fn, "small_omega")
+    return ArithmeticFunction("small_omega", lambda p, m: 1, kind="additive",
+                              integer_valued=True, table=_sieve_table("small_omega"))
 
 
 def archimedean(t: float) -> ArithmeticFunction:
     t = float(t)
-    fn = ArithmeticFunction(
-        "archimedean", lambda p, m: cmath.exp(1j * t * m * math.log(p)),
-        kind="completely_multiplicative", in_unit_ball=True, params={"t": t},
-    )
 
     def table(x, s):
         n = np.arange(x + 1, dtype=np.float64)
@@ -225,7 +200,10 @@ def archimedean(t: float) -> ArithmeticFunction:
         out[0] = 0.0
         return out
 
-    return _with_fast_table(fn, table)
+    return ArithmeticFunction(
+        "archimedean", lambda p, m: cmath.exp(1j * t * m * math.log(p)),
+        kind="completely_multiplicative", in_unit_ball=True, params={"t": t}, table=table,
+    )
 
 
 def _omega_exponential(name, xi, weight_of_m, restrict_squarefree=False):
@@ -242,10 +220,6 @@ def _omega_exponential(name, xi, weight_of_m, restrict_squarefree=False):
             return 0
         return phase_at(weight_of_m(m))
 
-    kind = "completely_multiplicative" if (name == "lambda_xi") else "multiplicative"
-    fn = ArithmeticFunction(name, rule, kind=kind, in_unit_ball=True,
-                            params={"xi": xi.to_json()})
-
     def table(x, s):
         counts = s.table("small_omega" if name == "kappa_xi" else "big_omega")[: x + 1]
         lut = np.array([complex(phase_at(k)) for k in range(int(counts.max(initial=0)) + 1)])
@@ -255,7 +229,9 @@ def _omega_exponential(name, xi, weight_of_m, restrict_squarefree=False):
         out[0] = 0.0
         return out
 
-    return _with_fast_table(fn, table)
+    kind = "completely_multiplicative" if (name == "lambda_xi") else "multiplicative"
+    return ArithmeticFunction(name, rule, kind=kind, in_unit_ball=True,
+                              params={"xi": xi.to_json()}, table=table)
 
 
 def lambda_xi(xi) -> ArithmeticFunction:
@@ -274,12 +250,10 @@ def mu_xi(xi) -> ArithmeticFunction:
 
 
 def constant_one() -> ArithmeticFunction:
-    fn = ArithmeticFunction(
+    return ArithmeticFunction(
         "one", lambda p, m: 1, kind="completely_multiplicative",
         in_unit_ball=True, integer_valued=True,
-    )
-    return _with_fast_table(
-        fn, lambda x, s: np.concatenate([[0.0], np.ones(x, dtype=np.float64)])
+        table=lambda x, s: np.concatenate([[0.0], np.ones(x, dtype=np.float64)]),
     )
 
 
@@ -376,45 +350,19 @@ def dirichlet_character(d: int, exponents) -> ArithmeticFunction:
             f"got {len(exponents)}"
         )
 
-    # discrete logs per factor, then one exact rational phase per residue
-    table = np.zeros(d if d > 1 else 1, dtype=complex)
-    if d == 1:
-        table[0] = 1  # chi(n) = 1 for all n when d = 1
-    else:
-        logs = []
-        has_minus_five_pair = len(factors) >= 2 and factors[0][0] == factors[1][0]
-        for i, (pe, g, order) in enumerate(factors):
-            dl = {}
-            if has_minus_five_pair and i == 0:
-                # 2^k, k >= 3: every odd residue is (-1)^a 5^b; index by (a, b)
-                order5 = factors[1][2]
-                acc = 1
-                for b in range(order5):
-                    dl[acc] = (0, b)
-                    dl[(-acc) % pe] = (1, b)
-                    acc = acc * 5 % pe
-                logs.append((pe, dl, order))
-            else:
-                acc = 1
-                for j in range(order):
-                    dl[acc] = j
-                    acc = acc * g % pe
-                logs.append((pe, dl, order))
-        for n in range(1, d + 1):
-            if math.gcd(n, d) != 1:
-                continue
-            phase = Fraction(0)
-            if has_minus_five_pair:
-                pe = factors[0][0]
-                a, b = logs[0][1][n % pe]
-                phase += Fraction(exponents[0] * a, 2)
-                phase += Fraction(exponents[1] * b, factors[1][2])
-                rest, rest_exp = logs[2:], exponents[2:]
-            else:
-                rest, rest_exp = logs, exponents
-            for (pe, dl, order), k in zip(rest, rest_exp):
-                phase += Fraction(k * dl[n % pe], order)
-            table[n % d] = root_of_unity(phase.numerator, phase.denominator)
+    # walk the group from 1 along the generators, each lifted by CRT to 1
+    # modulo the other prime-power parts of d; the phase of each residue is
+    # an exact numerator over the common denominator den
+    den = math.lcm(*(order for _, _, order in factors))
+    residues, phases = [1 % d], [0]
+    for (pe, g, order), k in zip(factors, exponents):
+        rest = d // pe
+        step = 1 + rest * ((g - 1) * pow(rest, -1, pe) % pe)
+        residues = [r * pow(step, j, d) % d for r in residues for j in range(order)]
+        phases = [(a + k * j * (den // order)) % den for a in phases for j in range(order)]
+    table = np.zeros(d, dtype=complex)
+    for r, a in zip(residues, phases):
+        table[r] = root_of_unity(a, den)
 
     def rule(p, m):
         return table[pow(p, m, d)] if d > 1 else 1
@@ -422,16 +370,12 @@ def dirichlet_character(d: int, exponents) -> ArithmeticFunction:
     fn = ArithmeticFunction(
         "dirichlet", rule, kind="completely_multiplicative", in_unit_ball=True,
         params={"modulus": d, "exponents": list(exponents)},
+        table=lambda x, s: table[np.arange(x + 1, dtype=np.int64) % d],
     )
     fn.modulus = d
     fn.character_table = table
     fn.is_principal = all(k % order == 0 for (_, _, order), k in zip(factors, exponents))
-
-    def tab(x, s):
-        idx = np.arange(x + 1, dtype=np.int64) % d
-        return table[idx]
-
-    return _with_fast_table(fn, tab)
+    return fn
 
 
 def all_characters(d: int):

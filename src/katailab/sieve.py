@@ -188,9 +188,6 @@ class FactorSieve:
         if name not in self._tables:
             if name in _RULES:
                 self._tables[name] = self._kernel(*_RULES[name], upto=self.limit)
-            elif name == "prime_power_part":
-                # spf[n]^e, the full power of the smallest prime in n; 1 at n < 2
-                self._tables[name] = np.power(self.spf, self._split()[1], dtype=np.int64)
             elif name == "squarefree":
                 self._tables[name] = _kfree_mask(2, self.limit, self)
         return self._tables[name]

@@ -339,6 +339,14 @@ def test_rational_power_floors_match_int_root(c):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("spec", ["power:3/2", "power:7/3", "power:sqrt2", "tlogt",
+                                  "poly:0,1,sqrt2"])
+def test_floor_values_reject_negative_n(spec):
+    h = parse_hardy(spec)
+    with pytest.raises(ValueError, match="n >= 0, got n = -8$"):
+        h.floor_values(np.array([5, 0, -8, 3, -2], dtype=np.int64))
+
+
 # -- blocked evaluation -------------------------------------------------------
 
 B = ddmath.BLOCK

@@ -200,6 +200,57 @@ def test_character_orthogonality_all_moduli():
                 assert abs(total) < 1e-9, (d, chi.params)
 
 
+def _character_table_by_discrete_logs(d, exponents):
+    """chi mod d from one discrete-log dict per generator, indexed (a, b) for
+    the pair {-1, 5} of 2^k with k >= 3: the construction the group walk
+    replaced."""
+    factors = fns.unit_group_structure(d)
+    table = np.zeros(d, dtype=complex)
+    if d == 1:
+        table[0] = 1
+        return table
+    logs = []
+    has_minus_five_pair = len(factors) >= 2 and factors[0][0] == factors[1][0]
+    for i, (pe, g, order) in enumerate(factors):
+        dl = {}
+        acc = 1
+        if has_minus_five_pair and i == 0:
+            for b in range(factors[1][2]):
+                dl[acc] = (0, b)
+                dl[(-acc) % pe] = (1, b)
+                acc = acc * 5 % pe
+        else:
+            for j in range(order):
+                dl[acc] = j
+                acc = acc * g % pe
+        logs.append((pe, dl, order))
+    for n in range(1, d + 1):
+        if math.gcd(n, d) != 1:
+            continue
+        phase = Fraction(0)
+        rest, rest_exp = logs, exponents
+        if has_minus_five_pair:
+            a, b = logs[0][1][n % factors[0][0]]
+            phase += Fraction(exponents[0] * a, 2) + Fraction(exponents[1] * b, factors[1][2])
+            rest, rest_exp = logs[2:], exponents[2:]
+        for (pe, dl, order), k in zip(rest, rest_exp):
+            phase += Fraction(k * dl[n % pe], order)
+        table[n % d] = root_of_unity(phase.numerator, phase.denominator)
+    return table
+
+
+def test_character_walk_matches_discrete_logs():
+    count = 0
+    for d in range(1, 65):
+        for chi in all_characters(d):
+            want = _character_table_by_discrete_logs(d, chi.params["exponents"])
+            assert np.array_equal(chi.character_table.view(np.int64),
+                                  want.view(np.int64)), chi.params
+            count += 1
+    assert count == sum(sum(1 for n in range(1, d + 1) if math.gcd(n, d) == 1)
+                        for d in range(1, 65))
+
+
 def test_character_tuple_length_mismatch():
     with pytest.raises(CharacterGroupError, match="expected"):
         dirichlet_character(8, (1,))

@@ -9,7 +9,7 @@ import pytest
 
 from katailab import cli, reports
 from katailab import functions as fns
-from katailab.cli import ExperimentConfig, main, parse_function, parse_hardy, parse_set
+from katailab.cli import main, parse_function, parse_hardy, parse_set
 from katailab.constants import Constant, rational
 from katailab.equidist import (
     ergodic_weyl_test,
@@ -201,6 +201,13 @@ def test_tk_rejects_an_empty_prime_set(cache, capsys):
     assert "prime set must be nonempty" in capsys.readouterr().err
 
 
+def test_tk_without_a_size_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "obtain_sieve", lambda *a: pytest.fail("sieve requested"))
+    assert run(["tk", "--pmax", "10"]) == 2
+    err = capsys.readouterr().err
+    assert "--x" in err and "--x-list" in err
+
+
 def test_weyl_and_ergodic_reject_sizes_below_one(monkeypatch, capsys):
     monkeypatch.setattr(cli, "obtain_sieve", lambda *a: pytest.fail("sieve requested"))
     cases = [
@@ -257,15 +264,6 @@ def test_atomic_write_leaves_no_temp_files(tmp_path, cache):
          "--csv", str(out)])
     FactorSieve.build(1000).save(tmp_path / "c.spf")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.spf", "x.csv"]
-
-
-def test_experiment_config_roundtrip():
-    cfg = ExperimentConfig(command="density",
-                           params={"set": {"variant": "squarefree"}, "x": 100},
-                           threads=4, outputs={"csv": "/tmp/x.csv"})
-    clone = ExperimentConfig.from_json(json.loads(json.dumps(cfg.to_json())))
-    assert clone == cfg
-    assert "threads" not in cfg.provenance()
 
 
 def test_parse_set_accepts_raw_json(sieve_small, tmp_path, cache):

@@ -158,7 +158,7 @@ def test_bulk_tables_against_brute_force(sieve_small):
     layout = {
         "big_omega": (np.int8, 0), "small_omega": (np.int8, 0), "mobius": (np.int8, 0),
         "tau": (np.int32, 0), "sigma": (np.int64, 0), "phi": (np.int64, 0),
-        "prime_power_part": (np.int64, 1), "squarefree": (np.bool_, False),
+        "squarefree": (np.bool_, False),
     }
     for name, (dtype, pad) in layout.items():
         table = sieve_small.table(name)
@@ -171,19 +171,11 @@ def test_bulk_tables_against_brute_force(sieve_small):
     tau = sieve_small.table("tau")
     phi = sieve_small.table("phi")
     squarefree = sieve_small.table("squarefree")
-    prime_power_part = sieve_small.table("prime_power_part")
     rng = np.random.default_rng(7)
     sample = set(rng.integers(1, 10_001, size=300).tolist()) | set(range(1, 200))
     for n in sample:
         f = sieve_small.factorize(n)
         assert big_omega[n] == sum(e for _, e in f) == brute_big_omega(n)
-        # the full power of the smallest prime factor, by trial division
-        q = 1
-        if n > 1:
-            p = _trial_spf(n)
-            while n % (q * p) == 0:
-                q *= p
-        assert prime_power_part[n] == q
         assert small_omega[n] == len(f)
         sf = all(e == 1 for _, e in f)
         assert bool(squarefree[n]) == sf
