@@ -101,6 +101,7 @@ class ArithmeticFunction:
 
     def values_upto(self, x: int, sieve: FactorSieve) -> np.ndarray:
         """Table of values for n = 0..x (index 0 is padding)."""
+        sieve.require_upto("x", x)
         if self._table is None:
             return bulk_values(self, x, sieve)
         return self._table(x, sieve)
@@ -136,11 +137,11 @@ def bulk_values(fn: ArithmeticFunction, x: int, sieve: FactorSieve) -> np.ndarra
 
 def _sieve_table(name):
     """Table builder reading the sieve table `name` as float64."""
-    return lambda x, s: s.table(name)[: x + 1].astype(np.float64)
+    return lambda x, s: s.table(name, x).astype(np.float64)
 
 
 def _phi_ratio_table(x, s):
-    phi = s.table("phi")[: x + 1].astype(np.float64)
+    phi = s.table("phi", x).astype(np.float64)
     n = np.arange(x + 1, dtype=np.float64)
     n[0] = 1.0
     return phi / n
@@ -155,7 +156,7 @@ def liouville() -> ArithmeticFunction:
     return ArithmeticFunction(
         "liouville", lambda p, m: (-1) ** m,
         kind="completely_multiplicative", in_unit_ball=True, integer_valued=True,
-        table=lambda x, s: np.where(s.table("big_omega")[: x + 1] % 2 == 0, 1.0, -1.0),
+        table=lambda x, s: np.where(s.table("big_omega", x) % 2 == 0, 1.0, -1.0),
     )
 
 
@@ -221,11 +222,11 @@ def _omega_exponential(name, xi, weight_of_m, restrict_squarefree=False):
         return phase_at(weight_of_m(m))
 
     def table(x, s):
-        counts = s.table("small_omega" if name == "kappa_xi" else "big_omega")[: x + 1]
+        counts = s.table("small_omega" if name == "kappa_xi" else "big_omega", x)
         lut = np.array([complex(phase_at(k)) for k in range(int(counts.max(initial=0)) + 1)])
         out = lut[counts]
         if restrict_squarefree:
-            out = out * s.table("squarefree")[: x + 1]
+            out = out * s.table("squarefree", x)
         out[0] = 0.0
         return out
 

@@ -149,7 +149,7 @@ class LevelSet:
         return _factor_value(self.table, n, sieve)
 
     def _values(self, x, sieve):
-        return sieve.table(self.table)[: x + 1]
+        return sieve.table(self.table, x)
 
     def _holds(self, v, n):
         raise NotImplementedError
@@ -219,7 +219,7 @@ class Squarefree(KFree):
         self.name = "squarefree"
 
     def _values(self, x, sieve):
-        return sieve.table("squarefree")[: x + 1]
+        return sieve.table("squarefree", x)
 
     def to_json(self):
         return {"variant": "squarefree"}

@@ -13,9 +13,13 @@ kernel,
     v(n) = v(n / p^e) * g(p, e)   (+ for additive tables),  p = spf[n], p^e || n,
 
 run block by block over [lo, hi) with hi <= 2 lo: n / p^e <= n / 2 lies below
-the block, so each block is one vectorized gather.  The cofactor n / p^e and
-the exponent e are memoized once per sieve; tables are memoized on the sieve
-instance.
+the block, so each block is one vectorized gather.  Tables are sized to the
+request: table(name, x) builds only 0..x, because entry n depends only on
+entries below it.  The cofactor n / p^e, the exponent e and each table are
+memoized on the sieve instance at the largest x asked for so far.
+
+A cache file is a 16-byte header (magic, limit) and the spf entries; load()
+memory-maps them, so a request reads only the pages of the prefix it uses.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .reports import _atomic_write
 
 MAX_LIMIT = 2**31
 CACHE_MAGIC = b"KATAISV1"
+_HEADER = 16  # magic, then the limit as LE uint64
 _SPOT_CHECK_SEED = 0x5EED
 _SEGMENT = 1 << 22
 _BLOCK = 1 << 16
@@ -150,13 +155,14 @@ class FactorSieve:
 
     # -- bulk tables -------------------------------------------------------
 
-    def _split(self) -> tuple[np.ndarray, np.ndarray]:
-        """(rest, e) with n = spf[n]^e[n] * rest[n]; rest = 1, e = 0 at n < 2."""
-        if self._rest_e is None:
+    def _split(self, upto: int) -> tuple[np.ndarray, np.ndarray]:
+        """(rest, e) over 0..upto with n = spf[n]^e[n] * rest[n]; rest = 1, e = 0
+        at n < 2.  Memoized; a larger upto rebuilds the pair."""
+        if self._rest_e is None or self._rest_e[0].size <= upto:
             spf = self.spf
-            rest = np.ones(self.limit + 1, dtype=np.uint32)
-            e = np.zeros(self.limit + 1, dtype=np.int8)
-            for lo, hi in _blocks(self.limit):
+            rest = np.ones(upto + 1, dtype=np.uint32)
+            e = np.zeros(upto + 1, dtype=np.int8)
+            for lo, hi in _blocks(upto):
                 p = spf[lo:hi]
                 div32 = np.arange(lo, hi, dtype=np.uint32) // p
                 div = div32.astype(np.intp)  # take() is fastest with intp indices
@@ -164,7 +170,8 @@ class FactorSieve:
                 rest[lo:hi] = np.where(same, rest.take(div), div32)
                 e[lo:hi] = e.take(div) * same + 1
             self._rest_e = rest, e
-        return self._rest_e
+        rest, e = self._rest_e
+        return rest[: upto + 1], e[: upto + 1]
 
     def _kernel(self, rule, dtype, additive: bool, upto: int) -> np.ndarray:
         """out[n] = out[n / p^e] (+ or *) rule(p, e) for 2 <= n <= upto.
@@ -172,10 +179,10 @@ class FactorSieve:
         rule is vectorized over a block's (spf uint32, e int8) arrays; out[1]
         is the unit of the combination and out[0] = 0.
         """
-        rest, e = self._split()
+        rest, e = self._split(upto)
         spf = self.spf
         out = np.zeros(upto + 1, dtype=dtype)
-        if not additive:
+        if not additive and upto >= 1:
             out[1] = 1
         for lo, hi in _blocks(upto):
             head = out.take(rest[lo:hi].astype(np.intp))
@@ -183,14 +190,27 @@ class FactorSieve:
             out[lo:hi] = head + g if additive else head * g
         return out
 
-    def table(self, name: str) -> np.ndarray:
-        """Memoized bulk table over 0..limit; entries at 0 (and 1) are padding."""
-        if name not in self._tables:
+    def table(self, name: str, upto: int | None = None) -> np.ndarray:
+        """Bulk table `name` over 0..upto (default: the limit); entries at 0
+        (and 1) are padding.
+
+        Only the requested prefix is built.  The memo keeps one array per name
+        and rebuilds it when a larger upto is asked for; every table is a
+        prefix-closed recurrence, so the entries are the same at any size.
+        """
+        upto = self.limit if upto is None else int(upto)
+        self.require_upto("x", upto)
+        memo = self._tables.get(name)
+        if memo is None or memo.size <= upto:
             if name in _RULES:
-                self._tables[name] = self._kernel(*_RULES[name], upto=self.limit)
+                memo = self._kernel(*_RULES[name], upto=upto)
             elif name == "squarefree":
-                self._tables[name] = _kfree_mask(2, self.limit, self)
-        return self._tables[name]
+                memo = _kfree_mask(2, upto, self)
+            else:
+                raise ValueError(f"unknown sieve table {name!r}; tables are "
+                                 f"{', '.join([*_RULES, 'squarefree'])}")
+            self._tables[name] = memo
+        return memo[: upto + 1]
 
     # -- cache file --------------------------------------------------------
 
@@ -201,23 +221,31 @@ class FactorSieve:
 
     @staticmethod
     def load(path: str | os.PathLike) -> "FactorSieve":
-        """Load and verify a cache file; spot-checks 1024 entries by trial division."""
+        """Map and verify a cache file; spot-checks 1024 entries by trial division.
+
+        The spf body is memory-mapped read-only, so a request reads from disk
+        only the pages of the prefix it uses.
+        """
         with open(path, "rb") as fh:
-            magic = fh.read(8)
-            if magic != CACHE_MAGIC:
-                raise ValueError(f"bad sieve cache magic {magic!r} in {path}")
-            (limit,) = struct.unpack("<Q", fh.read(8))
+            header = fh.read(_HEADER)
+            if header[:8] != CACHE_MAGIC:
+                raise ValueError(f"bad sieve cache magic {header[:8]!r} in {path}")
+            if len(header) < _HEADER:
+                raise ValueError(f"sieve cache truncated: {len(header)}-byte header")
+            (limit,) = struct.unpack("<Q", header[8:])
             if not (2 <= limit <= MAX_LIMIT):
                 raise ValueError(f"sieve cache limit {limit} out of range")
-            spf = np.fromfile(fh, dtype="<u4", count=limit + 1)
-        if spf.size != limit + 1:
-            raise ValueError(f"sieve cache truncated: {spf.size} of {limit + 1} entries")
+            entries = (os.fstat(fh.fileno()).st_size - _HEADER) // 4
+            if entries < limit + 1:
+                raise ValueError(f"sieve cache truncated: {entries} of {limit + 1} entries")
+            spf = np.memmap(fh, dtype="<u4", mode="r", offset=_HEADER, shape=(limit + 1,))
+        spf = spf.view(np.ndarray)  # plain array ops; the view keeps the map open
         rng = np.random.default_rng(_SPOT_CHECK_SEED)
         sample = rng.integers(2, limit + 1, size=1024)
         for n in sample:
             if int(spf[n]) != _trial_spf(int(n)):
                 raise ValueError(f"sieve cache failed spot check at n={int(n)}")
-        return FactorSieve(int(limit), spf.astype(np.uint32, copy=False))
+        return FactorSieve(int(limit), spf)
 
 
 def _blocks(upto: int):

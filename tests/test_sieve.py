@@ -5,8 +5,10 @@ import pytest
 
 from katailab import functions as fns
 from katailab.constants import Constant
+from katailab.cli import main
 from katailab.levelsets import (
     Squarefree,
+    TauMod,
     concentration_scan,
     empirical_density,
     enumerate_members,
@@ -18,6 +20,7 @@ from katailab.orthogonality import (
     turan_kubilius_variance,
 )
 from katailab.sieve import (
+    _RULES,
     CACHE_MAGIC,
     FactorSieve,
     SieveRangeError,
@@ -108,6 +111,7 @@ def test_factorize_out_of_range(sieve_small):
 
 
 RANGE_CHECKED = {
+    "table": lambda x, s: s.table("mobius", x),
     "bulk_values": lambda x, s: fns.bulk_values(fns.mobius(), x, s),
     "members_upto": lambda x, s: Squarefree().members_upto(x, s),
     "enumerate_members": lambda x, s: next(enumerate_members(Squarefree(), x, s)),
@@ -120,6 +124,11 @@ RANGE_CHECKED = {
     "orthogonality_sum": lambda x, s: orthogonality_sum(
         Squarefree(), LinearExponential(Constant("sqrt", 2)), x, [10], s),
     "turan_kubilius_variance": lambda x, s: turan_kubilius_variance([2, 3], x, s),
+    **{f"values_upto:{name}": lambda x, s, make=make: make().values_upto(x, s)
+       for name, make in fns.CATALOG.items()},
+    **{f"values_upto:{name}": lambda x, s, make=make: make(0.3).values_upto(x, s)
+       for name, make in (("lambda_xi", fns.lambda_xi), ("kappa_xi", fns.kappa_xi),
+                          ("mu_xi", fns.mu_xi))},
 }
 
 
@@ -216,3 +225,97 @@ def test_cache_rejects_corruption(tmp_path):
     bad2.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="spot check"):
         FactorSieve.load(bad2)
+
+
+def test_unknown_table_name_lists_the_tables():
+    s = build_sieve(100)
+    with pytest.raises(ValueError, match="unknown sieve table 'prime_power_part'.*big_omega"
+                                         ".*squarefree") as err:
+        s.table("prime_power_part")
+    assert not isinstance(err.value, SieveRangeError)
+    assert s._tables == {}
+
+
+TABLES = [*_RULES, "squarefree"]
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and np.array_equal(
+        got.view(np.uint8), want.view(np.uint8))
+
+
+@pytest.mark.parametrize("order", ["up", "down", "interleaved"])
+def test_tables_sized_to_the_request_match_the_whole_table(order):
+    limit = 150_000  # the last x spans three 2^16-entry kernel blocks
+    xs = [0, 1, 2, 3, 100, 4_097, 65_536, 65_537, 140_000, limit]
+    if order == "down":
+        xs = xs[::-1]
+    elif order == "interleaved":
+        xs = [65_537, 3, limit, 100, 140_000, 0, 4_097, 1, 65_536, 2]
+    whole = build_sieve(limit)
+    whole_tables = {name: whole.table(name).copy() for name in TABLES}
+    whole_mu = fns.bulk_values(fns.mobius(), limit, whole)
+    s = build_sieve(limit)
+    for name in TABLES:
+        for x in xs:
+            assert _same_bits(s.table(name, x), whole_tables[name][: x + 1]), (name, x)
+            if order == "interleaved":
+                # bulk_values shares the memoized rest/e split at its own x
+                y = x // 3
+                assert _same_bits(fns.bulk_values(fns.mobius(), y, s), whole_mu[: y + 1])
+    assert _same_bits(s.table("mobius"), whole_tables["mobius"])
+
+
+def test_tables_hold_only_the_requested_prefix():
+    s = build_sieve(200_000)
+    x = 30_000
+    empirical_density(TauMod(3, 1), [x], s)
+    empirical_mean(fns.euler_phi_ratio(), x, [x], s)
+    assert sorted(s._tables) == ["phi", "tau"]
+    assert s._tables["tau"].size == s._tables["phi"].size == x + 1
+    assert [a.size for a in s._rest_e] == [x + 1, x + 1]
+    s.table("tau", 2 * x)  # a larger request rebuilds the memo at its own size
+    assert s._tables["tau"].size == 2 * x + 1 and s._rest_e[0].size == 2 * x + 1
+    assert s.table("tau", 10).size == 11 and s._tables["tau"].size == 2 * x + 1
+
+
+def test_cache_load_maps_the_body(tmp_path):
+    s = build_sieve(20_000)
+    path = tmp_path / "cache.spf"
+    s.save(path)
+    loaded = FactorSieve.load(path)
+    assert isinstance(loaded.spf.base, np.memmap) and not loaded.spf.flags.writeable
+    for name in TABLES:
+        assert _same_bits(loaded.table(name, 12_345), s.table(name, 12_345)), name
+
+
+def test_cache_load_rejects_truncated_files(tmp_path):
+    good = tmp_path / "good.spf"
+    build_sieve(1_000).save(good)
+    raw = good.read_bytes()
+    full = 16 + 4 * 1_001
+    cuts = {"inside_body": 16 + 4 * 500 + 2, "header_only": 16, "short_header": 12}
+    cuts.update({f"trailing_{t}": full - 4 + t for t in (1, 2, 3)})  # t bytes of a last entry
+    for label, size in cuts.items():
+        path = tmp_path / f"{label}.spf"
+        path.write_bytes(raw[:size])
+        with pytest.raises(ValueError, match="truncated"):
+            FactorSieve.load(path)
+        argv = ["density", "--set", "squarefree", "--x", "100", "--cache", str(path)]
+        assert main(argv) == 2, label
+        assert path.stat().st_size == size, label  # not rebuilt over
+
+
+def test_resave_over_a_mapped_cache_keeps_the_loaded_sieve(tmp_path):
+    path = tmp_path / "cache.spf"
+    old = build_sieve(30_000)
+    old.save(path)
+    loaded = FactorSieve.load(path)
+    new = build_sieve(40_000)
+    new.save(path)  # a rename: the mapped inode stays readable
+    assert np.array_equal(loaded.spf, old.spf)
+    assert _same_bits(loaded.table("sigma"), old.table("sigma"))
+    assert FactorSieve.load(path).limit == 40_000
+    assert np.array_equal(FactorSieve.load(path).spf, new.spf)
+    loaded.save(path)  # saving from the map onto its own path
+    assert np.array_equal(FactorSieve.load(path).spf, old.spf)
