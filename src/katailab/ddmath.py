@@ -6,9 +6,22 @@ behind every phase computation in the package: n*theta mod 1 stays accurate
 to < 1e-12 for n up to 2^40, and monomial phases a*n^i are trustworthy while
 n^i < 2^80.
 
-The kernels (two_sum, two_prod via Dekker splitting, exp/log by argument
-reduction plus Newton) follow the classic QD library algorithms.  They assume
-round-to-nearest binary64 and no FMA contraction, which CPython/numpy provide.
+The kernels (two_sum, two_prod via Dekker splitting, div, sqrt, log by a
+Newton step) follow the classic QD library algorithms of Hida, Li and Bailey
+(2001).  They assume round-to-nearest binary64 and no FMA contraction, which
+CPython/numpy provide.  The transcendental layer on top:
+
+- exp is table-driven (Tang, ACM TOMS 15, 1989): x = (1024 m + j) ln2/1024 + r
+  with |r| <= ln2/2048, a 1024-entry dd table of 2^(j/1024), a short dd
+  Horner polynomial for e^r - 1 and a scaling by 2^m.  The table is built
+  on first use from exact integers, so it is the correctly rounded dd of
+  each entry.  log, pow_dd and log_gamma all go through it.
+- rational_pow is the root route for x^(u/v): a float seed for the v-th
+  root, one dd Newton step (sqrt for v = 2), then binary powering.  No exp
+  or log is involved, and x^u is never formed.
+- log_gamma shifts arguments below 12 up by the recurrence and sums the
+  Stirling series there: the terms 1/(12x), 1/(360x^3) and 1/(1260x^5) in
+  dd, the five later ones as one float polynomial in 1/x^2.
 
 Every kernel is elementwise, and each dd operation makes several temporaries
 the size of its input.  Callers that map a long array through a whole phase
@@ -21,13 +34,14 @@ output is bit-identical to a whole-array evaluation.
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant
 BLOCK = 1 << 14  # entries per blockwise() slice
 
-# log(2) to double-double precision.
-LOG2 = (0.6931471805599453, 2.3190468138462996e-17)
 # log(2*pi)/2 to double-double precision.
 HALF_LOG_2PI = (0.9189385332046728, -3.8782941580672414e-17)
 
@@ -131,11 +145,6 @@ def mul_f(x, f):
     return quick_two_sum(p, e)
 
 
-def mul_pow2(x, f):
-    # f must be a power of two: exact scaling.
-    return x[0] * f, x[1] * f
-
-
 def div(x, y):
     q1 = x[0] / y[0]
     r = sub(x, mul_f(y, q1))
@@ -190,54 +199,94 @@ def frac_int_mul(c, n):
     return np.where(out >= 1.0, out - 1.0, out)
 
 
-# 1/k! for k = 3..11 as two-term splits (single floats would cost ~30 bits
-# after the squaring loop re-amplifies the truncated coefficient error).
-_INV_FACT = [
-    (0.16666666666666666, 9.25185853854297e-18),
-    (0.041666666666666664, 2.3129646346357427e-18),
-    (0.008333333333333333, 1.1564823173178714e-19),
-    (0.001388888888888889, -5.300543954373577e-20),
-    (0.0001984126984126984, 1.7209558293420705e-22),
-    (2.48015873015873e-05, 2.1511947866775882e-23),
-    (2.7557319223985893e-06, -1.858393274046472e-22),
-    (2.755731922398589e-07, 2.3767714622250297e-23),
-    (2.505210838544172e-08, -1.448814070935912e-24),
-]
+# ln2/1024 in three parts (Cody-Waite).  The first two have 32 significant
+# bits, so their products with an integer k below 2^21 in magnitude are exact.
+_LN2_1024 = (0.0006769015433292225, 1.8634911414483108e-13, 4.1749761618629385e-23)
+_INV_LN2_1024 = 1477.3197218702985  # 1024/ln2
+# |x| past this gives 0 or inf anyway; clipping keeps k below 2^21
+_EXP_CLIP = 1100.0
+_TABLE_BITS = 10
+_TABLE_SCALE = 140  # bits of the fixed-point integers behind exp2_table()
+# 1/6 and 1/24 as two-term splits
+_INV6 = (0.16666666666666666, 9.25185853854297e-18)
+_INV24 = (0.041666666666666664, 2.3129646346357427e-18)
+
+
+@functools.cache
+def exp2_table():
+    """2^(j/1024) for j < 1024 as dd arrays (hi, lo), each correctly rounded.
+
+    Exact integers scaled by 2^140: ten integer square roots of 2 give
+    2^(1/1024), and 1023 chained products the rest.  Each step truncates
+    by under one unit, so the table is within 2^-127 of 2^(j/1024), far
+    below the dd rounding; float() of an int rounds correctly.  Built on
+    first use, in about a millisecond.
+    """
+    scale = _TABLE_SCALE
+    root = 2 << scale
+    for _ in range(_TABLE_BITS):
+        root = math.isqrt(root << scale)
+    fixed = [1 << scale]
+    for _ in range((1 << _TABLE_BITS) - 1):
+        fixed.append((fixed[-1] * root) >> scale)
+    hi = [float(f) for f in fixed]
+    lo = [float(f - int(h)) for f, h in zip(fixed, hi)]
+    table = np.ldexp(hi, -scale), np.ldexp(lo, -scale)
+    for part in table:
+        part.flags.writeable = False  # shared by every later call
+    return table
 
 
 def exp(x):
-    """dd exponential via k*log2 reduction, scaled Taylor series, 9 squarings."""
-    h = np.asarray(x[0], dtype=np.float64)
-    m = np.floor(h / LOG2[0] + 0.5)
-    r = sub(x, mul_f(LOG2, m))
-    r = mul_pow2(r, 1.0 / 512.0)
+    """dd exponential, table-driven (Tang 1989)."""
+    y, m = _exp_scaled(x)
+    return np.ldexp(y[0], m), np.ldexp(y[1], m)
 
-    p = sqr(r)
-    s = add(r, mul_pow2(p, 0.5))
-    p = mul(p, r)
-    t = mul(p, _INV_FACT[0])
-    for k in range(1, len(_INV_FACT)):
-        s = add(s, t)
-        p = mul(p, r)
-        t = mul(p, _INV_FACT[k])
-    s = add(s, t)
 
-    for _ in range(9):  # (1+s)^512 - 1, tracked without the leading 1
-        s = add(mul_pow2(s, 2.0), sqr(s))
-    s = add_f(s, 1.0)
+def _exp_scaled(x):
+    """(y, m) with e^x = y 2^m, y a dd in [2^(-1/2048), 2) and m an int64 array.
 
-    mi = m.astype(np.int64)
-    return np.ldexp(s[0], mi), np.ldexp(s[1], mi)
+    x = (1024 m + j) ln2/1024 + r with |r| <= ln2/2048, so that
+    y = 2^(j/1024) (1 + s) with s = e^r - 1 =
+    r + r^2 (1/2 + r (1/6 + r (1/24 + q))).  The Horner steps run in dd;
+    q = r/120 + r^2/720 + ... brings in the terms from r^5/120 (below
+    2^-64) on, so it is a float polynomial in r's high word.
+    """
+    h = np.clip(np.asarray(x[0], dtype=np.float64), -_EXP_CLIP, _EXP_CLIP)
+    k = np.rint(h * _INV_LN2_1024)
+    c1, c2, c3 = _LN2_1024
+    # h - k c1 is exact (Sterbenz); the rest carries x's low word
+    a, b = two_sum(h - k * c1, -(k * c2))
+    r = two_sum(a, b + (x[1] - k * c3))
+
+    rh = r[0]
+    q = rh * (1.0 / 120 + rh * (1.0 / 720 + rh * (1.0 / 5040 + rh * (1.0 / 40320))))
+    w = add_f(_INV24, q)
+    w = add(_INV6, mul(r, w))
+    w = add_f(mul(r, w), 0.5)
+    s = add(r, mul(sqr(r), w))
+
+    ki = k.astype(np.int64)
+    th, tl = exp2_table()
+    j = ki & ((1 << _TABLE_BITS) - 1)
+    t = (th[j], tl[j])
+    return add(t, mul(t, s)), ki >> _TABLE_BITS
 
 
 def log(x):
-    """dd natural log; one Newton step y += x*exp(-y) - 1 from the float64 seed."""
+    """dd natural log: y + log(1 + c) for the float64 seed y and c = x exp(-y) - 1.
+
+    log(1 + c) is taken as c - c^2/2: |c| is up to 2^-52 |y|, so the
+    square matters once |y| is large, and the next term is below 2^-110.
+    exp(-y) = e 2^m is applied as x 2^m times e, so its low word never
+    drops into the subnormal range, even for x near 1e300.
+    """
     if np.any(x[0] <= 0.0):
         raise ValueError("log requires positive arguments")
     y = np.log(x[0])
-    e = exp((-y, np.zeros_like(y)))
-    corr = add_f(mul(x, e), -1.0)
-    return add((y, np.zeros_like(y)), corr)
+    e, m = _exp_scaled((-y, np.zeros_like(y)))
+    c = add_f(mul((np.ldexp(x[0], m), np.ldexp(x[1], m)), e), -1.0)
+    return add((y, np.zeros_like(y)), add_f(c, -0.5 * c[0] * c[0]))
 
 
 def pow_dd(x, c):
@@ -245,18 +294,64 @@ def pow_dd(x, c):
     return exp(mul(c, log(x)))
 
 
-# Stirling coefficients B_{2j} / (2j * (2j-1)) as two-term splits of the
-# exact rationals.
+def _pow_int(x, k):
+    """x**k for dd x and an integer k >= 1, by binary powering."""
+    out = None
+    while True:
+        if k & 1:
+            out = x if out is None else mul(out, x)
+        k >>= 1
+        if not k:
+            return out
+        x = sqr(x)
+
+
+def root(x, v):
+    """x**(1/v) for dd x > 0 and an integer v >= 1.
+
+    v = 2 is sqrt.  Otherwise a float seed r, then one dd Newton step
+    written as the series of (1 + rho)^(1/v) to second order, where
+    x = r^v (1 + rho): the dropped terms are O(v rho^3), and the dd
+    residual x - r^v fixes the low word.
+    """
+    if v == 1:
+        return x
+    if v == 2:
+        return sqrt(x)
+    r = x[0] ** (1.0 / v)
+    # one float Newton step puts the seed within about an ulp, so the
+    # float correction below loses nothing visible in the low word
+    r = r - (r**v - x[0]) / (v * r ** (v - 1))
+    p = _pow_int(from_float(r), v)
+    rho = sub(x, p)[0] / p[0]
+    return quick_two_sum(r, r * (rho / v) * (1.0 - (v - 1) / (2.0 * v) * rho))
+
+
+def rational_pow(x, u, v):
+    """x**(u/v) for dd x > 0 and integers u >= 1, v >= 1, with no exp or log.
+
+    With u = q v + s (0 <= s < v) this is x^q root(x, v)^s: the root comes
+    first and x^u is never formed, so only the s-th power multiplies the
+    root's rounding error.
+    """
+    q, s = divmod(u, v)
+    if not s:
+        return _pow_int(x, q)
+    out = _pow_int(root(x, v), s)
+    return mul(_pow_int(x, q), out) if q else out
+
+
+# log Gamma(x) ~ (x - 1/2) log x - x + log(2 pi)/2 + sum_j c_j / x^(2j - 1)
+# with c_j = B_2j / (2j (2j - 1)).  c_1..c_3 are two-term splits of the
+# exact rationals; c_4..c_8 enter as one float polynomial in 1/x^2, whose
+# rounding (about 2^-53 c_4 / x^7) stays below the truncation remainder
+# near x = 12 and below 2^-106 of the leading terms from x = 40 on.
 _STIRLING = [
     (0.08333333333333333, 4.625929269271485e-18),
     (-0.002777777777777778, 1.0601087908747154e-19),
     (0.0007936507936507937, 6.883823317368282e-22),
-    (-0.0005952380952380953, 5.36938218754726e-20),
-    (0.0008417508417508417, 3.6870174889237694e-20),
-    (-0.0019175269175269176, 1.0675702776872475e-19),
-    (0.00641025641025641, 2.2240044563805217e-19),
-    (-0.029550653594771242, 4.861760957508855e-19),
 ]
+_STIRLING_TAIL = (-1.0 / 1680, 1.0 / 1188, -691.0 / 360360, 1.0 / 156, -3617.0 / 122400)
 
 
 def _log_gamma_stirling(x):
@@ -267,12 +362,14 @@ def _log_gamma_stirling(x):
     s = sub(s, x)
     s = add(s, HALF_LOG_2PI)
     inv = div(from_float(np.ones_like(x[0])), x)
-    inv2 = sqr(inv)
-    term = inv
-    for c in _STIRLING:
-        s = add(s, mul(term, c))
-        term = mul(term, inv2)
-    return s
+    z = sqr(inv)
+    f = 0.0
+    for c in reversed(_STIRLING_TAIL):
+        f = c + z[0] * f
+    w = add_f(_STIRLING[2], z[0] * f)
+    w = add(_STIRLING[1], mul(z, w))
+    w = add(_STIRLING[0], mul(z, w))
+    return add(s, mul(inv, w))
 
 
 def log_gamma(x):

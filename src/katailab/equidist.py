@@ -107,9 +107,9 @@ class HardyFunction:
         td = ddmath.from_float(t)
         v = self.variant
         if v == "power":
-            return ddmath.pow_dd(td, self.c.dd)
+            return _dd_power(td, self.c)
         if v == "log_power":
-            return ddmath.pow_dd(ddmath.log(td), self.r.dd)
+            return _dd_power(ddmath.log(td), self.r)
         if v == "t_log_t":
             return ddmath.mul(td, ddmath.log(td))
         if v == "t_over_log_t":
@@ -221,6 +221,21 @@ class HardyFunction:
             return polynomial([Constant.from_json(c) for c in obj["coefficients"]],
                               negative_control=nc)
         return HardyFunction(v)
+
+
+# The root route's s-th power multiplies the v-th root's rounding error by
+# s < v; up to v = 128 that stays near the error of exp(c log t) at t = 2^40.
+ROOT_MAX_DENOMINATOR = 128
+
+
+def _dd_power(x, c: Constant):
+    """x**c for dd x > 0: ddmath.rational_pow for a positive rational c with
+    denominator up to ROOT_MAX_DENOMINATOR, exp(c log x) otherwise."""
+    if c.kind == "rational" and c.value_exact > 0:
+        u, v = c.value_exact.numerator, c.value_exact.denominator
+        if v <= ROOT_MAX_DENOMINATOR:
+            return ddmath.rational_pow(x, u, v)
+    return ddmath.pow_dd(x, c.dd)
 
 
 def _polynomial_dd(coefficients, n: np.ndarray):

@@ -37,16 +37,11 @@ class EvaluationError(ValueError):
 
 def root_of_unity(num: int, den: int):
     """e(num/den), exact for denominators 1, 2 and 4 after reduction."""
-    t = Fraction(num, den) % 1
-    if t == 0:
-        return 1
-    if t == Fraction(1, 2):
-        return -1
-    if t == Fraction(1, 4):
-        return 1j
-    if t == Fraction(3, 4):
-        return -1j
-    return cmath.exp(2j * cmath.pi * float(t))
+    num %= den
+    if 4 * num % den == 0:
+        return (1, 1j, -1, -1j)[4 * num // den]
+    # int / int rounds correctly, so this is the float of the reduced fraction
+    return cmath.exp(2j * cmath.pi * (num / den))
 
 
 def _e_of(x: float) -> complex:
@@ -361,9 +356,11 @@ def dirichlet_character(d: int, exponents) -> ArithmeticFunction:
         step = 1 + rest * ((g - 1) * pow(rest, -1, pe) % pe)
         residues = [r * pow(step, j, d) % d for r in residues for j in range(order)]
         phases = [(a + k * j * (den // order)) % den for a in phases for j in range(order)]
+    # one root of unity per distinct phase, spread to the residues by index
+    distinct, which = np.unique(phases, return_inverse=True)
+    values = np.array([root_of_unity(int(a), den) for a in distinct], dtype=complex)
     table = np.zeros(d, dtype=complex)
-    for r, a in zip(residues, phases):
-        table[r] = root_of_unity(a, den)
+    table[residues] = values[which]
 
     def rule(p, m):
         return table[pow(p, m, d)] if d > 1 else 1

@@ -24,7 +24,7 @@ from .constants import Constant, as_constant
 from .functions import ArithmeticFunction, from_json as function_from_json
 from .sieve import _RULES, FactorSieve, _kfree_mask
 from .reports import DensityReport, SeriesReport
-from .summation import checkpoint_sums, divergence_slope, prime_series
+from .summation import checkpoint_sums, divergence_slope, prime_series, sorted_checkpoints
 
 BOUNDARY_EPS = 1e-12
 _BLOCK = 1 << 20  # members_upto applies the predicate this many n at a time
@@ -466,7 +466,7 @@ def first_members(spec: LevelSet, count: int, sieve: FactorSieve) -> np.ndarray:
 
 def empirical_density(spec: LevelSet, checkpoints, sieve: FactorSieve) -> DensityReport:
     """|E cap [1,x]| / x at each checkpoint (exact integer counts)."""
-    checkpoints = sorted(int(c) for c in checkpoints)
+    checkpoints = sorted_checkpoints(checkpoints)
     table = spec.members_upto(checkpoints[-1], sieve)
     counts = checkpoint_sums(lambda lo, hi: np.count_nonzero(table[lo:hi]), checkpoints)
     densities = [int(k) / c for k, c in zip(counts, checkpoints)]

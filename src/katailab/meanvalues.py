@@ -22,7 +22,7 @@ import numpy as np
 from .functions import ArithmeticFunction
 from .reports import MeanValueReport, SeriesReport
 from .sieve import FactorSieve, _simple_spf
-from .summation import checkpoint_sums, divergence_slope, prime_series
+from .summation import checkpoint_sums, divergence_slope, prime_series, sorted_checkpoints
 
 POWER_CUTOFF = 1e-18
 
@@ -43,7 +43,7 @@ def seminorm_l1(fn: ArithmeticFunction, n_max: int, checkpoints,
 
 def _running_means(values_upto, n_max, checkpoints, sieve, threads, spec):
     sieve.require_upto("N", n_max)
-    checkpoints = sorted(set(int(c) for c in checkpoints) | {int(n_max)})
+    checkpoints = sorted(set(sorted_checkpoints([*checkpoints, n_max])))
     values = values_upto(n_max, sieve)
     sums = checkpoint_sums(lambda lo, hi: values[lo:hi], checkpoints, threads=threads)
     return MeanValueReport(checkpoints, [s / c for s, c in zip(sums, checkpoints)],

@@ -43,15 +43,24 @@ def _chunks(lo: int, hi: int):
     return [(edges[i], edges[i + 1]) for i in range(len(edges) - 1) if edges[i] < edges[i + 1]]
 
 
+def sorted_checkpoints(checkpoints) -> list[int]:
+    """The checkpoints as sorted ints; ValueError names the first one below 1."""
+    checkpoints = [int(c) for c in checkpoints]
+    bad = next((c for c in checkpoints if c < 1), None)
+    if bad is not None:
+        raise ValueError(f"checkpoints must be >= 1, got {bad}")
+    return sorted(checkpoints)
+
+
 def checkpoint_sums(values_of, checkpoints, threads: int = 1):
-    """Cumulative sums of values_of over [1, c] for each checkpoint c.
+    """Cumulative sums of values_of over [1, c] for each checkpoint c >= 1.
 
     values_of(lo, hi) must return the summand array for n in [lo, hi).
     Returns a list of cumulative sums, one per checkpoint, deterministic in
     the thread count.
     """
     out, acc, lo = [], None, 1
-    for c in sorted(int(c) for c in checkpoints):
+    for c in sorted_checkpoints(checkpoints):
         if c + 1 > lo:  # a duplicate or contained checkpoint adds nothing
             chunks = _chunks(lo, c + 1)
             if threads > 1 and len(chunks) > 1:

@@ -1,5 +1,6 @@
 """Arithmetic-function catalog: spec examples, multiplicativity, characters."""
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -249,6 +250,58 @@ def test_character_walk_matches_discrete_logs():
             count += 1
     assert count == sum(sum(1 for n in range(1, d + 1) if math.gcd(n, d) == 1)
                         for d in range(1, 65))
+
+
+def _character_table_per_residue(d, exponents):
+    """The group walk of dirichlet_character with one root_of_unity per residue."""
+    factors = fns.unit_group_structure(d)
+    den = math.lcm(*(order for _, _, order in factors))
+    residues, phases = [1 % d], [0]
+    for (pe, g, order), k in zip(factors, exponents):
+        rest = d // pe
+        step = 1 + rest * ((g - 1) * pow(rest, -1, pe) % pe)
+        residues = [r * pow(step, j, d) % d for r in residues for j in range(order)]
+        phases = [(a + k * j * (den // order)) % den for a in phases for j in range(order)]
+    table = np.zeros(d, dtype=complex)
+    for r, a in zip(residues, phases):
+        table[r] = root_of_unity(a, den)
+    return table
+
+
+@pytest.mark.parametrize("d", [720720, 2**20, 100003])
+def test_character_table_matches_per_residue_fill(d):
+    exponents = [1 + i for i in range(len(fns.unit_group_structure(d)))]
+    got = dirichlet_character(d, exponents).character_table
+    want = _character_table_per_residue(d, exponents)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _root_of_unity_by_fraction(num, den):
+    """root_of_unity as it once reduced its argument, through Fraction."""
+    t = Fraction(num, den) % 1
+    if t == 0:
+        return 1
+    if t == Fraction(1, 2):
+        return -1
+    if t == Fraction(1, 4):
+        return 1j
+    if t == Fraction(3, 4):
+        return -1j
+    return cmath.exp(2j * cmath.pi * float(t))
+
+
+def test_root_of_unity_matches_fraction_reduction():
+    rng = np.random.default_rng(5)
+    pairs = [(a, b) for b in range(1, 65) for a in range(-2 * b, 2 * b + 1)]
+    pairs += [(int(a) * int(b), int(b)) for a, b in zip(rng.integers(-5, 5, 300),
+                                                         rng.integers(1, 2**31, 300))]
+    pairs += [(int(a), int(b)) for a, b in zip(rng.integers(-2**40, 2**40, 2000),
+                                               rng.integers(1, 2**31, 2000))]
+    for num, den in pairs:
+        got, want = root_of_unity(num, den), _root_of_unity_by_fraction(num, den)
+        assert type(got) is type(want), (num, den)
+        assert np.array([got], complex).view(np.int64).tolist() == \
+            np.array([want], complex).view(np.int64).tolist(), (num, den)
 
 
 def test_character_tuple_length_mismatch():

@@ -377,3 +377,17 @@ def test_report_bytes_are_pinned(sieve_small, sieve_mid):
     for name, make in made.items():
         data = reports.render_json(make(), {"case": name})
         assert hashlib.sha256(data).hexdigest() == PINNED_DIGESTS[name], name
+
+
+def test_checkpoints_below_one_exit_2(capsys):
+    cases = [
+        ["density", "--set", "squarefree", "--x", "1000", "--checkpoints", "0,10"],
+        ["density", "--set", "squarefree", "--x", "1000", "--checkpoints=-7"],
+        ["meanvalue", "--function", "mobius", "--n", "1000", "--checkpoints", "10,0"],
+        ["meanvalue", "--function", "mobius", "--n", "1000", "--checkpoints=-4,10"],
+    ]
+    for argv in cases:
+        assert run(argv) == 2
+        first = argv[-1].rpartition("=")[2].split(",")
+        first = next(c for c in first if int(c) < 1)
+        assert capsys.readouterr().err == f"error: checkpoints must be >= 1, got {first}\n"

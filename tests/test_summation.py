@@ -72,3 +72,19 @@ def test_prime_series_evaluates_no_term_past_the_last_checkpoint():
     assert seen == [29] and cps == [10, 30]
     assert sums.tolist() == [1 / 2 + 1 / 3 + 1 / 5 + 1 / 7,
                              sum(1 / p for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29))]
+
+
+def test_checkpoints_below_one_raise(sieve_small):
+    from katailab.functions import mobius
+    from katailab.levelsets import Squarefree, empirical_density
+    from katailab.meanvalues import empirical_mean
+    from katailab.summation import checkpoint_sums
+
+    for checkpoints, first in (([0, 10], 0), ([50, -3, 0], -3), ([-5], -5)):
+        message = f"checkpoints must be >= 1, got {first}"
+        with pytest.raises(ValueError, match=message):
+            checkpoint_sums(lambda lo, hi: np.ones(hi - lo), checkpoints)
+        with pytest.raises(ValueError, match=message):
+            empirical_density(Squarefree(), checkpoints, sieve_small)
+        with pytest.raises(ValueError, match=message):
+            empirical_mean(mobius(), 100, checkpoints, sieve_small)
