@@ -45,6 +45,9 @@ class Constant:
                 raise ValueError(f"{self.kind} needs a positive integer argument")
             if self.kind == "log" and self.arg == 1:
                 raise ValueError("log(1) is 0; use a rational constant")
+            root = math.isqrt(self.arg)
+            if self.kind == "sqrt" and root * root == self.arg:
+                raise ValueError(f"sqrt({self.arg}) is {root}; use a rational constant")
         elif self.kind in ("golden", "e", "pi"):
             if self.arg is not None:
                 raise ValueError(f"{self.kind} takes no argument")
@@ -56,11 +59,9 @@ class Constant:
 
     @property
     def is_irrational(self) -> bool:
-        if self.kind == "sqrt":
-            return math.isqrt(self.arg) ** 2 != self.arg
-        if self.kind == "log":
-            return self.arg >= 2  # log k is irrational for integer k >= 2
-        return self.kind in ("golden", "e", "pi")
+        # sqrt of a perfect square and log(1) are rejected at construction;
+        # log k is irrational for every integer k >= 2
+        return self.kind != "rational"
 
     @property
     def dd(self) -> tuple[float, float]:

@@ -25,6 +25,7 @@ import numpy as np
 
 from .constants import Constant, as_constant
 from .sieve import FactorSieve
+from .summation import CHUNK
 
 
 class EvaluationError(ValueError):
@@ -136,10 +137,14 @@ def _sieve_table(name):
 
 
 def _phi_ratio_table(x, s):
-    phi = s.table("phi", x).astype(np.float64)
-    n = np.arange(x + 1, dtype=np.float64)
-    n[0] = 1.0
-    return phi / n
+    # phi / n block by block into one output, without whole-table temporaries
+    phi = s.table("phi", x)
+    out = np.empty(x + 1, dtype=np.float64)
+    out[0] = 0.0
+    for lo in range(1, x + 1, CHUNK):
+        hi = min(lo + CHUNK, x + 1)
+        np.divide(phi[lo:hi], np.arange(lo, hi, dtype=np.float64), out=out[lo:hi])
+    return out
 
 
 def mobius() -> ArithmeticFunction:

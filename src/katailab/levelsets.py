@@ -338,7 +338,8 @@ class PhiRatioBelow(LevelSet):
     def _holds(self, v, n):
         if self.threshold.kind == "rational":
             q = self.threshold.value_exact
-            return v * q.denominator < q.numerator * n
+            # int64 on both routes: the int32 phi table times den would wrap
+            return np.int64(v) * q.denominator < q.numerator * n
         return v < float(self.threshold) * n
 
     def _boundary(self, v, n):

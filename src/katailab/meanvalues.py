@@ -22,7 +22,7 @@ import numpy as np
 from .functions import ArithmeticFunction
 from .reports import MeanValueReport, SeriesReport
 from .sieve import FactorSieve, _simple_spf
-from .summation import checkpoint_sums, divergence_slope, prime_series, sorted_checkpoints
+from .summation import CHUNK, checkpoint_sums, divergence_slope, prime_series, sorted_checkpoints
 
 POWER_CUTOFF = 1e-18
 
@@ -68,8 +68,7 @@ def euler_product_mean(rule, prime_cutoff: int, sieve: FactorSieve | None = None
         primes = FactorSieve(prime_cutoff, _simple_spf(prime_cutoff)).primes()
     g = rule.prime_power if isinstance(rule, ArithmeticFunction) else rule
     product = complex(1.0)
-    for p in primes:
-        p = int(p)
+    for p in primes.tolist():
         terms = []
         weight, m = 1.0 / p, 1
         while weight >= POWER_CUTOFF:
@@ -77,9 +76,16 @@ def euler_product_mean(rule, prime_cutoff: int, sieve: FactorSieve | None = None
             weight /= p
             m += 1
         if all(isinstance(v, (int, Fraction)) for _, v in terms):
-            # exact local factor; rules with g = 1 give exactly 1 - p^-(M+1)
-            inner = 1 + sum(Fraction(v, p**m) for m, v in terms)
-            local = complex(float(Fraction(p - 1, p) * inner))
+            # exact local factor (p - 1)/p * (1 + sum_m v_m / p^m) as one ratio
+            # of integers over big = lcm(denominators) * p^M, the sum taken by
+            # Horner in p; int / int rounds correctly, so rules with g = 1 give
+            # exactly 1 - p^-(M+1)
+            den = math.lcm(*[v.denominator for _, v in terms])
+            inner = 0
+            for _, v in terms:
+                inner = inner * p + v.numerator * (den // v.denominator)
+            big = den * p ** len(terms)
+            local = complex((p - 1) * (big + inner) / (p * big))
         else:
             # smallest terms first so the truncation budget dominates roundoff
             inner = complex(1.0)
@@ -157,10 +163,21 @@ def three_series(a_of_p, y: int, checkpoints, sieve: FactorSieve):
 
 def empirical_cdf(values, thresholds):
     """F_N(x) = (1/N) #{n <= N : value_n < x} on a threshold grid."""
-    values = np.sort(np.asarray(values, dtype=np.float64))
+    values = np.asarray(values, dtype=np.float64)
     n = values.size
     if n == 0:
         raise ValueError("empirical_cdf needs at least one value")
     thresholds = list(thresholds)
-    counts = np.searchsorted(values, np.asarray(thresholds, dtype=np.float64), side="left")
+    grid = np.asarray(thresholds, dtype=np.float64)
+    order = np.argsort(grid, kind="stable")
+    edges = grid[order]
+    # bins[j] counts the values with exactly j sorted thresholds <= them, so the
+    # cumulative sum up to j counts the values below the j-th threshold, in the
+    # order of np.sort (NaN above +inf); no sorted copy of the values is made
+    bins = np.zeros(grid.size + 1, dtype=np.int64)
+    for lo in range(0, n, CHUNK):
+        rank = np.searchsorted(edges, values[lo:lo + CHUNK], side="right")
+        bins += np.bincount(rank, minlength=grid.size + 1)
+    counts = np.empty(grid.size, dtype=np.int64)
+    counts[order] = np.cumsum(bins[:-1])
     return [(float(t), int(c) / n) for t, c in zip(thresholds, counts)]

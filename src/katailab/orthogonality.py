@@ -25,7 +25,7 @@ from .constants import Constant, as_constant
 from .levelsets import LevelSet
 from .reports import CorrelationReport, DecayProfile, TuranKubiliusReport
 from .sieve import FactorSieve, SieveRangeError
-from .summation import checkpoint_sums, fit_loglog_slope
+from .summation import CHUNK, checkpoint_sums, fit_loglog_slope
 
 PHASE_BUDGET = 2**40
 
@@ -226,8 +226,11 @@ def turan_kubilius_variance(prime_set, x: int, sieve: FactorSieve) -> TuranKubil
     for p in primes:
         w[p::p] += 1
     w = w[1:]
-    s1 = int(w.astype(np.int64).sum())
-    s2 = int((w.astype(np.int64) ** 2).sum())
+    s1 = int(w.sum(dtype=np.int64))
+    s2 = 0
+    for lo in range(0, x, CHUNK):
+        block = w[lo:lo + CHUNK].astype(np.int64)
+        s2 += int(np.dot(block, block))
     m = sum(Fraction(1, p) for p in primes)
     variance = Fraction(s2) - 2 * m * s1 + x * m * m
     return TuranKubiliusReport(x=x, primes=primes, m=m, variance=variance)

@@ -18,6 +18,11 @@ request: table(name, x) builds only 0..x, because entry n depends only on
 entries below it.  The cofactor n / p^e, the exponent e and each table are
 memoized on the sieve instance at the largest x asked for so far.
 
+Each table has the narrowest dtype that holds it for every n <= 2^31: int8
+for big_omega, small_omega and mobius, int16 for tau (at most 1600), int32
+for phi (at most n - 1), int64 for sigma, bool for squarefree.  A consumer
+that multiplies table entries widens them to int64 first.
+
 A cache file is a 16-byte header (magic, limit) and the spf entries; load()
 memory-maps them, so a request reads only the pages of the prefix it uses.
 """
@@ -273,8 +278,8 @@ _RULES = {
     "big_omega": (lambda p, e: e, np.int8, True),
     "small_omega": (lambda p, e: 1, np.int8, True),
     "mobius": (lambda p, e: (e == 1) * np.int8(-1), np.int8, False),
-    "tau": (lambda p, e: e + 1, np.int32, False),
-    "phi": (_phi_pp, np.int64, False),
+    "tau": (lambda p, e: e + 1, np.int16, False),  # tau(n) <= 1600 below 2^31
+    "phi": (_phi_pp, np.int32, False),  # phi(n) < 2^31 for n <= 2^31
     "sigma": (_sigma_pp, np.int64, False),
 }
 

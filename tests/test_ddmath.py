@@ -95,6 +95,17 @@ def test_frac_mul_wide_integers_past_float_exactness():
         assert min(err, 1 - err) < 1e-9, m
 
 
+def test_sqrt_of_a_perfect_square_is_rejected():
+    from katailab.constants import Constant
+
+    with pytest.raises(ValueError, match=r"sqrt\(9\) is 3; use a rational constant"):
+        Constant("sqrt", 9)
+    with pytest.raises(ValueError, match=r"sqrt\(1\) is 1"):
+        Constant.parse("sqrt1")
+    assert Constant("sqrt", 8).is_irrational and Constant("log", 2).is_irrational
+    assert not Constant.parse("3/4").is_irrational
+
+
 def test_frac_handles_carry_in_low_word():
     # hi integral, lo negative: frac must borrow correctly
     h = ddmath.frac((np.array(5.0), np.array(-1e-18)))

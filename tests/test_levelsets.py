@@ -122,6 +122,17 @@ def test_phi_ratio_rejects_long_rational_threshold(tmp_path):
     assert not out.exists()
 
 
+def test_phi_ratio_long_denominator_agrees_on_both_routes(sieve_mid):
+    # phi is an int32 table: phi * den must widen to int64, or it wraps into
+    # false members; 1234567/2147483647 has none below 10^5, the other many
+    x = 100_000
+    for t in (Fraction(1234567, 2147483647), Fraction(1073741823, 2147483647)):
+        spec = PhiRatioBelow(rational(t))
+        table = spec.members_upto(x, sieve_mid)
+        assert [spec.contains(n, sieve_mid).member for n in range(1, x + 1)] \
+            == table[1:].tolist(), t
+
+
 def test_multiplicative_set_closure(sieve_small):
     sq = Squarefree()
     for spec in all_variants():

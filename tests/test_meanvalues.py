@@ -1,6 +1,8 @@
 """Empirical means vs Euler products, seminorms, criterion series, CDFs."""
 
 import math
+import tracemalloc
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -19,6 +21,8 @@ from katailab.meanvalues import (
 import pytest
 
 from katailab.meanvalues import LocalFactorError
+from katailab.orthogonality import turan_kubilius_variance
+from katailab.sieve import FactorSieve
 
 mpmath.mp.dps = 30
 
@@ -66,6 +70,51 @@ def test_euler_product_squarefree_rule():
 def test_euler_product_rejects_unbounded_rule():
     with pytest.raises(LocalFactorError, match="modulus"):
         euler_product_mean(lambda p, m: 5.0, 100)
+
+
+def _fraction_euler_products(g, primes, cutoffs):
+    """The per-prime Fraction formula the integer-ratio local factors replaced,
+    kept as the reference: the running product at each cutoff, or
+    LocalFactorError once a local factor exceeds 2."""
+    out, product, primes = {}, complex(1.0), primes.tolist()
+    for cutoff in sorted(cutoffs):
+        while primes and primes[0] <= cutoff:
+            p = primes.pop(0)
+            terms = []
+            weight, m = 1.0 / p, 1
+            while weight >= 1e-18:
+                terms.append((m, g(p, m)))
+                weight /= p
+                m += 1
+            assert all(isinstance(v, (int, Fraction)) for _, v in terms)
+            inner = 1 + sum(Fraction(v, p**m) for m, v in terms)
+            local = complex(float(Fraction(p - 1, p) * inner))
+            if abs(local) > 2.0:
+                return {c: LocalFactorError for c in cutoffs}
+            product *= local
+        out[cutoff] = product
+    return out
+
+
+def test_euler_product_matches_the_fraction_formula():
+    sieve = FactorSieve.build(200_000)
+    cutoffs = [2, 3, 97, 20_000, 100_000]
+    primes = sieve.primes(max(cutoffs))
+    rules = {name: make() for name, make in fns.CATALOG.items()}
+    rules["fraction_rule"] = lambda p, m: Fraction(1, m + 1) - Fraction(1, p)
+    raised = set()
+    for name, fn in rules.items():
+        g = fn.prime_power if isinstance(fn, fns.ArithmeticFunction) else fn
+        want = _fraction_euler_products(g, primes, cutoffs)
+        for cutoff in cutoffs:
+            if want[cutoff] is LocalFactorError:
+                raised.add(name)
+                with pytest.raises(LocalFactorError, match="modulus"):
+                    euler_product_mean(fn, cutoff, sieve)
+            else:
+                assert euler_product_mean(fn, cutoff, sieve)[0] == want[cutoff], (name, cutoff)
+    # tau's local factor p/(p-1) stays below 2 once truncated, so only sigma fails
+    assert raised == {"sigma"}
 
 
 def test_halasz_formula_consistency(sieve_big):
@@ -198,6 +247,66 @@ def test_empirical_cdf_monotone(sieve_small):
     cdf = empirical_cdf(values, np.linspace(0, 1, 21))
     ys = [y for _, y in cdf]
     assert all(a <= b for a, b in zip(ys, ys[1:]))
+
+
+def _sorted_cdf(values, thresholds):
+    """The sort-based formula empirical_cdf replaced, kept as the reference."""
+    values = np.sort(np.asarray(values, dtype=np.float64))
+    counts = np.searchsorted(values, np.asarray(thresholds, dtype=np.float64), side="left")
+    return [(float(t), int(c) / values.size) for t, c in zip(thresholds, counts)]
+
+
+def test_empirical_cdf_matches_the_sorted_counts(monkeypatch):
+    rng = np.random.default_rng(11)
+    special = [np.nan, np.inf, -np.inf, 0.0, -0.0, 0.5, 1.0]
+    long = np.round(rng.normal(0.5, 0.4, size=3 * 2**16 + 123), 2)  # many duplicates
+    long[rng.integers(0, long.size, size=500)] = rng.choice(special, size=500)
+    samples = [np.array(special), np.array([np.nan]), np.array([2.0]), long,
+               fns.euler_phi_ratio().values_upto(10_000, FactorSieve.build(10_000))[1:]]
+    grids = [np.linspace(0, 1, 21),
+             [0.5, 0.1, 0.5, 1.0, 0.0, -0.0, 0.1, 0.75],  # unsorted, duplicates
+             [0.3, np.nan, -np.inf, np.inf, 0.3, np.nan],
+             [np.nan], [], [2.0]]
+    for block in (1 << 16, 7):  # one block and many
+        monkeypatch.setattr("katailab.meanvalues.CHUNK", block)
+        for values in samples:
+            for grid in grids:
+                assert repr(empirical_cdf(values, grid)) == repr(_sorted_cdf(values, grid))
+    with pytest.raises(ValueError, match="at least one value"):
+        empirical_cdf([], [0.5])
+
+
+# -- traced peaks: each may hold the one full-length array it needs + 2 MB ----
+
+MEM_X = 2**20
+MEM_SLACK = 2 << 20
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_phi_ratio_table_peak(sieve_big):
+    sieve_big.table("phi", MEM_X)  # warm the memo
+    peak = _traced_peak(lambda: fns.euler_phi_ratio().values_upto(MEM_X, sieve_big))
+    assert peak <= 8 * (MEM_X + 1) + MEM_SLACK, peak  # its float64 result
+
+
+def test_empirical_cdf_peak(sieve_big):
+    values = fns.euler_phi_ratio().values_upto(MEM_X, sieve_big)[1:]
+    peak = _traced_peak(lambda: empirical_cdf(values, np.linspace(0, 1, 101)))
+    assert peak <= MEM_SLACK, peak  # nothing beyond its input
+
+
+def test_turan_kubilius_variance_peak(sieve_big):
+    primes = [int(p) for p in sieve_big.primes(100)]
+    peak = _traced_peak(lambda: turan_kubilius_variance(primes, MEM_X, sieve_big))
+    assert peak <= 2 * (MEM_X + 1) + MEM_SLACK, peak  # its int16 counter
 
 
 def test_mean_deterministic_across_threads(sieve_big):

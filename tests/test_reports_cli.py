@@ -196,6 +196,12 @@ def test_exit_codes():
                 "--n", "100", "--unknown-flag"]) == 2
 
 
+def test_perfect_square_sqrt_constant_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "obtain_sieve", lambda *a: pytest.fail("sieve requested"))
+    assert run(["weyl", "--hardy", "power:sqrt4", "--n", "100"]) == 2
+    assert "sqrt(4) is 2; use a rational constant" in capsys.readouterr().err
+
+
 def test_tk_rejects_an_empty_prime_set(cache, capsys):
     assert run(["tk", "--pmax", "-5", "--x", "1000", "--cache", cache]) == 2
     assert "prime set must be nonempty" in capsys.readouterr().err

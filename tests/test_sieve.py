@@ -166,7 +166,7 @@ def test_bulk_tables_against_brute_force(sieve_small):
     # name -> (dtype, value at the index-0 padding)
     layout = {
         "big_omega": (np.int8, 0), "small_omega": (np.int8, 0), "mobius": (np.int8, 0),
-        "tau": (np.int32, 0), "sigma": (np.int64, 0), "phi": (np.int64, 0),
+        "tau": (np.int16, 0), "sigma": (np.int64, 0), "phi": (np.int32, 0),
         "squarefree": (np.bool_, False),
     }
     for name, (dtype, pad) in layout.items():
