@@ -12,6 +12,7 @@ rationals.  CLI spellings: ``sqrt2``, ``sqrt3``, ``golden``, ``e``, ``pi``,
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,8 +64,10 @@ class Constant:
         # log k is irrational for every integer k >= 2
         return self.kind != "rational"
 
-    @property
+    @functools.cached_property
     def dd(self) -> tuple[float, float]:
+        # memoized: the sqrt and log entries take mpmath at 60 digits, and
+        # every frac_mul call reads this
         if self.kind == "rational":
             num, den = self.value_exact.numerator, self.value_exact.denominator
             hi = num / den

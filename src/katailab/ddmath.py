@@ -22,6 +22,14 @@ CPython/numpy provide.  The transcendental layer on top:
 - log_gamma shifts arguments below 12 up by the recurrence and sums the
   Stirling series there: the terms 1/(12x), 1/(360x^3) and 1/(1260x^5) in
   dd, the five later ones as one float polynomial in 1/x^2.
+- frac_int_mul, the phase {n c} behind Constant.frac_mul of an
+  irrational constant for |n| < 2^53, runs the two_prod and floor steps in
+  place in four buffers per block, in the order of the whole-array formula,
+  so its bits are that formula's.
+- orthogonality.e_of, e(x) for float phases, is built from the same parts:
+  a 256-entry table of cos and sin (Tang's reduction again), short float
+  polynomials and blockwise().  It uses only +, -, *, rint and take, with
+  no libm call, so its bits do not depend on the CPU numpy dispatches to.
 
 Every kernel is elementwise, and each dd operation makes several temporaries
 the size of its input.  Callers that map a long array through a whole phase
@@ -81,15 +89,18 @@ def quick_two_sum(a, b):
     return s, e
 
 
+def _split(a):
+    """Dekker's split of a into 26- and 27-bit halves: a = hi + lo exactly."""
+    t = _SPLITTER * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
 def two_prod(a, b):
     # Error-free transform: a * b = p + e exactly (Dekker, no FMA).
     p = a * b
-    t = _SPLITTER * a
-    ahi = t - (t - a)
-    alo = a - ahi
-    t = _SPLITTER * b
-    bhi = t - (t - b)
-    blo = b - bhi
+    ahi, alo = _split(a)
+    bhi, blo = _split(b)
     e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
     return p, e
 
@@ -189,14 +200,42 @@ def frac_int_mul(c, n):
 
     n must be exactly representable in float64 (|n| <= 2^53); accuracy is
     ~2^-52 absolute plus n * 2^-106 from the dd representation of c, i.e.
-    below 1e-12 for |n| <= 2^40.
+    below 1e-12 for |n| <= 2^40.  Runs blockwise(), so its buffers stay in
+    cache.
     """
-    n = np.asarray(n, dtype=np.float64)
-    p, e = two_prod(n, c[0])
-    f = p - np.floor(p)  # exact: p and floor(p) share high bits
-    out = f + (e + n * c[1])
-    out = out - np.floor(out)
-    return np.where(out >= 1.0, out - 1.0, out)
+    return blockwise(functools.partial(_frac_int_mul_block, c),
+                     np.asarray(n, dtype=np.float64))
+
+
+def _frac_int_mul_block(c, n):
+    # the steps of p, e = two_prod(n, c[0]) and of
+    # {p - floor(p) + (e + n c[1])}, in the same order, written in place
+    # into four buffers shaped like n (0-d too)
+    chi, clo = _split(c[0])
+    p, e, nhi, w = (np.empty_like(n) for _ in range(4))
+    np.multiply(n, c[0], out=p)
+    np.multiply(n, _SPLITTER, out=nhi)
+    np.subtract(nhi, n, out=w)
+    np.subtract(nhi, w, out=nhi)
+    nlo = np.subtract(n, nhi, out=w)
+    np.multiply(nhi, chi, out=e)
+    e -= p
+    np.multiply(nhi, clo, out=nhi)
+    e += nhi
+    np.multiply(nlo, chi, out=nhi)
+    e += nhi
+    nlo *= clo
+    e += nlo
+    np.floor(p, out=w)
+    p -= w  # exact: p and floor(p) share high bits
+    np.multiply(n, c[1], out=w)
+    e += w
+    p += e
+    np.floor(p, out=w)
+    p -= w
+    # rounding can land exactly on 1.0; wrap it
+    np.subtract(p, 1.0, out=p, where=p >= 1.0)
+    return p
 
 
 # ln2/1024 in three parts (Cody-Waite).  The first two have 32 significant

@@ -361,8 +361,8 @@ def weyl_sum(seq: Mod1Sequence, k: int) -> complex:
         raise ValueError("Weyl sums need a nonzero frequency k")
     if len(seq) == 0:
         raise ValueError("empty sequence")
-    phases = (k * seq.values) % 1.0
-    return complex(e_of(phases).mean())
+    # e_of reduces any real phase exactly, so k x goes in as it is
+    return complex(e_of(k * seq.values).mean())
 
 
 def star_discrepancy(seq: Mod1Sequence) -> float:

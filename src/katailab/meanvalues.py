@@ -50,18 +50,35 @@ def _running_means(values_upto, n_max, checkpoints, sieve, threads, spec):
                            function_spec=spec)
 
 
+# float and complex values may exceed modulus 1 by rounding (|e(t)| can be
+# 1 + 2^-52); exact int and Fraction values may not exceed it at all
+_UNIT_BALL_SLACK = 1.0 + 1e-12
+
+
 class LocalFactorError(ValueError):
-    """A local Euler factor exceeded modulus 2, indicating |g| > 1."""
+    """The rule has no mean-value Euler product: it is additive, or some
+    |g(p^m)| exceeds 1."""
+
+
+def _outside_unit_ball(p, m, v) -> LocalFactorError:
+    return LocalFactorError(f"g({p}^{m}) = {v} has modulus {float(abs(v)):.6g} > 1; "
+                            f"the rule violates |g| <= 1")
 
 
 def euler_product_mean(rule, prime_cutoff: int, sieve: FactorSieve | None = None):
-    """Mean-value Euler product for a prime-power rule g with |g(p^m)| <= 1.
+    """Mean-value Euler product for a multiplicative prime-power rule g with
+    |g(p^m)| <= 1.
 
     Returns (value, tail_bound).  The inner sum over m stops once p^-m falls
     below 1e-18; the reported tail bound 2/P dominates sum_{p>P} 2/p^2.
+    LocalFactorError names the first p^m, in the order evaluated, with
+    |g(p^m)| > 1; the check rides on the sums below, so it costs nothing.
     """
     if prime_cutoff < 2:
         raise ValueError("prime cutoff must be >= 2")
+    if isinstance(rule, ArithmeticFunction) and rule.kind == "additive":
+        raise LocalFactorError(f"{rule.name} is additive; the mean-value Euler "
+                               f"product needs a multiplicative rule")
     if sieve is not None and prime_cutoff <= sieve.limit:
         primes = sieve.primes(prime_cutoff)
     else:
@@ -82,21 +99,22 @@ def euler_product_mean(rule, prime_cutoff: int, sieve: FactorSieve | None = None
             # exactly 1 - p^-(M+1)
             den = math.lcm(*[v.denominator for _, v in terms])
             inner = 0
-            for _, v in terms:
-                inner = inner * p + v.numerator * (den // v.denominator)
+            for m, v in terms:
+                scaled = v.numerator * (den // v.denominator)  # v * den
+                if abs(scaled) > den:
+                    raise _outside_unit_ball(p, m, v)
+                inner = inner * p + scaled
             big = den * p ** len(terms)
             local = complex((p - 1) * (big + inner) / (p * big))
         else:
+            bad = next((t for t in terms if abs(t[1]) > _UNIT_BALL_SLACK), None)
+            if bad is not None:
+                raise _outside_unit_ball(p, *bad)
             # smallest terms first so the truncation budget dominates roundoff
             inner = complex(1.0)
             for m, v in reversed(terms):
                 inner += complex(v) / p**m
             local = (1.0 - 1.0 / p) * inner
-        if abs(local) > 2.0:
-            raise LocalFactorError(
-                f"local factor at p={p} has modulus {abs(local):.3f} > 2; "
-                f"the rule violates |g| <= 1"
-            )
         product *= local
     tail = 2.0 / prime_cutoff
     return product, tail

@@ -11,13 +11,27 @@ desk-scale numbers.
 Phases a(pn) are always evaluated at the integer pn through the double-double
 path, never by scaling a(n): phase accuracy is what every downstream test
 hangs on.
+
+e(x) = cos 2 pi x + i sin 2 pi x is table-driven (Tang, ACM TOMS 15, 1989),
+with no libm call, so its bits do not depend on the CPU numpy dispatches to.
+x is first shifted by rint(x), exactly, so any finite phase is accepted.
+Then y = 256 x splits as j + d with j = rint(y), and d = y - j is exact
+with |d| <= 1/2.  Short Horner polynomials give 1 - cos r and sin r for
+r = 2 pi d / 256, |r| <= pi/256, and one rotation by the correctly rounded
+cos and sin of 2 pi j / 256 from a 256-entry table finishes the job: each
+component is within 2^-53 + 2^-56 of the exact value (the derivation is in
+_e_block).  The table is built on first use from mpmath cospi/sinpi, so
+e(0), e(1/4), e(1/2) and e(3/4) come out exact, and the kernel runs one
+ddmath.blockwise() slice at a time into a few reused buffers.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 from . import ddmath
@@ -30,10 +44,89 @@ from .summation import CHUNK, checkpoint_sums, fit_loglog_slope
 PHASE_BUDGET = 2**40
 
 
+_E_TABLE_SIZE = 256
+_E_STEP = math.pi / 128  # 2 pi / 256, correctly rounded: math.pi scaled by 2^-7
+
+
 def e_of(frac: np.ndarray) -> np.ndarray:
-    """e(x) on fractional parts: cos + i sin of 2 pi x."""
-    angle = 2.0 * np.pi * frac
-    return np.cos(angle) + 1j * np.sin(angle)
+    """e(x) = cos 2 pi x + i sin 2 pi x, elementwise, for any real phases x."""
+    frac = np.asarray(frac, dtype=np.float64)
+    return ddmath.blockwise(_e_block, frac.reshape(-1)).reshape(frac.shape)
+
+
+@functools.cache
+def _e_table():
+    """cos and sin of 2 pi j / 256 for j < 256, each correctly rounded.
+
+    mpmath's cospi and sinpi are exact at the multiples of 1/2, so the
+    quarter points are exactly 0 and +-1.
+    """
+    with mpmath.workdps(40):
+        turns = [mpmath.mpf(j) / (_E_TABLE_SIZE // 2) for j in range(_E_TABLE_SIZE)]
+        table = (np.array([float(mpmath.cospi(t)) for t in turns]),
+                 np.array([float(mpmath.sinpi(t)) for t in turns]))
+    for part in table:
+        part.flags.writeable = False  # shared by every later call
+    return table
+
+
+def _e_block(x):
+    """e(x) for one 1-d block of float phases.
+
+    With 2 pi x = 2 pi j / 256 + r, e(x) = (C + iS)(1 - m + i s) for the
+    table entries C, S of j and m = 1 - cos r, s = sin r, that is
+    C - (C m + S s) + i (S + (C s - S m)).
+
+    Error per component, unit roundoff u = 2^-53, following the rounding
+    model of Joldes, Muller and Popescu (ACM TOMS 44, 2017): the last
+    subtraction or addition rounds by at most u/2 (its result lies below 1
+    in magnitude unless it is exact), and the table entry by at most u/2.
+    Everything else is summed into the correction term, of size at most
+    |m| + |s| <= 0.0124: r carries 2u |r| <= 2.8e-18 from d times the
+    rounded 2 pi / 256, s another u |s| <= 1.4e-18, the two products and
+    their sum 2u 0.0124 <= 2.8e-18, the table's rounding times m and s
+    7e-19, and the dropped series terms r^9/9! and r^8/8! below 2e-23.
+    That is under 8e-18 < u/8, so each component is within u + u/8 =
+    1.25e-16 of cos 2 pi x or sin 2 pi x, and the complex value within
+    1.8e-16 of e(x).
+    """
+    cos_t, sin_t = _e_table()
+    d = np.rint(x)
+    np.subtract(x, d, out=d)  # exact: a multiple of ulp(x) of size <= 1/2
+    d *= _E_TABLE_SIZE
+    j = np.rint(d)
+    d -= j  # exact again, |d| <= 1/2
+    idx = j.astype(np.intp)
+    idx &= _E_TABLE_SIZE - 1  # j mod 256; NaN phases stay NaN through r
+    r = np.multiply(d, _E_STEP, out=d)
+    r2 = np.multiply(r, r, out=j)
+    # m = 1 - cos r = r^2 (1/2 - r^2 (1/24 - r^2/720))
+    m = np.multiply(r2, 1.0 / 720)
+    np.subtract(1.0 / 24, m, out=m)
+    m *= r2
+    np.subtract(0.5, m, out=m)
+    m *= r2
+    # s = sin r = r - r^3 (1/6 - r^2 (1/120 - r^2/5040))
+    s = np.multiply(r2, 1.0 / 5040)
+    np.subtract(1.0 / 120, s, out=s)
+    s *= r2
+    np.subtract(1.0 / 6, s, out=s)
+    r2 *= r
+    s *= r2
+    np.subtract(r, s, out=s)
+    c = cos_t.take(idx)
+    sn = sin_t.take(idx)
+    out = np.empty(x.shape, dtype=np.complex128)
+    re, im = out.real, out.imag
+    t = np.multiply(sn, s, out=r)
+    np.multiply(c, m, out=re)
+    re += t
+    np.subtract(c, re, out=re)
+    np.multiply(c, s, out=im)
+    np.multiply(sn, m, out=t)
+    im -= t
+    im += sn
+    return out
 
 
 class BoundedSequence:
@@ -178,7 +271,7 @@ def katai_correlation(seq: BoundedSequence, p: int, q: int, x: int,
 
     def values(lo, hi):
         n = np.arange(lo, hi, dtype=np.int64)
-        return seq.eval_array(p * n) * np.conj(seq.eval_array(q * n))
+        return np.multiply(seq.eval_array(p * n), np.conj(seq.eval_array(q * n)))
 
     sums = checkpoint_sums(values, checkpoints, threads=threads)
     corr = [s / c for s, c in zip(sums, checkpoints)]
@@ -198,7 +291,7 @@ def orthogonality_sum(spec: LevelSet, seq: BoundedSequence, x: int,
 
     def values(lo, hi):
         n = np.arange(lo, hi, dtype=np.int64)
-        return seq.eval_array(n) * members[lo:hi]
+        return np.multiply(seq.eval_array(n), members[lo:hi])
 
     sums = checkpoint_sums(values, checkpoints, threads=threads)
     vals = [abs(s) / c for s, c in zip(sums, checkpoints)]

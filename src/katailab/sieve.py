@@ -192,7 +192,9 @@ class FactorSieve:
         for lo, hi in _blocks(upto):
             head = out.take(rest[lo:hi].astype(np.intp))
             g = rule(spf[lo:hi], e[lo:hi])
-            out[lo:hi] = head + g if additive else head * g
+            # a fixed operand order: numpy's SIMD complex multiply is not
+            # bitwise commutative
+            out[lo:hi] = np.add(head, g) if additive else np.multiply(head, g)
         return out
 
     def table(self, name: str, upto: int | None = None) -> np.ndarray:

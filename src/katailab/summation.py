@@ -7,7 +7,10 @@ fixed chunks of 2^16 values.  Each chunk is summed independently (numpy's
 pairwise kernel) and the chunk results are combined by a fixed binary tree,
 so the result is bit-identical no matter how many threads computed the chunks.
 prime_series (sums over primes p <= y) adds the terms one prime at a time in
-increasing order and reads the running sum off at each checkpoint.
+increasing order and reads the running sum off at each checkpoint.  The
+slopes are centred least-squares fits in closed form over math.fsum sums
+and math.log, with no LAPACK or numpy SIMD math, so their bits do not
+depend on the CPU either.
 """
 
 from __future__ import annotations
@@ -91,6 +94,22 @@ def prime_series(sieve, y: int, checkpoints, terms):
     return checkpoints, sums[np.searchsorted(primes, checkpoints, side="right")]
 
 
+def _least_squares_slope(us, vs) -> float:
+    """Slope of the least-squares line through the points (u, v).
+
+    The centred closed form sum (u - mean u)(v - mean v) / sum (u - mean u)^2,
+    every sum taken by math.fsum, so the bits do not depend on numpy's CPU
+    dispatch.  Returns 0.0 when all u coincide.
+    """
+    us, vs = [float(u) for u in us], [float(v) for v in vs]
+    mu, mv = math.fsum(us) / len(us), math.fsum(vs) / len(vs)
+    du = [u - mu for u in us]
+    sxx = math.fsum(d * d for d in du)
+    if sxx == 0.0:
+        return 0.0
+    return math.fsum(d * (v - mv) for d, v in zip(du, vs)) / sxx
+
+
 def fit_loglog_slope(xs, ys, decade: float = 10.0):
     """Least-squares slope of log10(y) vs log10(x) over the last decade of xs.
 
@@ -102,8 +121,8 @@ def fit_loglog_slope(xs, ys, decade: float = 10.0):
     keep = (xs >= xs.max() / decade) & (ys > 0)
     if keep.sum() < 2:
         return 0.0
-    slope = np.polyfit(np.log10(xs[keep]), np.log10(ys[keep]), 1)[0]
-    return float(slope)
+    return _least_squares_slope([math.log10(x) for x in xs[keep]],
+                               [math.log10(y) for y in ys[keep]])
 
 
 def divergence_slope(cutoffs, sums) -> float:
@@ -117,10 +136,7 @@ def divergence_slope(cutoffs, sums) -> float:
     keep = (ys >= ys.max() / 10.0) & (ys > math.e)
     if keep.sum() < 2:
         return 0.0
-    ll = np.log(np.log(ys[keep]))
-    if np.ptp(ll) == 0:
-        return 0.0
-    return float(np.polyfit(ll, ss[keep], 1)[0])
+    return _least_squares_slope([math.log(math.log(y)) for y in ys[keep]], ss[keep])
 
 
 def geometric_checkpoints(x: int, per_decade: int = 2, x_min: int = 10_000):

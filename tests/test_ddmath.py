@@ -81,6 +81,42 @@ def test_frac_int_mul_accuracy_bound():
         assert min(err, 1 - err) < 1e-12, (n, got[i], want)
 
 
+def _frac_int_mul_formula(c, n):
+    # the whole-array formula the in-place frac_int_mul keeps, step for step
+    n = np.asarray(n, dtype=np.float64)
+    p, e = ddmath.two_prod(n, c[0])
+    out = (p - np.floor(p)) + (e + n * c[1])
+    out = out - np.floor(out)
+    return np.where(out >= 1.0, out - 1.0, out)
+
+
+def test_frac_int_mul_in_place_is_the_formula_bit_for_bit():
+    from katailab.constants import GOLDEN, PI, SQRT2, Constant
+
+    rng = np.random.default_rng(53)
+    consts = [SQRT2.dd, GOLDEN.dd, PI.dd, Constant("log", 3).dd, (-0.3, 1e-17)]
+    for c in consts:
+        for top in (2**20, 2**40, 2**53):
+            n = rng.integers(-top, top, 20_000).astype(np.float64)
+            n[:4] = [0.0, 1.0, top, -top]
+            got = ddmath.frac_int_mul(c, n)
+            assert np.array_equal(got.view(np.int64),
+                                  _frac_int_mul_formula(c, n).view(np.int64)), (c, top)
+        for scalar in (7, 2.0**52 + 1, np.float64(123456789.0), np.array(2.0**50),
+                       np.array([[3.0, 5.0]])):
+            got, want = ddmath.frac_int_mul(c, scalar), _frac_int_mul_formula(c, scalar)
+            assert type(got) is type(want) and got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (c, scalar)
+
+
+def test_constant_dd_is_computed_once():
+    from katailab.constants import Constant
+
+    c = Constant("sqrt", 7)
+    assert c.dd is c.dd
+    assert c == Constant("sqrt", 7) and hash(c) == hash(Constant("sqrt", 7))
+
+
 def test_frac_mul_wide_integers_past_float_exactness():
     # floors can reach 2^62: past 2^53 the reduction goes through an exact
     # two-term split of the integer

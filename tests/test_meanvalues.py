@@ -75,7 +75,7 @@ def test_euler_product_rejects_unbounded_rule():
 def _fraction_euler_products(g, primes, cutoffs):
     """The per-prime Fraction formula the integer-ratio local factors replaced,
     kept as the reference: the running product at each cutoff, or
-    LocalFactorError once a local factor exceeds 2."""
+    LocalFactorError once some |g(p^m)| exceeds 1."""
     out, product, primes = {}, complex(1.0), primes.tolist()
     for cutoff in sorted(cutoffs):
         while primes and primes[0] <= cutoff:
@@ -87,11 +87,10 @@ def _fraction_euler_products(g, primes, cutoffs):
                 weight /= p
                 m += 1
             assert all(isinstance(v, (int, Fraction)) for _, v in terms)
-            inner = 1 + sum(Fraction(v, p**m) for m, v in terms)
-            local = complex(float(Fraction(p - 1, p) * inner))
-            if abs(local) > 2.0:
+            if any(abs(v) > 1 for _, v in terms):
                 return {c: LocalFactorError for c in cutoffs}
-            product *= local
+            inner = 1 + sum(Fraction(v, p**m) for m, v in terms)
+            product *= complex(float(Fraction(p - 1, p) * inner))
         out[cutoff] = product
     return out
 
@@ -105,16 +104,32 @@ def test_euler_product_matches_the_fraction_formula():
     raised = set()
     for name, fn in rules.items():
         g = fn.prime_power if isinstance(fn, fns.ArithmeticFunction) else fn
-        want = _fraction_euler_products(g, primes, cutoffs)
+        if getattr(fn, "kind", None) == "additive":
+            want = {c: LocalFactorError for c in cutoffs}
+        else:
+            want = _fraction_euler_products(g, primes, cutoffs)
         for cutoff in cutoffs:
             if want[cutoff] is LocalFactorError:
                 raised.add(name)
-                with pytest.raises(LocalFactorError, match="modulus"):
+                with pytest.raises(LocalFactorError, match="modulus|additive"):
                     euler_product_mean(fn, cutoff, sieve)
             else:
                 assert euler_product_mean(fn, cutoff, sieve)[0] == want[cutoff], (name, cutoff)
-    # tau's local factor p/(p-1) stays below 2 once truncated, so only sigma fails
-    assert raised == {"sigma"}
+    # sigma and tau break |g| <= 1 at p = 2, and the omegas are additive
+    assert raised == {"sigma", "tau", "big_omega", "small_omega"}
+
+
+def test_euler_product_names_the_first_prime_power_outside_the_unit_ball():
+    rule = lambda p, m: Fraction(3, 2) if (p, m) == (5, 2) else 1  # noqa: E731
+    with pytest.raises(LocalFactorError, match=r"g\(5\^2\) = 3/2 has modulus 1.5 > 1"):
+        euler_product_mean(rule, 100)
+    with pytest.raises(LocalFactorError, match=r"g\(3\^1\)"):
+        euler_product_mean(lambda p, m: 1.01 if p == 3 else 0.5, 100)
+    # a unit complex value may exceed 1 by rounding; it is not rejected
+    value, _ = euler_product_mean(fns.archimedean(1.0), 1000)
+    assert abs(value) < 2
+    with pytest.raises(LocalFactorError, match="small_omega is additive"):
+        euler_product_mean(fns.small_omega(), 100)
 
 
 def test_halasz_formula_consistency(sieve_big):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from mpmath import libmp
 
 from katailab import functions as fns
 from katailab.constants import GOLDEN, SQRT2, rational
@@ -14,6 +15,8 @@ from katailab.orthogonality import (
     LinearExponential,
     PolynomialExponential,
     TableSequence,
+    _e_table,
+    e_of,
     katai_correlation,
     orthogonality_sum,
     polynomial_frac,
@@ -197,3 +200,67 @@ def test_turan_kubilius_validation(sieve_small):
         turan_kubilius_variance([101], 100, sieve_small)
     with pytest.raises(ValueError, match="not prime"):
         turan_kubilius_variance([4], 100, sieve_small)
+
+
+# -- the table-driven e(x) -----------------------------------------------------
+
+# Per component, |e_of(x) - e(x)| <= u + u/8 with u = 2^-53: half an ulp from
+# the final rounding, half an ulp from the table entry, under u/8 from the
+# rest (the derivation is in orthogonality._e_block).
+E_OF_BOUND = 2.0**-53 + 2.0**-56
+
+
+def _e_of_errors(x):
+    """Max |re - cos 2 pi x| and |im - sin 2 pi x| at 40 digits (136 bits)."""
+    z = e_of(x)
+    prec, rnd, mpf = 136, libmp.round_nearest, libmp.from_float
+    worst = 0.0
+    for xi, re, im in zip(x.tolist(), z.real.tolist(), z.imag.tolist()):
+        c, s = libmp.mpf_cos_sin_pi(libmp.mpf_shift(mpf(xi), 1), prec)
+        worst = max(worst, abs(libmp.to_float(libmp.mpf_sub(c, mpf(re), prec, rnd))),
+                    abs(libmp.to_float(libmp.mpf_sub(s, mpf(im), prec, rnd))))
+    return worst
+
+
+def test_e_of_error_bound_on_seeded_phases():
+    x = np.random.default_rng(2017).random(100_000)
+    assert _e_of_errors(x) <= E_OF_BOUND
+
+
+def test_e_of_error_bound_at_edge_points():
+    j = np.arange(-256, 512, dtype=np.float64)
+    grid = np.concatenate([j / 256, (j + 0.5) / 256])  # r = 0 and rint's tie points
+    tiny = np.array([1 - 2.0**-53, 2.0**-53, -(2.0**-53), 5e-324, -0.0, 0.5 - 2.0**-54])
+    far = np.array([-0.3, -1.75, 5.375, 1e6 + 0.1, 2.0**40 + 0.25, 2.0**52 + 0.5, 2.0**60,
+                    -(2.0**57) - 2.0**5, 1e300])
+    for x in (grid, tiny, far, -grid, grid + 1e-9):
+        assert _e_of_errors(x) <= E_OF_BOUND
+
+
+def test_e_of_quarter_points_are_exact():
+    assert e_of(np.array([0.0, 0.25, 0.5, 0.75])).tolist() == [1, 1j, -1, -1j]
+    assert e_of(np.array([-3.0, 7.25, -0.5, -0.25])).tolist() == [1, 1j, -1, -1j]
+    cos_t, sin_t = _e_table()
+    assert (cos_t.size, sin_t.size) == (256, 256)
+    assert not cos_t.flags.writeable and not sin_t.flags.writeable
+    with mpmath.workdps(60):
+        for j in range(256):
+            assert cos_t[j] == float(mpmath.cospi(mpmath.mpf(j) / 128)), j
+            assert sin_t[j] == float(mpmath.sinpi(mpmath.mpf(j) / 128)), j
+
+
+def test_e_of_reduces_integer_shifts_exactly():
+    x = np.random.default_rng(7).random(3 * 2**14 + 5)
+    for k in (1, 2, 3, 7, 10, 1000):
+        got = e_of(k * x)
+        assert np.array_equal(got.view(np.int64), e_of((k * x) % 1.0).view(np.int64)), k
+    # and the kernel is odd in x: e(-x) is the conjugate, bit for bit
+    assert np.array_equal(e_of(-x).view(np.int64), np.conj(e_of(x)).view(np.int64))
+
+
+def test_e_of_keeps_shapes():
+    assert e_of(0.25) == 1j and e_of(np.array(0.25)).shape == ()
+    assert e_of(np.zeros((3, 4))).shape == (3, 4)
+    assert e_of(np.array([])).shape == (0,)
+    grid = np.arange(12, dtype=np.float64).reshape(3, 4) / 8
+    assert np.array_equal(e_of(grid), e_of(grid.ravel()).reshape(3, 4))

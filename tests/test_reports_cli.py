@@ -3,7 +3,11 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -353,36 +357,68 @@ def _pinned_reports(small, mid):
 # updates them.  The *_blocks cases span several ddmath.BLOCK slices with a
 # partial last one.
 PINNED_DIGESTS = {
-    "halasz_xi": "21bd189900bc45d331b3e53559fe79f386558f1b343fa9ee251f12ba0be90288",
+    "halasz_xi": "8c31a6250bd781c89cc18b3e8c3963cd7e358ccaa729bbc4d74e049343cf2886",
     "halasz_liouville": "6a6c8b2f09cca039e8fe3c4d40c7921741ff3e23fda900f240bea8e4ce19afaa",
     "three_log": "3b59b44158c8d8a6b8085807a7cb005d035e3b3c4d499b5a6cd113a5f2d56420",
-    "three_omega": "9d5457e209dba70d4ff48a7dbc955d568761ccfefdb55991e6b949350df7206f",
-    "concentration": "d217d4f4ff4293735bb441f418a9e18e94f5024ee222e27a17543c68ed38eccd",
+    "three_omega": "4feb9d840199d133e82a1f7f9722144d4d76fed33d1f719365782380eccd304a",
+    "concentration": "5ce49729aa8d3c4998545c7e1bc5c3828aeda30c86e71843f4235577e9b6b168",
     "concentration_tol": "845cb9a07edb0d4471a65d3dabeca6061885701d71cb9df39182d704a6f3f0fa",
     "density_abundant": "d25b80ec8e8a7a3cce04c9cf4fada20906c168e68d3c8603e69e90a6ba10e799",
     "density_omega": "3d5cfd289e867b98ce3f87fee91f3a287a7b2e379a9f09f9705728fde3f4eb57",
     "seminorm_phi": "3dc7275f666ae2b8e49126d7debf919cdc73b710c08ba87c164e22f129ddf4af",
     "mean_liouville": "22ee0d89cbc142ff2a59db4552ef6b5133065b23722d17817302b0a1f41bf258",
-    "total_golden": "dd43b35ba23629b1f7c237a520ba3cbeb6b0845dbfabbe3ceadce9a3d5245c32",
+    "total_golden": "9b56d6337a0852e586abfb3d36b53e7c85385701271f9773cb88446aa57ab9b0",
     "total_integer": "c3b39fef6ff154537c401601c939e1ecf5be0c7a12519ecfd42b4f3b1f0e9b42",
-    "total_third": "cd439f30c0bef3139ed1ea6eaced0637f72898ae7347c473cc2f6fd842d4028a",
-    "floor_ergodic": "d4f58d7616728dbfe3ff72bf1314f8617cd907141e69f9cdfbf6539bed57621c",
-    "ud_power": "f2fb6e472631244d78aa5dd0403e810b548f5035a248ac4a777cf1d3ea1b0cb6",
-    "dilation": "e105166ffa482ee6d0112475f6889b6c750b6fcd50cc0bd79db75d13add5741e",
-    "ud_power_blocks": "5f0304f68bf13dbbf7d4bc42d94907d411660cf6a7bfa82c3271efbe25ddf778",
-    "ud_loggamma_blocks": "3d041667cddd1af5e237709ee96adcb21b7848390df47ae1a2241c644dc48b57",
-    "dilation_blocks": "b5068bcae1b844d1226db851bf94c8d907dc81eca7e3a80ecab7da8edab3adf2",
-    "ud_poly_blocks": "e0fd560feab409957f5cf3aa5e75534b4196ed7056c30eb5c47820118dbda7a6",
-    "floor_ergodic_tlogt": "d35c10175144f80f012ca75850b8ff16da2d7661ee39aa3fdb2d78c23f13d9ab",
+    "total_third": "d831cbf4c51f0e9054d204a2cadf91e7cf600b15a09a5a0546743694dadba600",
+    "floor_ergodic": "22f0332e521ade5e1367edd2eb824594349daa9d241fdc3fad6843f303a6e54a",
+    "ud_power": "c387d321543daecc15ef5052e2dbd366002fc843e7d7a2bdd032a26472b1d35e",
+    "dilation": "07be06e7ebbd1eb3a07358547c3cf24238056f8beab54b37c370651c16dbed2f",
+    "ud_power_blocks": "13e4691ac0f2de6951a7b60572a8a78f3d9a481288064bedbee01532bcd25319",
+    "ud_loggamma_blocks": "97c844fb3962eb657d63463396e4eedc64f9b486c7386415590b012dfd181048",
+    "dilation_blocks": "9d8397e89ccf148c86c42c1f27a8747d6ca2c37abd93a9bb89d09af336c7a082",
+    "ud_poly_blocks": "53225cd4fbfd02611a998a9ec2846f72e36f6fdfb59bfdb1f776e9ca3b2f6503",
+    "floor_ergodic_tlogt": "681f933d8085376363271c45ec8ef81af0414f73c01bee44f21057f380b7daa1",
 }
 
 
+def _pinned_digests(small, mid):
+    return {name: hashlib.sha256(reports.render_json(make(), {"case": name})).hexdigest()
+            for name, make in _pinned_reports(small, mid).items()}
+
+
 def test_report_bytes_are_pinned(sieve_small, sieve_mid):
-    made = _pinned_reports(sieve_small, sieve_mid)
+    made = _pinned_digests(sieve_small, sieve_mid)
     assert sorted(made) == sorted(PINNED_DIGESTS)
-    for name, make in made.items():
-        data = reports.render_json(make(), {"case": name})
-        assert hashlib.sha256(data).hexdigest() == PINNED_DIGESTS[name], name
+    for name, digest in made.items():
+        assert digest == PINNED_DIGESTS[name], name
+
+
+# numpy's AVX2 and AVX-512 loops (its x86-64 baseline is X86_V2)
+NO_WIDE_SIMD = "X86_V4 AVX512_ICL AVX512_SPR X86_V3"
+_RENDER_PINNED = """
+import json, sys
+from katailab.sieve import FactorSieve
+import test_reports_cli as t
+small, mid = (FactorSieve.build(int(a)) for a in sys.argv[1:])
+print(json.dumps(t._pinned_digests(small, mid)))
+"""
+
+
+def test_report_bytes_do_not_depend_on_the_cpu(sieve_small, sieve_mid):
+    """The pinned cases give the same bytes with numpy's wide SIMD loops off."""
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=NO_WIDE_SIMD,
+               PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RENDER_PINNED, str(sieve_small.limit), str(sieve_mid.limit)],
+        env=env, capture_output=True, text=True, timeout=600)
+    if proc.returncode and "CPU feature" in proc.stderr:
+        pytest.skip(f"numpy rejects NPY_DISABLE_CPU_FEATURES={NO_WIDE_SIMD!r}: "
+                    f"{proc.stderr.strip().splitlines()[-1]}")
+    assert proc.returncode == 0, proc.stderr
+    narrow = json.loads(proc.stdout.splitlines()[-1])
+    default = _pinned_digests(sieve_small, sieve_mid)
+    assert [k for k in default if narrow[k] != default[k]] == []
 
 
 def test_checkpoints_below_one_exit_2(capsys):
