@@ -116,7 +116,7 @@ class Constant:
             num, den = self.value_exact.numerator, self.value_exact.denominator
             r = (n.astype(np.int64) % den) * (num % den) % den
             return r / den
-        nmax = int(np.max(np.abs(n))) if n.size else 0
+        nmax = max(int(n.max()), -int(n.min())) if n.size else 0
         if nmax < 2**53:
             return ddmath.frac_int_mul(self.dd, n.astype(np.float64))
         return ddmath.frac(ddmath.mul(ddmath.from_int(n.astype(np.int64)), self.dd))

@@ -12,6 +12,23 @@ Phases a(pn) are always evaluated at the integer pn through the double-double
 path, never by scaling a(n): phase accuracy is what every downstream test
 hangs on.
 
+A PhaseSequence is a(n) = e(phi(n)), so a correlation term a(pn) conj(a(qn))
+is e(phi(pn) - phi(qn)): the float phases {phi(pn)} and {phi(qn)} are
+subtracted and one e(x) is taken of the difference, not two e(x) and a
+complex product.  With u = 2^-53: if each phase is within eps of its exact
+value mod 1, the difference, in (-1, 1), rounds by at most u/2; e is
+2 pi-Lipschitz, |e(a) - e(b)| = 2 |sin pi (a - b)|; and e_of adds at most
+(9/8) sqrt2 u.  So a term is within 2 pi (2 eps + u/2) + (9/8) sqrt2 u of
+e(phi(pn) - phi(qn)).  Constant.frac_mul has eps <= u + 2^-60 while
+|n theta| <= 2^42: its last addition lands below 2, and its other roundings
+act on numbers below 2^-10.  A LinearExponential term is then within
+17.3 u < 1.93e-15 for pn up to PHASE_BUDGET.  polynomial_frac adds one
+rounding per monomial, so a quadratic with no constant term has
+eps <= 3u + 2^-60 and a term within 42.5 u < 4.8e-15 while (pn)^2 <= 2^40.
+Other sequences keep np.multiply(a(pn), conj(a(qn))), bit for bit.  Both
+summands run one ddmath.blockwise() slice at a time, so a 2^16-entry chunk
+holds only its indices and its terms.
+
 e(x) = cos 2 pi x + i sin 2 pi x is table-driven (Tang, ACM TOMS 15, 1989),
 with no libm call, so its bits do not depend on the CPU numpy dispatches to.
 x is first shifted by rint(x), exactly, so any finite phase is accepted.
@@ -142,21 +159,35 @@ class BoundedSequence:
         raise NotImplementedError
 
 
-class LinearExponential(BoundedSequence):
+class PhaseSequence(BoundedSequence):
+    """a(n) = e(phi(n)), given by its phases {phi(n)} in [0, 1).
+
+    katai_correlation takes e(phi(pn) - phi(qn)) for such a sequence: one
+    e(x) per term instead of two and a complex product.
+    """
+
+    def phase_array(self, n: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def eval_array(self, n):
+        return e_of(self.phase_array(n))
+
+
+class LinearExponential(PhaseSequence):
     """a(n) = e(n * theta); theta a tagged constant or exact rational."""
 
     def __init__(self, theta):
         self.theta = as_constant(theta)
         self.name = f"e(n*{self.theta})"
 
-    def eval_array(self, n):
-        return e_of(self.theta.frac_mul(np.asarray(n, dtype=np.int64)))
+    def phase_array(self, n):
+        return self.theta.frac_mul(np.asarray(n, dtype=np.int64))
 
     def to_json(self):
         return {"sequence": "linear_exponential", "theta": self.theta.to_json()}
 
 
-class PolynomialExponential(BoundedSequence):
+class PolynomialExponential(PhaseSequence):
     """a(n) = e(c_k n^k + ... + c_1 n + c_0), phases per-monomial in dd."""
 
     def __init__(self, coefficients):
@@ -164,8 +195,8 @@ class PolynomialExponential(BoundedSequence):
         self.coefficients = [as_constant(c) for c in coefficients]
         self.name = "e(poly deg %d)" % (len(self.coefficients) - 1)
 
-    def eval_array(self, n):
-        return e_of(polynomial_frac(self.coefficients, np.asarray(n, dtype=np.int64)))
+    def phase_array(self, n):
+        return polynomial_frac(self.coefficients, np.asarray(n, dtype=np.int64))
 
     def to_json(self):
         return {"sequence": "polynomial_exponential",
@@ -258,22 +289,35 @@ def correlation_reference(theta: Constant, p: int, q: int, x: int) -> float:
     return abs(math.sin(math.pi * bx)) / denom
 
 
+def _blockwise_terms(term):
+    """checkpoint_sums' values_of: term(n) on [lo, hi), by ddmath.blockwise()."""
+    return lambda lo, hi: ddmath.blockwise(term, np.arange(lo, hi, dtype=np.int64))
+
+
+def _correlation_terms(seq, p, q, n):
+    """a(pn) conj(a(qn)) for one block of n; e(phi(pn) - phi(qn)) for phases."""
+    if isinstance(seq, PhaseSequence):
+        return _e_block(np.subtract(seq.phase_array(p * n), seq.phase_array(q * n)))
+    return np.multiply(seq.eval_array(p * n), np.conj(seq.eval_array(q * n)))
+
+
 def katai_correlation(seq: BoundedSequence, p: int, q: int, x: int,
                       checkpoints=None, threads: int = 1) -> CorrelationReport:
     """Normalized correlations (1/x') sum_{n<=x'} a(pn) conj(a(qn))."""
     if p == q:
         raise ValueError("correlation needs distinct primes p != q")
-    if isinstance(seq, LinearExponential) and x * max(p, q) > PHASE_BUDGET:
-        raise SieveRangeError(
-            f"x*max(p,q) = {x * max(p, q)} exceeds the 2^40 phase budget"
-        )
+    if p < 1 or q < 1:
+        raise ValueError(f"correlation needs p, q >= 1, got p={p} q={q}")
     checkpoints = sorted(int(c) for c in checkpoints) if checkpoints else [int(x)]
+    # the sum runs to the last checkpoint, which may lie past x
+    top = max(int(x), checkpoints[-1]) * max(int(p), int(q))
+    if isinstance(seq, LinearExponential) and top > PHASE_BUDGET:
+        raise SieveRangeError(f"n*max(p,q) = {top} exceeds the 2^40 phase budget")
+    if top >= 2**63:
+        raise SieveRangeError(f"n*max(p,q) = {top} does not fit in int64")
 
-    def values(lo, hi):
-        n = np.arange(lo, hi, dtype=np.int64)
-        return np.multiply(seq.eval_array(p * n), np.conj(seq.eval_array(q * n)))
-
-    sums = checkpoint_sums(values, checkpoints, threads=threads)
+    term = functools.partial(_correlation_terms, seq, p, q)
+    sums = checkpoint_sums(_blockwise_terms(term), checkpoints, threads=threads)
     corr = [s / c for s, c in zip(sums, checkpoints)]
     refs = None
     if isinstance(seq, LinearExponential):
@@ -289,11 +333,10 @@ def orthogonality_sum(spec: LevelSet, seq: BoundedSequence, x: int,
     checkpoints = sorted(set(int(c) for c in checkpoints) | {int(x)})
     members = spec.members_upto(x, sieve)
 
-    def values(lo, hi):
-        n = np.arange(lo, hi, dtype=np.int64)
-        return np.multiply(seq.eval_array(n), members[lo:hi])
+    def term(n):
+        return np.multiply(seq.eval_array(n), members[n[0]:n[-1] + 1])
 
-    sums = checkpoint_sums(values, checkpoints, threads=threads)
+    sums = checkpoint_sums(_blockwise_terms(term), checkpoints, threads=threads)
     vals = [abs(s) / c for s, c in zip(sums, checkpoints)]
     return DecayProfile(checkpoints, vals, slope=fit_loglog_slope(checkpoints, vals))
 

@@ -19,14 +19,6 @@ from fractions import Fraction
 import numpy as np
 
 
-def _num(x):
-    if isinstance(x, Fraction):
-        return float(x)
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    return x
-
-
 @dataclass
 class DensityReport:
     """|E cap [1,x]| / x along a checkpoint grid."""

@@ -1,5 +1,7 @@
 """Correlation closed forms, decay over level sets, Turan-Kubilius variance."""
 
+import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -8,13 +10,14 @@ import pytest
 from mpmath import libmp
 
 from katailab import functions as fns
-from katailab.constants import GOLDEN, SQRT2, rational
+from katailab.constants import GOLDEN, PI, SQRT2, rational
 from katailab.levelsets import Abundant, GenericLevel, OmegaMod, Squarefree
 from katailab.orthogonality import (
     ConstantSequence,
     LinearExponential,
     PolynomialExponential,
     TableSequence,
+    _correlation_terms,
     _e_table,
     e_of,
     katai_correlation,
@@ -23,6 +26,9 @@ from katailab.orthogonality import (
     sequence_from_json,
     turan_kubilius_variance,
 )
+from katailab.reports import render_csv, render_json
+from katailab.sieve import SieveRangeError
+from katailab.summation import CHUNK, checkpoint_sums
 
 mpmath.mp.dps = 40
 
@@ -264,3 +270,114 @@ def test_e_of_keeps_shapes():
     assert e_of(np.array([])).shape == (0,)
     grid = np.arange(12, dtype=np.float64).reshape(3, 4) / 8
     assert np.array_equal(e_of(grid), e_of(grid.ravel()).reshape(3, 4))
+
+
+# -- one e(x) per correlation term ---------------------------------------------
+
+U = 2.0**-53
+# 2 pi (2 eps + u/2) + (9/8) sqrt2 u (orthogonality module docstring), with
+# eps <= u + 2^-60 for a linear phase and 3u + 2^-60 for a quadratic one
+LINEAR_TERM_BOUND = 2 * math.pi * (2.5 * U + 2.0**-59) + 1.125 * math.sqrt(2) * U
+QUADRATIC_TERM_BOUND = 2 * math.pi * (6.5 * U + 2.0**-59) + 1.125 * math.sqrt(2) * U
+
+
+def _term_error(seq, phi, p, q, n):
+    """Max |term - e(phi(pn) - phi(qn))| over n, phi exact at 60 digits."""
+    worst = 0.0
+    with mpmath.workdps(60):
+        for m, z in zip(n.tolist(), _correlation_terms(seq, p, q, n).tolist()):
+            d = 2 * (phi(p * m) - phi(q * m))
+            worst = max(worst, float(abs(mpmath.mpc(z)
+                                         - mpmath.mpc(mpmath.cospi(d), mpmath.sinpi(d)))))
+    return worst
+
+
+def _seeded_n(rng, top, near):
+    # half near the top of the budget, half anywhere below it
+    return np.concatenate([rng.integers(top - near, top, 500, endpoint=True),
+                           rng.integers(1, top, 500, endpoint=True)])
+
+
+def test_linear_phase_route_meets_bound_up_to_budget():
+    rng = np.random.default_rng(2013)
+    for theta in (SQRT2, GOLDEN, PI):
+        t = theta.mp(60)
+        for p, q in ((2, 3), (13, 7), (47, 2)):
+            n = _seeded_n(rng, 2**40 // max(p, q), 2**20)  # 3,000 n per theta
+            err = _term_error(LinearExponential(theta), lambda m: m * t, p, q, n)
+            assert err <= LINEAR_TERM_BOUND, (theta, p, q, err)
+
+
+def test_quadratic_phase_route_meets_bound_up_to_budget():
+    rng = np.random.default_rng(1986)
+    seq = PolynomialExponential([rational(0), GOLDEN, SQRT2])
+    with mpmath.workdps(60):
+        c1, c2 = GOLDEN.mp(60), SQRT2.mp(60)
+    for p, q in ((2, 3), (13, 7), (5, 11)):
+        n = _seeded_n(rng, 2**20 // max(p, q), 2**10)  # (pn)^2 <= 2^40
+        err = _term_error(seq, lambda m: c1 * m + c2 * m * m, p, q, n)
+        assert err <= QUADRATIC_TERM_BOUND, (p, q, err)
+
+
+def test_product_route_bits_unchanged():
+    # sequences without phases keep the whole-chunk product, bit for bit
+    rng = np.random.default_rng(23)
+    x = 3 * CHUNK + 123
+    table = TableSequence(np.exp(2j * np.pi * rng.random(7 * x)) * rng.random(7 * x))
+    checkpoints = [1000, CHUNK + 5, x]
+    for seq in (table, ConstantSequence(0.3 + 0.4j)):
+        def whole_chunk(lo, hi, seq=seq):
+            n = np.arange(lo, hi, dtype=np.int64)
+            return np.multiply(seq.eval_array(7 * n), np.conj(seq.eval_array(2 * n)))
+
+        want = [s / c for s, c in zip(checkpoint_sums(whole_chunk, checkpoints), checkpoints)]
+        got = katai_correlation(seq, 7, 2, x, checkpoints).correlations
+        assert np.array(got).view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+
+
+def test_correlation_report_bytes_match_across_threads():
+    table = TableSequence(np.exp(2j * np.pi * np.random.default_rng(3).random(15 * CHUNK)))
+    for seq in (LinearExponential(GOLDEN), PolynomialExponential([rational(0), SQRT2]),
+                table):
+        reps = [katai_correlation(seq, 3, 2, 5 * CHUNK, [100, 2 * CHUNK + 7, 5 * CHUNK],
+                                  threads=t) for t in (1, 2)]
+        for render in (render_csv, render_json):
+            assert render(reps[0], {"p": 3, "q": 2}) == render(reps[1], {"p": 3, "q": 2})
+
+
+def test_correlation_peak_leaves_out_chunk_temporaries():
+    seq = LinearExponential(SQRT2)
+    katai_correlation(seq, 2, 7, 1000)  # build the e(x) table and theta's dd first
+    tracemalloc.start()
+    try:
+        katai_correlation(seq, 2, 7, 2**18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a chunk's int64 n and complex terms take 1.5 MB; one block's
+    # temporaries get 2.5 MB.  Measured 3.1 MB, against 5.1 MB when each
+    # chunk made two e(x) arrays, a conjugate and their product.
+    assert peak <= 4 << 20, peak
+
+
+def test_correlation_rejects_nonpositive_p_or_q():
+    for p, q in ((-10**13, 3), (0, 3), (2, -1)):
+        with pytest.raises(ValueError, match=">= 1"):
+            katai_correlation(LinearExponential(SQRT2), p, q, 10**6)
+
+
+def test_correlation_rejects_int64_overflow():
+    # without the 2^40 phase budget, p*n must still fit in int64
+    for seq, p, q, x in ((ConstantSequence(1.0), 2, 3, 2**62),
+                         (PolynomialExponential([rational(0), SQRT2]), 5, 3, 2**61),
+                         (TableSequence([1.0]), 2**62, 3, 2)):
+        with pytest.raises(SieveRangeError, match="int64"):
+            katai_correlation(seq, p, q, x)
+
+
+def test_correlation_budget_counts_checkpoints_past_x():
+    # the sum runs to the last checkpoint, so the budgets apply there too
+    with pytest.raises(SieveRangeError, match="phase budget"):
+        katai_correlation(LinearExponential(SQRT2), 2, 3, 1000, [10, 2**39])
+    with pytest.raises(SieveRangeError, match="int64"):
+        katai_correlation(ConstantSequence(1.0), 2, 3, 1000, [10, 2**62])

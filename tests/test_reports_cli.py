@@ -253,6 +253,13 @@ def test_exit_code_numeric_budget(cache):
     assert code == 3
 
 
+def test_negative_correlation_prime_exits_2(capsys):
+    # a negative p would pass a bare x*max(p,q) check and wrap p*n in int64
+    assert run(["katai", "--theta", "sqrt2", "--x", "1000000",
+                "--correlation", "-10000000000000", "3"]) == 2
+    assert "p, q >= 1" in capsys.readouterr().err
+
+
 def test_csv_determinism_across_threads(tmp_path, cache):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     base = ["density", "--set", "abundant", "--x", "300000", "--cache", cache]
