@@ -22,7 +22,7 @@ import numpy as np
 
 from . import equidist, functions, levelsets, meanvalues, orthogonality, reports
 from .constants import Constant
-from .levelsets import IntervalSetMod1, LevelSet
+from .levelsets import IntervalSetMod1, LevelSet, TruncationError
 from .sieve import FactorSieve, SieveRangeError
 from .summation import geometric_checkpoints
 
@@ -447,7 +447,7 @@ def main(argv=None) -> int:
     except MemoryError as err:
         print(f"out of memory: {err}" if str(err) else "out of memory", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, TruncationError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

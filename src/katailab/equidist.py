@@ -1,5 +1,6 @@
 """Hardy-function catalog, fractional parts along level sets, Weyl sums,
-star discrepancy, and the ergodic-sequence tests.
+star discrepancy, and the ergodic-sequence tests.  Weyl sums and ergodic
+averages go through summation.checkpoint_sums, the one reduction path.
 
 The admissible catalog covers t^c (c > 0 non-integer), polynomials with an
 irrational coefficient above degree 0, log^r t (r > 2), t log t, t / log t,
@@ -29,7 +30,8 @@ from .levelsets import LevelSet, first_members
 from .orthogonality import e_of, polynomial_frac
 from .reports import DecayProfile, DiscrepancyReport
 from .sieve import FactorSieve, SieveRangeError
-from .summation import fit_loglog_slope
+from .summation import (checkpoint_sums, fit_loglog_slope, geometric_checkpoints,
+                        sorted_checkpoints)
 
 
 class AdmissibilityError(ValueError):
@@ -361,8 +363,10 @@ def weyl_sum(seq: Mod1Sequence, k: int) -> complex:
         raise ValueError("Weyl sums need a nonzero frequency k")
     if len(seq) == 0:
         raise ValueError("empty sequence")
+    x = seq.values
     # e_of reduces any real phase exactly, so k x goes in as it is
-    return complex(e_of(k * seq.values).mean())
+    total = checkpoint_sums(lambda lo, hi: e_of(k * x[lo - 1:hi - 1]), [x.size])[0]
+    return complex(total / x.size)  # numpy scalars divide as .mean() does
 
 
 def star_discrepancy(seq: Mod1Sequence) -> float:
@@ -416,14 +420,23 @@ def floor_sequence(h: HardyFunction, spec: LevelSet, count: int,
 
 
 def ergodic_weyl_test(integers, alpha, grid=None) -> DecayProfile:
-    """(1/N)|sum_{j<=N} e(m_j alpha)| over a geometric grid of prefixes."""
+    """(1/N)|sum_{j<=N} e(m_j alpha)| at each prefix N of the grid; the
+    default grid is 100, 1000, ... below the sequence length, then the length."""
     integers = np.asarray(integers, dtype=np.int64)
+    n = integers.size
+    if n == 0:
+        raise ValueError("empty sequence")
     alpha = as_constant(alpha)
-    grid = _prefix_grid(integers.size, grid)
-    if alpha.kind == "rational" and alpha.value_exact.denominator == 1:
-        return DecayProfile(grid, [1.0] * len(grid), slope=0.0)  # e(m * int) = 1
-    z = e_of(alpha.frac_mul(integers))
-    vals = [abs(z[:g].sum()) / g for g in grid]
+    grid = sorted_checkpoints(geometric_checkpoints(n, per_decade=1, x_min=100)
+                              if grid is None else grid)
+    if not grid:
+        raise ValueError("empty grid")
+    bad = next((g for g in grid if g > n), None)
+    if bad is not None:  # past N, checkpoint_sums would sum a short slice
+        raise ValueError(f"grid points must be <= N = {n}, got {bad}")
+    sums = checkpoint_sums(lambda lo, hi: e_of(alpha.frac_mul(integers[lo - 1:hi - 1])),
+                           grid)
+    vals = [abs(s) / g for s, g in zip(sums, grid)]
     return DecayProfile(grid, vals, slope=fit_loglog_slope(grid, vals))
 
 
@@ -444,14 +457,3 @@ def total_ergodicity_test(spec: LevelSet, alpha, count: int, sieve: FactorSieve,
     _require_positive("count", count)
     return ergodic_weyl_test(first_members(spec, count, sieve), alpha, grid)
 
-
-def _prefix_grid(n: int, grid=None):
-    if grid is not None:
-        return sorted(int(g) for g in grid)
-    out = []
-    g = 100
-    while g < n:
-        out.append(g)
-        g *= 10
-    out.append(int(n))
-    return out

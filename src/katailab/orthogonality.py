@@ -56,7 +56,7 @@ from .constants import Constant, as_constant
 from .levelsets import LevelSet
 from .reports import CorrelationReport, DecayProfile, TuranKubiliusReport
 from .sieve import FactorSieve, SieveRangeError
-from .summation import CHUNK, checkpoint_sums, fit_loglog_slope
+from .summation import checkpoint_sums, fit_loglog_slope
 
 PHASE_BUDGET = 2**40
 
@@ -361,12 +361,9 @@ def turan_kubilius_variance(prime_set, x: int, sieve: FactorSieve) -> TuranKubil
     w = np.zeros(x + 1, dtype=np.int16)
     for p in primes:
         w[p::p] += 1
-    w = w[1:]
-    s1 = int(w.sum(dtype=np.int64))
-    s2 = 0
-    for lo in range(0, x, CHUNK):
-        block = w[lo:lo + CHUNK].astype(np.int64)
-        s2 += int(np.dot(block, block))
+    s1 = int(w.sum(dtype=np.int64))  # w is indexed by n, and w[0] = 0
+    s2 = int(checkpoint_sums(lambda lo, hi: np.dot(b := w[lo:hi].astype(np.int64), b),
+                             [x])[0])
     m = sum(Fraction(1, p) for p in primes)
     variance = Fraction(s2) - 2 * m * s1 + x * m * m
     return TuranKubiliusReport(x=x, primes=primes, m=m, variance=variance)

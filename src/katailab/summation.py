@@ -1,6 +1,6 @@
 """Checkpointed partial sums: the one reduction path of every empirical
-mean, density, decay profile, correlation and prime series, plus the advisory
-slope fits that summarize them.
+mean, density, decay profile, correlation, Weyl sum, ergodic average,
+Turan-Kubilius moment and prime series, plus the advisory slope fits.
 
 checkpoint_sums (sums over n) cuts [1, c] at the checkpoints, then into
 fixed chunks of 2^16 values.  Each chunk is summed independently (numpy's

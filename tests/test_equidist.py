@@ -1,6 +1,7 @@
 """Hardy catalog, Weyl sums, star discrepancy, dilation and ergodic tests."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -32,7 +33,7 @@ from katailab.equidist import (
     weyl_sum,
 )
 from katailab.levelsets import GenericLevel, OmegaMod, Squarefree, TruncationError
-from katailab.orthogonality import polynomial_frac
+from katailab.orthogonality import e_of, polynomial_frac
 from katailab.sieve import SieveRangeError
 
 mpmath.mp.dps = 40
@@ -245,6 +246,84 @@ def test_ergodic_weyl_identity_alternating():
     n = 10**4
     prof = ergodic_weyl_test(np.arange(1, n + 1), rational("0.5"), grid=[n])
     assert prof.values[-1] <= 1.0 / n + 1e-15
+
+
+def test_weyl_sum_matches_the_whole_array_mean():
+    # one chunk, n < 2^16, sums exactly as .mean() does.  The chunks are
+    # aligned to multiples of 2^16 in n = j + 1, so from N = 2^16 on the
+    # first one holds 2^16 - 1 values and the sum is not bit-equal
+    rng = np.random.default_rng(12)
+    for n, exact in ((1, True), (7, True), (1000, True), (2**16 - 1, True),
+                     (2**16, False), (3 * 2**16 + 123, False)):
+        seq = Mod1Sequence(rng.random(n))
+        for k in (1, 2, 5):
+            want = complex(e_of(k * seq.values).mean())
+            if exact:
+                assert weyl_sum(seq, k) == want, (n, k)
+            else:
+                assert abs(weyl_sum(seq, k) - want) < 1e-13, (n, k)
+
+
+def test_ergodic_weyl_matches_fresh_prefix_sums():
+    m = np.random.default_rng(5).integers(1, 10**9, size=3 * 2**16 + 77)
+    grid = [100, 70_000, 70_000, 2**16 - 1, 2**16, m.size]
+    for alpha in (GOLDEN, SQRT2, rational("1/3")):
+        z = e_of(alpha.frac_mul(m))
+        prof = ergodic_weyl_test(m, alpha, grid)
+        assert prof.checkpoints == sorted(grid)
+        for g, v in zip(prof.checkpoints, prof.values):
+            assert abs(v - abs(z[:g].sum()) / g) < 1e-13, (alpha, g)
+
+
+def test_ergodic_weyl_default_grid():
+    def old_grid(n):
+        out, g = [], 100
+        while g < n:
+            out.append(g)
+            g *= 10
+        return out + [n]
+
+    for n in (1, 2, 99, 100, 101, 999, 1000, 1001, 12_345, 10**5, 10**6, 10**6 + 1):
+        prof = ergodic_weyl_test(np.arange(1, n + 1), SQRT2)
+        assert prof.checkpoints == old_grid(n), n
+
+
+def test_ergodic_weyl_rejects_bad_grids():
+    m = np.arange(1, 1001)
+    with pytest.raises(ValueError, match="empty"):
+        ergodic_weyl_test(np.array([], dtype=np.int64), SQRT2)
+    with pytest.raises(ValueError, match="empty grid"):
+        ergodic_weyl_test(m, SQRT2, grid=[])
+    for alpha in (rational(3), SQRT2):
+        with pytest.raises(ValueError, match="<= N = 1000, got 5000"):
+            ergodic_weyl_test(m, alpha, grid=[5000])
+    with pytest.raises(ValueError, match="got 1001"):
+        ergodic_weyl_test(m, SQRT2, grid=[10, 1001, 2000])
+    with pytest.raises(ValueError, match=">= 1, got -5"):
+        ergodic_weyl_test(m, SQRT2, grid=[-5, 1000])
+    with pytest.raises(ValueError, match=">= 1, got 0"):
+        ergodic_weyl_test(m, SQRT2, grid=[0, 1000])
+
+
+def _traced_peak(call):
+    call()  # build the e(x) table and the constant's dd first
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_weyl_and_ergodic_peaks_stay_below_one_complex_array():
+    n = 2**20
+    seq = Mod1Sequence(np.random.default_rng(1).random(n))
+    m = np.arange(1, n + 1, dtype=np.int64)
+    whole = 16 * n  # the 16 MiB complex array of a whole-array sum
+    # measured 2.9 MiB for each, against 25.4 MiB when every e(x) was
+    # taken over the whole array at once
+    assert _traced_peak(lambda: weyl_sum(seq, 3)) < whole
+    assert _traced_peak(lambda: ergodic_weyl_test(m, SQRT2)) < whole
 
 
 def test_floor_ergodic_golden_value(sieve_big):

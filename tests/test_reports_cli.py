@@ -231,6 +231,15 @@ def test_weyl_and_ergodic_reject_sizes_below_one(monkeypatch, capsys):
         assert f"argument {flag}: must be >= 1, got {argv[-1]}" in capsys.readouterr().err
 
 
+def test_too_small_sieve_limit_exits_2(capsys):
+    for argv in (["weyl", "--hardy", "power:1.5"], ["ergodic", "--alpha", "golden"]):
+        assert run(argv + ["--set", "squarefree", "--n", "100000",
+                           "--sieve-limit", "1000"]) == 2
+        assert capsys.readouterr().err == (
+            "error: set has only 608 members up to the sieve limit 1000, "
+            "100000 requested\n")
+
+
 def test_memory_error_exits_3(monkeypatch, capsys):
     for err, line in ((MemoryError("Unable to allocate 8.00 GiB"),
                        "out of memory: Unable to allocate 8.00 GiB\n"),
@@ -374,7 +383,7 @@ PINNED_DIGESTS = {
     "density_omega": "3d5cfd289e867b98ce3f87fee91f3a287a7b2e379a9f09f9705728fde3f4eb57",
     "seminorm_phi": "3dc7275f666ae2b8e49126d7debf919cdc73b710c08ba87c164e22f129ddf4af",
     "mean_liouville": "22ee0d89cbc142ff2a59db4552ef6b5133065b23722d17817302b0a1f41bf258",
-    "total_golden": "9b56d6337a0852e586abfb3d36b53e7c85385701271f9773cb88446aa57ab9b0",
+    "total_golden": "48e76c65d39b290aa488fe039e7d93e7ed1697d643cfe7c7aa764097c900cc52",
     "total_integer": "c3b39fef6ff154537c401601c939e1ecf5be0c7a12519ecfd42b4f3b1f0e9b42",
     "total_third": "d831cbf4c51f0e9054d204a2cadf91e7cf600b15a09a5a0546743694dadba600",
     "floor_ergodic": "22f0332e521ade5e1367edd2eb824594349daa9d241fdc3fad6843f303a6e54a",
@@ -384,7 +393,7 @@ PINNED_DIGESTS = {
     "ud_loggamma_blocks": "97c844fb3962eb657d63463396e4eedc64f9b486c7386415590b012dfd181048",
     "dilation_blocks": "9d8397e89ccf148c86c42c1f27a8747d6ca2c37abd93a9bb89d09af336c7a082",
     "ud_poly_blocks": "53225cd4fbfd02611a998a9ec2846f72e36f6fdfb59bfdb1f776e9ca3b2f6503",
-    "floor_ergodic_tlogt": "681f933d8085376363271c45ec8ef81af0414f73c01bee44f21057f380b7daa1",
+    "floor_ergodic_tlogt": "d58d7a475991122191468dfd75ae09bec1145eec741ba7122210a00b2882ed9e",
 }
 
 
