@@ -211,14 +211,11 @@ def cmd_tk(args):
     xs = sorted({int(float(t)) for t in args.x_list.split(",")}) if args.x_list else [args.x]
     sieve = obtain_sieve(args, max(xs))
     primes = [int(p) for p in sieve.primes(args.pmax)]
-    lines = []
-    last = None
-    for x in xs:
-        rep = orthogonality.turan_kubilius_variance(primes, x, sieve)
-        lines.append(f"tk x={x}: variance={float(rep.variance):.6g} "
-                     f"m={float(rep.m):.6f} ratio={rep.ratio:.4f}")
-        last = rep
-    emit(last, "tk", {"pmax": args.pmax, "x_list": xs}, args, "\n".join(lines))
+    reps = [orthogonality.turan_kubilius_variance(primes, x, sieve) for x in xs]
+    lines = [f"tk x={r.x}: variance={float(r.variance):.6g} m={float(r.m):.6f} "
+             f"ratio={r.ratio:.4f}" for r in reps]
+    emit(reports.TuranKubiliusTable(reps), "tk", {"pmax": args.pmax, "x_list": xs},
+         args, "\n".join(lines))
     return 0
 
 

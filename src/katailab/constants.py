@@ -18,12 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 
 from . import ddmath
-
-_PI_DD = (3.141592653589793, 1.2246467991473532e-16)
-_E_DD = (2.718281828459045, 1.4456468917292502e-16)
-_GOLDEN_DD = (1.618033988749895, -5.432115203682506e-17)
 
 
 def _dd_from_mp(x) -> tuple[float, float]:
@@ -66,23 +63,14 @@ class Constant:
 
     @functools.cached_property
     def dd(self) -> tuple[float, float]:
-        # memoized: the sqrt and log entries take mpmath at 60 digits, and
+        # memoized: the irrational entries take mpmath at 60 digits, and
         # every frac_mul call reads this
         if self.kind == "rational":
             num, den = self.value_exact.numerator, self.value_exact.denominator
             hi = num / den
             lo = float(Fraction(num, den) - Fraction(hi))
             return hi, lo
-        if self.kind == "pi":
-            return _PI_DD
-        if self.kind == "e":
-            return _E_DD
-        if self.kind == "golden":
-            return _GOLDEN_DD
-        with mpmath.workdps(60):
-            if self.kind == "sqrt":
-                return _dd_from_mp(mpmath.sqrt(self.arg))
-            return _dd_from_mp(mpmath.log(self.arg))
+        return _dd_from_mp(self.mp())
 
     def __float__(self) -> float:
         return self.dd[0] + self.dd[1]
@@ -109,8 +97,6 @@ class Constant:
         irrationals the error stays below 1e-12 for n <= 2^40 and below
         ~2^-43 all the way up to the 2^62 floor guard.
         """
-        import numpy as np
-
         n = np.asarray(n)
         if self.kind == "rational" and 0 < self.value_exact.denominator < 2**30:
             num, den = self.value_exact.numerator, self.value_exact.denominator
@@ -142,12 +128,8 @@ class Constant:
     def parse(text: str) -> "Constant":
         """Parse a CLI spelling: sqrt2, golden, e, pi, log2, 0.25, 1/3, ..."""
         text = text.strip()
-        if text == "golden":
-            return Constant("golden")
-        if text == "e":
-            return Constant("e")
-        if text == "pi":
-            return Constant("pi")
+        if text in ("golden", "e", "pi"):
+            return Constant(text)
         for prefix in ("sqrt", "log"):
             if text.startswith(prefix) and text[len(prefix):].isdigit():
                 return Constant(prefix, int(text[len(prefix):]))

@@ -12,26 +12,30 @@ constructible only behind an explicit negative_control flag.
 Fractional parts go through the double-double layer (monomials reduced
 per-monomial, budget-guarded at n^i < 2^80), one ddmath.blockwise() slice at
 a time from n to the final float; floors of rational powers go through exact
-integer k-th roots.  Values at n = 1 follow the germ-at-infinity convention:
-every catalog variant is assigned fractional part 0 and floor h(1) there, so
-sets containing 1 stay usable.
+integer k-th roots.  A polynomial's phases and its floors take their dd
+monomials c_i n^i from the one generator orthogonality.monomials_dd: the
+phases reduce each monomial mod 1, the floors add them to c_0 in full.
+Values at n = 1 follow the germ-at-infinity convention: every catalog
+variant is assigned fractional part 0 and floor h(1) there, so sets
+containing 1 stay usable.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import ddmath
 from .constants import Constant, as_constant
 from .levelsets import LevelSet, first_members
-from .orthogonality import e_of, polynomial_frac
+from .orthogonality import e_of, monomials_dd, polynomial_frac
 from .reports import DecayProfile, DiscrepancyReport
 from .sieve import FactorSieve, SieveRangeError
-from .summation import (checkpoint_sums, fit_loglog_slope, geometric_checkpoints,
-                        sorted_checkpoints)
+from .summation import (checkpoint_sums, checkpoints_upto, fit_loglog_slope,
+                        geometric_checkpoints)
 
 
 class AdmissibilityError(ValueError):
@@ -43,7 +47,9 @@ class HardyFunction:
 
     growth_window records where the variant sits for the floor-sequence
     tests: "sublinear" (between log^2 t and t) or "between t^k and t^(k+1)";
-    None when it grows like a power of t exactly (polynomials).
+    None when it grows like a power of t exactly (polynomials).  admissible
+    says whether the separation from rational polynomials exceeds log^2, by
+    construction; only a negative_control build can leave it False.
     """
 
     def __init__(self, variant, *, c=None, coefficients=None, r=None,
@@ -58,6 +64,7 @@ class HardyFunction:
 
     def _validate(self):
         v = self.variant
+        self.admissible = True
         if v == "power":
             cf = float(self.c)
             if cf <= 0:
@@ -72,16 +79,17 @@ class HardyFunction:
         elif v == "polynomial":
             if self.coefficients is None or len(self.coefficients) < 2:
                 raise AdmissibilityError("polynomial needs degree >= 1")
-            if not any(c.is_irrational for c in self.coefficients[1:]):
-                if not self.negative_control:
-                    raise AdmissibilityError(
-                        "no irrational coefficient above degree 0: the phase "
-                        "stays within O(1) of a rational polynomial; pass "
-                        "negative_control=True to build the falsification mode"
-                    )
+            self.admissible = any(c.is_irrational for c in self.coefficients[1:])
+            if not self.admissible and not self.negative_control:
+                raise AdmissibilityError(
+                    "no irrational coefficient above degree 0: the phase "
+                    "stays within O(1) of a rational polynomial; pass "
+                    "negative_control=True to build the falsification mode"
+                )
             self.growth_window = None
         elif v == "log_power":
-            if float(self.r) <= 2 and not self.negative_control:
+            self.admissible = float(self.r) > 2
+            if not self.admissible and not self.negative_control:
                 raise AdmissibilityError(
                     "log^r t with r <= 2 does not dominate log^2 t; pass "
                     "negative_control=True to build the falsification mode"
@@ -93,15 +101,6 @@ class HardyFunction:
             self.growth_window = "sublinear"
         else:
             raise ValueError(f"unknown Hardy variant {v!r}")
-
-    @property
-    def admissible(self) -> bool:
-        """Separation from rational polynomials exceeds log^2, by construction."""
-        if self.variant == "polynomial":
-            return any(c.is_irrational for c in self.coefficients[1:])
-        if self.variant == "log_power":
-            return float(self.r) > 2
-        return True
 
     # -- evaluation ----------------------------------------------------------
 
@@ -180,8 +179,10 @@ class HardyFunction:
             big = n >= 1
 
         def floors(m):
-            if self.variant == "polynomial":
-                h, l = _polynomial_dd(self.coefficients, m)
+            if self.variant == "polynomial":  # the full dd value, not reduced mod 1
+                c0 = ddmath.from_float(np.full(m.shape, float(self.coefficients[0])))
+                h, l = functools.reduce(ddmath.add, monomials_dd(
+                    [c.dd for c in self.coefficients[1:]], m), c0)
             else:
                 h, l = self._dd_values(m.astype(np.float64))
             fh, fl = ddmath.floor((h, l))
@@ -238,17 +239,6 @@ def _dd_power(x, c: Constant):
         if v <= ROOT_MAX_DENOMINATOR:
             return ddmath.rational_pow(x, u, v)
     return ddmath.pow_dd(x, c.dd)
-
-
-def _polynomial_dd(coefficients, n: np.ndarray):
-    """Full dd value of the polynomial (not reduced mod 1), for floors."""
-    nf = ddmath.from_float(np.asarray(n, dtype=np.int64).astype(np.float64))
-    total = ddmath.from_float(np.full(nf[0].shape, float(coefficients[0])))
-    npow = ddmath.from_float(np.ones(nf[0].shape))
-    for c in coefficients[1:]:
-        npow = ddmath.mul(npow, nf)
-        total = ddmath.add(total, ddmath.mul(npow, c.dd))
-    return total
 
 
 def _rational_power_floors(n: np.ndarray, u: int, v: int) -> np.ndarray:
@@ -332,10 +322,9 @@ def log_gamma() -> HardyFunction:
 
 @dataclass
 class Mod1Sequence:
-    """Fractional parts in [0,1) plus the provenance that produced them."""
+    """Fractional parts in [0,1)."""
 
     values: np.ndarray
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -350,11 +339,7 @@ class Mod1Sequence:
 def fractional_parts_along(h: HardyFunction, spec: LevelSet, count: int,
                            sieve: FactorSieve) -> Mod1Sequence:
     """{h(n_j)} over the first `count` members of the set."""
-    members = first_members(spec, count, sieve)
-    vals = h.fractional_parts(members)
-    return Mod1Sequence(vals, provenance={
-        "hardy": h.to_json(), "set": spec.to_json(), "count": int(count),
-    })
+    return Mod1Sequence(h.fractional_parts(first_members(spec, count, sieve)))
 
 
 def weyl_sum(seq: Mod1Sequence, k: int) -> complex:
@@ -395,9 +380,7 @@ def pq_dilation_check(h: HardyFunction, p: int, q: int, count: int,
     _require_positive("count", count)
     _require_positive("k_max", k_max)
     n = np.arange(1, count + 1, dtype=np.int64)
-    vals = h.dilated_difference_parts(p, q, n)
-    seq = Mod1Sequence(vals, provenance={"hardy": h.to_json(), "p": p, "q": q})
-    return _discrepancy_report(seq, k_max)
+    return _discrepancy_report(Mod1Sequence(h.dilated_difference_parts(p, q, n)), k_max)
 
 
 def _require_positive(name: str, value: int):
@@ -407,8 +390,7 @@ def _require_positive(name: str, value: int):
 
 def _discrepancy_report(seq: Mod1Sequence, k_max: int) -> DiscrepancyReport:
     weyl = [weyl_sum(seq, k) for k in range(1, k_max + 1)]
-    return DiscrepancyReport(len(seq), star_discrepancy(seq), weyl,
-                             provenance=seq.provenance)
+    return DiscrepancyReport(len(seq), star_discrepancy(seq), weyl)
 
 
 def floor_sequence(h: HardyFunction, spec: LevelSet, count: int,
@@ -427,13 +409,10 @@ def ergodic_weyl_test(integers, alpha, grid=None) -> DecayProfile:
     if n == 0:
         raise ValueError("empty sequence")
     alpha = as_constant(alpha)
-    grid = sorted_checkpoints(geometric_checkpoints(n, per_decade=1, x_min=100)
-                              if grid is None else grid)
+    grid = checkpoints_upto(geometric_checkpoints(n, per_decade=1, x_min=100)
+                            if grid is None else grid, n, "N")
     if not grid:
         raise ValueError("empty grid")
-    bad = next((g for g in grid if g > n), None)
-    if bad is not None:  # past N, checkpoint_sums would sum a short slice
-        raise ValueError(f"grid points must be <= N = {n}, got {bad}")
     sums = checkpoint_sums(lambda lo, hi: e_of(alpha.frac_mul(integers[lo - 1:hi - 1])),
                            grid)
     vals = [abs(s) / g for s, g in zip(sums, grid)]

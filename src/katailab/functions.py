@@ -270,15 +270,9 @@ class CharacterGroupError(ValueError):
 
 
 def _factor_small(d: int):
+    """[(p, e), ...] for d by trial division over 2 and the odd q."""
     out = []
-    for p in (2, 3, 5, 7):
-        e = 0
-        while d % p == 0:
-            d //= p
-            e += 1
-        if e:
-            out.append((p, e))
-    q = 11
+    q = 2
     while q * q <= d:
         e = 0
         while d % q == 0:
@@ -286,19 +280,15 @@ def _factor_small(d: int):
             e += 1
         if e:
             out.append((q, e))
-        q += 2
+        q += 1 if q == 2 else 2
     if d > 1:
         out.append((d, 1))
     return out
 
 
-def _prime_factors(n: int):
-    return [p for p, _ in _factor_small(n)]
-
-
 def _order(a: int, mod: int, group_order: int) -> int:
     order = group_order
-    for q in _prime_factors(group_order):
+    for q, _ in _factor_small(group_order):
         while order % q == 0 and pow(a, order // q, mod) == 1:
             order //= q
     return order
@@ -325,13 +315,10 @@ def unit_group_structure(d: int):
     factors = []
     for p, e in _factor_small(d):
         pe = p**e
-        if p == 2:
-            if e == 1:
-                continue  # trivial group
-            if e == 2:
+        if p == 2:  # (Z/2Z)* is trivial
+            if e >= 2:
                 factors.append((pe, pe - 1, 2))
-            else:
-                factors.append((pe, pe - 1, 2))
+            if e >= 3:
                 factors.append((pe, 5, pe // 4))
         else:
             factors.append((pe, smallest_primitive_root(pe, p), pe - pe // p))

@@ -14,6 +14,7 @@ numbers are excluded exactly.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -27,7 +28,7 @@ from .reports import DensityReport, SeriesReport
 from .summation import checkpoint_sums, divergence_slope, prime_series, sorted_checkpoints
 
 BOUNDARY_EPS = 1e-12
-_BLOCK = 1 << 20  # members_upto applies the predicate this many n at a time
+_BLOCK = 1 << 20  # members_upto and enumerate_members take this many n at a time
 
 
 class Verdict(NamedTuple):
@@ -62,11 +63,11 @@ class Interval:
         if float(self.lo) > float(self.hi):
             raise ValueError("interval endpoints out of order")
 
-    def contains(self, x):
+    def contains(self, x: np.ndarray) -> np.ndarray:
         lo, hi = float(self.lo), float(self.hi)
         left = x >= lo if self.closed[0] == "[" else x > lo
         right = x <= hi if self.closed[1] == "]" else x < hi
-        return left & right if isinstance(x, np.ndarray) else (left and right)
+        return left & right
 
     def to_json(self):
         return {"lo": self.lo.to_json(), "hi": self.hi.to_json(), "closed": self.closed}
@@ -94,24 +95,21 @@ class IntervalSetMod1:
         self.intervals = parts
         self.eps = eps
 
-    def contains(self, x):
-        if isinstance(x, np.ndarray):
-            out = np.zeros(x.shape, dtype=bool)
-            for iv in self.intervals:
-                out |= iv.contains(x)
-            return out
-        return any(iv.contains(x) for iv in self.intervals)
+    def contains(self, x: np.ndarray) -> np.ndarray:
+        out = np.zeros(x.shape, dtype=bool)
+        for iv in self.intervals:
+            out |= iv.contains(x)
+        return out
 
-    def near_boundary(self, x):
+    def near_boundary(self, x: np.ndarray) -> np.ndarray:
         """Within eps of an endpoint, as a mod-1 distance."""
-        xs = np.asarray(x, dtype=np.float64)
-        out = np.zeros(xs.shape, dtype=bool)
+        out = np.zeros(x.shape, dtype=bool)
         for iv in self.intervals:
             for endpoint in (float(iv.lo), float(iv.hi)):
-                d = np.abs(xs - endpoint)
+                d = np.abs(x - endpoint)
                 d = np.minimum(d, 1.0 - d)
                 out |= d < self.eps
-        return out if isinstance(x, np.ndarray) else bool(out)
+        return out
 
     @property
     def length(self):
@@ -175,8 +173,6 @@ class LevelSet:
         raise NotImplementedError
 
     def __repr__(self):
-        import json
-
         return f"LevelSet({json.dumps(self.to_json(), sort_keys=True)})"
 
 
@@ -443,11 +439,11 @@ def from_json(obj) -> LevelSet:
 # -- operations --------------------------------------------------------------
 
 
-def enumerate_members(spec: LevelSet, x: int, sieve: FactorSieve, chunk=1 << 20):
+def enumerate_members(spec: LevelSet, x: int, sieve: FactorSieve):
     """Stream the members of spec in [1, x] in increasing order."""
     table = spec.members_upto(x, sieve)
-    for lo in range(0, x + 1, chunk):
-        hi = min(lo + chunk, x + 1)
+    for lo in range(0, x + 1, _BLOCK):
+        hi = min(lo + _BLOCK, x + 1)
         for n in np.nonzero(table[lo:hi])[0]:
             yield int(n) + lo
 
@@ -471,7 +467,7 @@ def empirical_density(spec: LevelSet, checkpoints, sieve: FactorSieve) -> Densit
     table = spec.members_upto(checkpoints[-1], sieve)
     counts = checkpoint_sums(lambda lo, hi: np.count_nonzero(table[lo:hi]), checkpoints)
     densities = [int(k) / c for k, c in zip(counts, checkpoints)]
-    return DensityReport(checkpoints, densities, set_spec=spec.to_json())
+    return DensityReport(checkpoints, densities)
 
 
 def concentration_scan(fn: ArithmeticFunction, target, y: int, checkpoints,

@@ -21,8 +21,8 @@ import numpy as np
 
 from .functions import ArithmeticFunction
 from .reports import MeanValueReport, SeriesReport
-from .sieve import FactorSieve, _simple_spf
-from .summation import CHUNK, checkpoint_sums, divergence_slope, prime_series, sorted_checkpoints
+from .sieve import FactorSieve
+from .summation import CHUNK, checkpoint_sums, checkpoints_upto, divergence_slope, prime_series
 
 POWER_CUTOFF = 1e-18
 
@@ -30,24 +30,22 @@ POWER_CUTOFF = 1e-18
 def empirical_mean(fn: ArithmeticFunction, n_max: int, checkpoints,
                    sieve: FactorSieve, threads: int = 1) -> MeanValueReport:
     """Running means (1/x) sum_{n<=x} f(n) at each checkpoint."""
-    return _running_means(fn.values_upto, n_max, checkpoints, sieve, threads,
-                          fn.to_json())
+    return _running_means(fn.values_upto, n_max, checkpoints, sieve, threads)
 
 
 def seminorm_l1(fn: ArithmeticFunction, n_max: int, checkpoints,
                 sieve: FactorSieve, threads: int = 1) -> MeanValueReport:
     """Running means of |f(n)| (the limsup of these is the averaged seminorm)."""
     return _running_means(lambda x, s: np.abs(fn.values_upto(x, s)), n_max,
-                          checkpoints, sieve, threads, {"seminorm_of": fn.to_json()})
+                          checkpoints, sieve, threads)
 
 
-def _running_means(values_upto, n_max, checkpoints, sieve, threads, spec):
+def _running_means(values_upto, n_max, checkpoints, sieve, threads):
     sieve.require_upto("N", n_max)
-    checkpoints = sorted(set(sorted_checkpoints([*checkpoints, n_max])))
+    checkpoints = sorted(set(checkpoints_upto([*checkpoints, n_max], n_max, "N")))
     values = values_upto(n_max, sieve)
     sums = checkpoint_sums(lambda lo, hi: values[lo:hi], checkpoints, threads=threads)
-    return MeanValueReport(checkpoints, [s / c for s, c in zip(sums, checkpoints)],
-                           function_spec=spec)
+    return MeanValueReport(checkpoints, [s / c for s, c in zip(sums, checkpoints)])
 
 
 # float and complex values may exceed modulus 1 by rounding (|e(t)| can be
@@ -69,8 +67,9 @@ def euler_product_mean(rule, prime_cutoff: int, sieve: FactorSieve | None = None
     """Mean-value Euler product for a multiplicative prime-power rule g with
     |g(p^m)| <= 1.
 
-    Returns (value, tail_bound).  The inner sum over m stops once p^-m falls
-    below 1e-18; the reported tail bound 2/P dominates sum_{p>P} 2/p^2.
+    Returns (value, tail_bound).  Without a sieve reaching prime_cutoff, the
+    primes come from FactorSieve.build.  The inner sum over m stops once p^-m
+    falls below 1e-18; the reported tail bound 2/P dominates sum_{p>P} 2/p^2.
     LocalFactorError names the first p^m, in the order evaluated, with
     |g(p^m)| > 1; the check rides on the sums below, so it costs nothing.
     """
@@ -79,10 +78,9 @@ def euler_product_mean(rule, prime_cutoff: int, sieve: FactorSieve | None = None
     if isinstance(rule, ArithmeticFunction) and rule.kind == "additive":
         raise LocalFactorError(f"{rule.name} is additive; the mean-value Euler "
                                f"product needs a multiplicative rule")
-    if sieve is not None and prime_cutoff <= sieve.limit:
-        primes = sieve.primes(prime_cutoff)
-    else:
-        primes = FactorSieve(prime_cutoff, _simple_spf(prime_cutoff)).primes()
+    if sieve is None or prime_cutoff > sieve.limit:
+        sieve = FactorSieve.build(prime_cutoff)
+    primes = sieve.primes(prime_cutoff)
     g = rule.prime_power if isinstance(rule, ArithmeticFunction) else rule
     product = complex(1.0)
     for p in primes.tolist():

@@ -10,7 +10,8 @@ desk-scale numbers.
 
 Phases a(pn) are always evaluated at the integer pn through the double-double
 path, never by scaling a(n): phase accuracy is what every downstream test
-hangs on.
+hangs on.  A polynomial phase takes its dd monomials c_i n^i from
+monomials_dd, the generator that equidist's polynomial floors share.
 
 A PhaseSequence is a(n) = e(phi(n)), so a correlation term a(pn) conj(a(qn))
 is e(phi(pn) - phi(qn)): the float phases {phi(pn)} and {phi(qn)} are
@@ -56,7 +57,7 @@ from .constants import Constant, as_constant
 from .levelsets import LevelSet
 from .reports import CorrelationReport, DecayProfile, TuranKubiliusReport
 from .sieve import FactorSieve, SieveRangeError
-from .summation import checkpoint_sums, fit_loglog_slope
+from .summation import checkpoint_sums, checkpoints_upto, fit_loglog_slope
 
 PHASE_BUDGET = 2**40
 
@@ -234,8 +235,21 @@ class TableSequence(BoundedSequence):
         return {"sequence": "table", "length": int(self.values.size)}
 
 
+def monomials_dd(coeff_dd, m: np.ndarray):
+    """Yield c_i m^i in dd for i = 1, 2, ...: m^i = ddmath.mul(m^(i-1), m),
+    then ddmath.mul(m^i, c_i).  coeff_dd holds the (hi, lo) pairs c_1, c_2, ...
+    of one polynomial; polynomial_frac and the polynomial floors both draw
+    their monomials from here."""
+    npow = ddmath.from_float(np.ones(m.shape))
+    mf = ddmath.from_float(m.astype(np.float64))
+    for c in coeff_dd:
+        npow = ddmath.mul(npow, mf)
+        yield ddmath.mul(npow, c)
+
+
 def polynomial_frac(coefficients, n: np.ndarray) -> np.ndarray:
-    """{sum_i c_i n^i} with each monomial reduced separately in dd.
+    """{sum_i c_i n^i} with each monomial (from monomials_dd) reduced
+    separately in dd.
 
     Coefficients are Constants or raw (hi, lo) pairs.  Errors out once n^i
     reaches 2^80: past that the two-term representation cannot keep the
@@ -253,11 +267,8 @@ def polynomial_frac(coefficients, n: np.ndarray) -> np.ndarray:
 
     def frac_sum(m):
         total = np.zeros(m.shape, dtype=np.float64)
-        npow = ddmath.from_float(np.ones(m.shape))
-        mf = ddmath.from_float(m.astype(np.float64))
-        for c in coeff_dd[1:]:
-            npow = ddmath.mul(npow, mf)
-            total += ddmath.frac(ddmath.mul(npow, c))
+        for term in monomials_dd(coeff_dd[1:], m):
+            total += ddmath.frac(term)
         # constant term shifts every phase identically; include it for fidelity
         if coeff_dd:
             total += (coeff_dd[0][0] + coeff_dd[0][1]) % 1.0
@@ -330,7 +341,7 @@ def orthogonality_sum(spec: LevelSet, seq: BoundedSequence, x: int,
                       threads: int = 1) -> DecayProfile:
     """|sum_{n<=x'} 1_E(n) a(n)| / x' on the checkpoint grid, with slope."""
     sieve.require_upto("x", x)
-    checkpoints = sorted(set(int(c) for c in checkpoints) | {int(x)})
+    checkpoints = sorted(set(checkpoints_upto([*checkpoints, x], x, "x")))
     members = spec.members_upto(x, sieve)
 
     def term(n):

@@ -13,7 +13,7 @@ import io
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +25,6 @@ class DensityReport:
 
     checkpoints: list
     densities: list
-    set_spec: dict = field(default_factory=dict)
 
     @property
     def last_value(self) -> float:
@@ -39,7 +38,7 @@ class DensityReport:
         return float(ds[keep].max() - ds[keep].min())
 
     def rows(self):
-        return [("x", "count_ratio")], [
+        return ("x", "count_ratio"), [
             (int(x), float(d)) for x, d in zip(self.checkpoints, self.densities)
         ]
 
@@ -59,7 +58,6 @@ class MeanValueReport:
     product: complex | None = None
     prime_cutoff: int | None = None
     tail_bound: float | None = None
-    function_spec: dict = field(default_factory=dict)
 
     @property
     def final_discrepancy(self) -> float | None:
@@ -73,7 +71,7 @@ class MeanValueReport:
             (int(x), complex(m).real, complex(m).imag, abs(complex(m)))
             for x, m in zip(self.checkpoints, self.means)
         ]
-        return [header], body
+        return header, body
 
     def summary(self):
         out = {"final_mean": _cplx(self.means[-1])}
@@ -100,8 +98,9 @@ class SeriesReport:
     cutoffs: list
     partial_sums: list
     slope: float = 0.0
-    slope_note: str = "advisory: least-squares slope of partial sum vs log log y over the last decade"
     nonnegative_terms: bool = True
+
+    SLOPE_NOTE = "advisory: least-squares slope of partial sum vs log log y over the last decade"
 
     def __post_init__(self):
         if self.nonnegative_terms:
@@ -113,14 +112,14 @@ class SeriesReport:
                     )
 
     def rows(self):
-        return [("y", "partial_sum", "slope")], [
+        return ("y", "partial_sum", "slope"), [
             (int(y), float(s), self.slope)
             for y, s in zip(self.cutoffs, self.partial_sums)
         ]
 
     def summary(self):
         return {"name": self.name, "final_sum": float(self.partial_sums[-1]),
-                "slope": self.slope, "slope_note": self.slope_note}
+                "slope": self.slope, "slope_note": self.SLOPE_NOTE}
 
 
 @dataclass
@@ -139,7 +138,7 @@ class CorrelationReport:
         for i, (x, c) in enumerate(zip(self.checkpoints, self.correlations)):
             ref = "" if self.references is None else float(self.references[i])
             body.append((int(x), abs(complex(c)), ref, ""))
-        return [header], body
+        return header, body
 
     def summary(self):
         return {
@@ -163,7 +162,7 @@ class DecayProfile:
         for i, (x, v) in enumerate(zip(self.checkpoints, self.values)):
             ref = "" if self.references is None else float(self.references[i])
             body.append((int(x), float(v), ref, self.slope))
-        return [header], body
+        return header, body
 
     def summary(self):
         return {"final_value": float(self.values[-1]), "slope": self.slope}
@@ -176,7 +175,6 @@ class DiscrepancyReport:
     n_points: int
     dstar: float
     weyl: list  # complex, index k-1
-    provenance: dict = field(default_factory=dict)
 
     @property
     def max_abs_weyl(self) -> float:
@@ -189,7 +187,7 @@ class DiscrepancyReport:
              abs(complex(w)), self.dstar)
             for k, w in enumerate(self.weyl)
         ]
-        return [header], body
+        return header, body
 
     def summary(self):
         return {"N": self.n_points, "dstar": self.dstar, "max_abs_weyl": self.max_abs_weyl}
@@ -203,7 +201,7 @@ class CdfReport:
     cdf: list
 
     def rows(self):
-        return [("threshold", "cdf")], [
+        return ("threshold", "cdf"), [
             (float(t), float(y)) for t, y in zip(self.thresholds, self.cdf)
         ]
 
@@ -229,7 +227,7 @@ class ThreeSeriesReport:
             for y, a, b, c in zip(self.large_values.cutoffs,
                                   *(s.partial_sums for s in self.series()))
         ]
-        return [header], body
+        return header, body
 
     def summary(self):
         return {
@@ -259,13 +257,28 @@ class TuranKubiliusReport:
         header = ("x", "num_primes", "m", "variance", "ratio")
         body = [(self.x, len(self.primes), float(self.m),
                  float(self.variance), self.ratio)]
-        return [header], body
+        return header, body
 
     def summary(self):
         return {
             "x": self.x, "m": str(self.m), "variance": str(self.variance),
             "ratio": self.ratio,
         }
+
+
+@dataclass
+class TuranKubiliusTable:
+    """One TuranKubiliusReport row per x, in order; the summary is the last x's,
+    so a one-report table renders the bytes of that report."""
+
+    reports: list
+
+    def rows(self):
+        header = self.reports[0].rows()[0]
+        return header, [row for r in self.reports for row in r.rows()[1]]
+
+    def summary(self):
+        return self.reports[-1].summary()
 
 
 def _cplx(z):
@@ -293,12 +306,10 @@ def _atomic_write(path, *chunks):
 def render_csv(report, config: dict) -> bytes:
     buf = io.StringIO()
     buf.write("# config: " + json.dumps(config, sort_keys=True) + "\r\n")
-    headers, body = report.rows()
+    header, body = report.rows()
     writer = csv.writer(buf, lineterminator="\r\n")
-    for h in headers:
-        writer.writerow(h)
-    for row in body:
-        writer.writerow(row)
+    writer.writerow(header)
+    writer.writerows(body)
     return buf.getvalue().encode()
 
 
@@ -307,8 +318,8 @@ def write_csv(report, config: dict, path):
 
 
 def render_json(report, config: dict) -> bytes:
-    headers, body = report.rows()
-    series = [dict(zip(headers[0], row)) for row in body]
+    header, body = report.rows()
+    series = [dict(zip(header, row)) for row in body]
     obj = {"config": config, "series": series, "summary": report.summary()}
     return (json.dumps(obj, sort_keys=True, indent=1) + "\n").encode()
 

@@ -55,6 +55,16 @@ def sorted_checkpoints(checkpoints) -> list[int]:
     return sorted(checkpoints)
 
 
+def checkpoints_upto(checkpoints, x: int, label: str) -> list[int]:
+    """sorted_checkpoints, and a ValueError naming the first one above label = x
+    (a sum over n <= x has no value there)."""
+    checkpoints = sorted_checkpoints(checkpoints)
+    bad = next((c for c in checkpoints if c > x), None)
+    if bad is not None:
+        raise ValueError(f"checkpoints must be <= {label} = {x}, got {bad}")
+    return checkpoints
+
+
 def checkpoint_sums(values_of, checkpoints, threads: int = 1):
     """Cumulative sums of values_of over [1, c] for each checkpoint c >= 1.
 
@@ -110,7 +120,7 @@ def _least_squares_slope(us, vs) -> float:
     return math.fsum(d * (v - mv) for d, v in zip(du, vs)) / sxx
 
 
-def fit_loglog_slope(xs, ys, decade: float = 10.0):
+def fit_loglog_slope(xs, ys):
     """Least-squares slope of log10(y) vs log10(x) over the last decade of xs.
 
     Zero y values are dropped; returns 0.0 when fewer than two usable points
@@ -118,7 +128,7 @@ def fit_loglog_slope(xs, ys, decade: float = 10.0):
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
-    keep = (xs >= xs.max() / decade) & (ys > 0)
+    keep = (xs >= xs.max() / 10.0) & (ys > 0)
     if keep.sum() < 2:
         return 0.0
     return _least_squares_slope([math.log10(x) for x in xs[keep]],

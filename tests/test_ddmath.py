@@ -426,3 +426,12 @@ def test_rational_exponents_take_the_root_route(monkeypatch):
     for spec in ("power:sqrt2", "power:1/129", "logpow:e"):
         with pytest.raises(AssertionError, match="exp"):
             parse_hardy(spec)._dd_values(t)
+
+
+def test_named_constants_dd_are_the_correctly_rounded_pairs():
+    # dd rounds mp() to two floats; these are the correctly rounded pairs
+    from katailab.constants import Constant
+
+    assert Constant("pi").dd == (3.141592653589793, 1.2246467991473532e-16)
+    assert Constant("e").dd == (2.718281828459045, 1.4456468917292502e-16)
+    assert Constant("golden").dd == (1.618033988749895, -5.432115203682506e-17)

@@ -231,6 +231,26 @@ def test_floor_sequence_dd_variants_match_mpmath(sieve_small):
             assert f == int(mpmath.floor(m * mpmath.log(m)))
 
 
+# n with h(n) within 1e-6 of an integer, found by scanning polynomial_frac
+# over n < 2^24
+@pytest.mark.parametrize("spec, near", [
+    ("poly:0,1,sqrt2", [538_245, 826_561, 1_121_037]),
+    ("poly:0.5,golden,1", [416_020, 1_762_289, 3_940_598]),
+])
+def test_polynomial_floors_match_mpmath(spec, near):
+    h = parse_hardy(spec)
+    n = np.concatenate([np.random.default_rng(13).integers(1, 10**5 + 1, 2000), near])
+    with mpmath.workdps(50):
+        coeffs = [c.mp(50) for c in h.coefficients]
+
+        def value(m):
+            return sum(c * mpmath.mpf(m) ** i for i, c in enumerate(coeffs))
+
+        assert all(abs(value(m) - mpmath.nint(value(m))) < 1e-6 for m in near)
+        want = [int(mpmath.floor(value(int(m)))) for m in n]
+    assert h.floor_values(n).tolist() == want
+
+
 def test_floor_overflow_guard():
     hp = power(rational("15.5"))
     with pytest.raises(SieveRangeError, match="2\\^62"):

@@ -328,3 +328,13 @@ def test_mean_deterministic_across_threads(sieve_big):
     a = empirical_mean(fns.euler_phi_ratio(), 10**6, [10**5, 10**6], sieve_big, threads=1)
     b = empirical_mean(fns.euler_phi_ratio(), 10**6, [10**5, 10**6], sieve_big, threads=4)
     assert a.means == b.means  # bit-identical, not just close
+
+
+def test_means_reject_checkpoints_past_n(sieve_mid):
+    # past N the sum would run off the end of the table and divide short sums
+    for mean in (empirical_mean, seminorm_l1):
+        with pytest.raises(ValueError, match="<= N = 100000, got 200000"):
+            mean(fns.mobius(), 100_000, [50_000, 200_000, 300_000], sieve_mid)
+    rep = empirical_mean(fns.mobius(), 100_000, [50_000, 100_000], sieve_mid)
+    total = int(sieve_mid.table("mobius", 100_000).sum(dtype=np.int64))
+    assert rep.checkpoints == [50_000, 100_000] and rep.means[-1] == total / 100_000

@@ -381,3 +381,10 @@ def test_correlation_budget_counts_checkpoints_past_x():
         katai_correlation(LinearExponential(SQRT2), 2, 3, 1000, [10, 2**39])
     with pytest.raises(SieveRangeError, match="int64"):
         katai_correlation(ConstantSequence(1.0), 2, 3, 1000, [10, 2**62])
+
+
+def test_orthogonality_sum_rejects_checkpoints_past_x(sieve_small):
+    # past x the member table runs out and the term cannot broadcast
+    with pytest.raises(ValueError, match="<= x = 10000, got 20000"):
+        orthogonality_sum(Squarefree(), LinearExponential(SQRT2), 10_000,
+                          [100, 20_000], sieve_small)

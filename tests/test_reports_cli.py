@@ -129,6 +129,30 @@ def test_tk_command(tmp_path, cache):
     assert ratio <= 2.0
 
 
+def test_tk_x_list_writes_one_row_per_x(tmp_path, cache):
+    out, one = tmp_path / "tk.json", tmp_path / "one.json"
+    assert run(["tk", "--pmax", "30", "--x-list", "100000,1000,10000",
+                "--cache", cache, "--json", str(out)]) == 0
+    assert run(["tk", "--pmax", "30", "--x", "10000", "--cache", cache,
+                "--json", str(one)]) == 0
+    table, single = json.loads(out.read_text()), json.loads(one.read_text())
+    assert [row["x"] for row in table["series"]] == [1000, 10000, 100000]
+    assert table["series"][1] == single["series"][0]
+    assert table["summary"]["x"] == 100000
+
+
+def test_checkpoints_above_x_exit_2(cache, capsys):
+    cases = [
+        (["meanvalue", "--function", "mobius", "--n", "100000",
+          "--checkpoints", "50000,200000"], "N = 100000, got 200000"),
+        (["katai", "--set", "squarefree", "--theta", "sqrt2", "--x", "100000",
+          "--checkpoints", "200000"], "x = 100000, got 200000"),
+    ]
+    for argv, tail in cases:
+        assert run(argv + ["--cache", cache]) == 2
+        assert capsys.readouterr().err == f"error: checkpoints must be <= {tail}\n"
+
+
 def test_meanvalue_with_product(tmp_path, cache):
     out = tmp_path / "mean.json"
     code = run(["meanvalue", "--function", "euler_phi_ratio", "--n", "1000000",
@@ -449,3 +473,65 @@ def test_checkpoints_below_one_exit_2(capsys):
         first = argv[-1].rpartition("=")[2].split(",")
         first = next(c for c in first if int(c) < 1)
         assert capsys.readouterr().err == f"error: checkpoints must be >= 1, got {first}\n"
+
+
+# The README's CLI commands at small sizes; each run writes --json and --csv.
+# A change that deletes code must leave both files' bytes alone.
+README_COMMANDS = {
+    "density": ["density", "--set", "squarefree", "--x", "100000"],
+    "katai_decay": ["katai", "--set", "squarefree", "--theta", "sqrt2", "--x", "100000"],
+    "katai_correlation": ["katai", "--theta", "golden", "--x", "100000",
+                          "--correlation", "2", "3"],
+    "tk_x": ["tk", "--pmax", "100", "--x", "100000"],
+    "tk_x_list": ["tk", "--pmax", "100", "--x-list", "1000,10000,100000"],
+    "meanvalue_euler_product": ["meanvalue", "--function", "euler_phi_ratio",
+                                "--n", "100000", "--euler-product"],
+    "dist_cdf": ["dist", "--function", "euler_phi_ratio", "--series", "cdf",
+                 "--n", "100000"],
+    "dist_concentration": ["dist", "--function", "liouville", "--series",
+                           "concentration", "--target", "-1", "--y", "100000"],
+    "weyl_set": ["weyl", "--set", "big_omega_mod:2,0", "--hardy", "poly:0,1,sqrt2",
+                 "--n", "20000", "--kmax", "5"],
+    "weyl_dilate": ["weyl", "--hardy", "power:1.5", "--dilate", "2", "3", "--n", "20000"],
+    "ergodic_total": ["ergodic", "--set", "big_omega_mod:2,0", "--alpha", "golden",
+                      "--n", "20000"],
+    "ergodic_floor": ["ergodic", "--set", "squarefree", "--alpha", "0.5", "--mode",
+                      "floor", "--hardy", "power:1.5", "--n", "20000"],
+}
+
+# SHA-256 of the (--json, --csv) files of each README command
+README_DIGESTS = {
+    "density": ["d68ec184dc1f42ad6b4804c67f840f2c97bee6161973568ff63212dc5ec5f74e",
+                "d0c8eb4d2a52b5bef3471a0b2e1147367457f202129ae7ac244f8aa302839590"],
+    "dist_cdf": ["9690e1eaf312f066c9ad726a5e75406fa197f20c4f1e11ae626357adefd1bced",
+                 "cf68c1b7b29436ab9c0c2af846423461134c64c06021f04e2b3438c7620bea9c"],
+    "dist_concentration": ["2b48905a71173f7b48b4cc71529f66a4a8615335198868cd99287660a81592c1",
+                           "918f98c29962ca55720003bd6f804f3925cfa6ab7194d0ef7c88ba83083d306c"],
+    "ergodic_floor": ["04e74644367c61df9d6abdd684d18e49f1c412a22f38893706f2da43ed8f572e",
+                      "3c87fe84d905edaa8e051483f55aa2eaed27fd8decd752022d4bd5f5f971bab5"],
+    "ergodic_total": ["f811729baa7ccd2ae7efbf4a01186859a983f835eaac19ae59e768232a0d4546",
+                      "ac670bcdd0a9bc037f8d13a487c4c6ba3f54358f77c99613f0a4e9649f078acb"],
+    "katai_correlation": ["e3e6402b65dc7c788d2e6db844746b04da9dd9b2f31dfdd68e079bda01a07cdd",
+                          "55ab83f37af6e2a72239942d191e3e19c96cf6734c17509c6fed35e3efa26eee"],
+    "katai_decay": ["8318a58e9922646c9180c2c5359abc4c1e2b591ac8cddbaa9e2c24f971dd832c",
+                    "bae3af6cab255d7b78e8096d36948c26ad6f7be41a817114adeac0821128c338"],
+    "meanvalue_euler_product": ["971db357a8982cfcc4fb756d99459aa993ad57176823c4b51597e0b933011d0b",
+                                "aa057a721cbfe130478c7f1bc4fc8d677c7df51cd5b54c5a5a89c848951cd891"],
+    "tk_x": ["8fbc4769d83a6db8f9a7d1c6ade4711cb1d370cd19e0f50eb0329515dfdf36ba",
+             "05157a0020a5d2cb93c9d3b666cbf26c40a25091133210fc1aa0aaa0813d5c12"],
+    "tk_x_list": ["57e0204d947b4c6d0b4c235f5464fee51c22cf24a2df6951a72c5e69759d89fa",
+                  "364acbe8274620759c9f53baa01b46c7fca07e6ec04f72d7f989fdc1c3b2a185"],
+    "weyl_dilate": ["094164bd5a1636efd27f09847da4dc1fbdee1dc8c8ab23baa3e5993028de34ca",
+                    "d5901aa27eac630b0c19f485c37594ab631de10fe76b923f19cada911897e906"],
+    "weyl_set": ["c4f3951fa69b1a2ed60e8e1a967e19b3017515e0d1106a7714071145f14f343a",
+                 "572b9062f6d247c6cb611b4d0439b835442aed7665b2a1303d8ff5cc98ca5a95"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(README_COMMANDS))
+def test_readme_command_bytes_are_pinned(name, tmp_path, cache):
+    out_json, out_csv = tmp_path / "r.json", tmp_path / "r.csv"
+    assert run(README_COMMANDS[name] + ["--cache", cache, "--json", str(out_json),
+                                        "--csv", str(out_csv)]) == 0
+    digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (out_json, out_csv)]
+    assert digests == README_DIGESTS[name]
