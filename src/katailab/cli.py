@@ -24,7 +24,7 @@ from . import equidist, functions, levelsets, meanvalues, orthogonality, reports
 from .constants import Constant
 from .levelsets import IntervalSetMod1, LevelSet, TruncationError
 from .sieve import FactorSieve, SieveRangeError
-from .summation import geometric_checkpoints
+from .summation import checkpoints_upto, geometric_checkpoints
 
 SCHEMA_VERSION = 1
 
@@ -164,7 +164,7 @@ def cmd_sieve(args):
 
 def cmd_density(args):
     spec = parse_set(args.set)
-    checkpoints = parse_checkpoints(args.checkpoints, args.x)
+    checkpoints = checkpoints_upto(parse_checkpoints(args.checkpoints, args.x), args.x, "x")
     sieve = obtain_sieve(args, args.x)
     rep = levelsets.empirical_density(spec, checkpoints, sieve)
     params = {"set": spec.to_json(), "x": args.x, "checkpoints": checkpoints}
@@ -189,8 +189,9 @@ def cmd_katai(args):
                                               threads=args.threads)
         params = {"sequence": seq.to_json(), "p": p, "q": q, "x": args.x,
                   "checkpoints": checkpoints, "negative_control": args.negative_control}
+        # the sum runs to the last checkpoint, which may lie past x
         emit(rep, "katai", params, args,
-             f"correlation p={p} q={q} at {args.x}: "
+             f"correlation p={p} q={q} at {checkpoints[-1]}: "
              f"|value| = {abs(rep.correlations[-1]):.3e}")
         return 0
     spec = parse_set(args.set)

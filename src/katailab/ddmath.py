@@ -26,6 +26,10 @@ CPython/numpy provide.  The transcendental layer on top:
   irrational constant for |n| < 2^53, runs the two_prod and floor steps in
   place in four buffers per block, in the order of the whole-array formula,
   so its bits are that formula's.
+- mul_into and frac_into are mul and frac written in place into buffers
+  the caller passes, in the same operation order, so their bits are those
+  of mul and frac; the polynomial phases (orthogonality.monomials_dd and
+  polynomial_frac) run each block through them.
 - orthogonality.e_of, e(x) for float phases, is built from the same parts:
   a 256-entry table of cos and sin (Tang's reduction again), short float
   polynomials and blockwise().  It uses only +, -, *, rint and take, with
@@ -193,6 +197,86 @@ def frac(x):
     out = out - np.floor(out)
     # rounding can land exactly on 1.0; wrap it
     return np.where(out >= 1.0, out - 1.0, out)
+
+
+def mul_into(x, y, out, work, ysplit=None):
+    """out = mul(x, y), bit for bit, written in place; returns out.
+
+    x and out are dd pairs of arrays (out may be x), y a dd pair of arrays
+    or scalars, ysplit its _split(y[0]) if already known, and work four
+    scratch arrays shaped like x.  The steps are mul's, in the same order.
+    """
+    p, a, b, e = work
+    bhi, blo = _split(y[0]) if ysplit is None else ysplit
+    np.multiply(x[0], y[0], out=p)
+    np.multiply(x[0], _SPLITTER, out=a)
+    np.subtract(a, x[0], out=b)
+    a -= b  # ahi
+    np.subtract(x[0], a, out=b)  # alo
+    np.multiply(a, bhi, out=e)
+    e -= p
+    a *= blo
+    e += a
+    np.multiply(b, bhi, out=a)
+    e += a
+    b *= blo
+    e += b
+    np.multiply(x[0], y[1], out=a)
+    np.multiply(x[1], y[0], out=b)
+    a += b
+    e += a
+    np.add(p, e, out=out[0])
+    np.subtract(out[0], p, out=a)
+    np.subtract(e, a, out=out[1])
+    return out
+
+
+def frac_into(x, work):
+    """frac(x), bit for bit, written in place into x[0], which it returns.
+
+    x is a dd pair of arrays, both of which this overwrites, and work four
+    scratch arrays shaped like them.  The steps are those of floor, neg and
+    add inside frac, in the same order.
+    """
+    h, l = x
+    w1, w2, w3, w4 = work
+    # (fh, fl) = floor(x) into (w3, w2), then negated
+    np.floor(h, out=w1)
+    np.floor(l, out=w2)
+    np.copyto(w2, 0.0, where=w1 != h)  # l counts only where h is an integer
+    np.add(w1, w2, out=w3)
+    np.subtract(w3, w1, out=w1)
+    w2 -= w1
+    np.negative(w3, out=w3)
+    np.negative(w2, out=w2)
+    # add(x, (-fh, -fl)): two_sum(h, -fh) into (w1, w3) ...
+    np.add(h, w3, out=w1)
+    np.subtract(w1, h, out=w4)
+    w3 -= w4
+    np.subtract(w1, w4, out=w4)
+    np.subtract(h, w4, out=w4)
+    np.add(w4, w3, out=w3)
+    # ... two_sum(l, -fl) into (h, w2) ...
+    np.add(l, w2, out=h)
+    np.subtract(h, l, out=w4)
+    w2 -= w4
+    np.subtract(h, w4, out=w4)
+    np.subtract(l, w4, out=w4)
+    np.add(w4, w2, out=w2)
+    w3 += h
+    # ... and the two quick_two_sums into (l, w3), then (w1, w3)
+    np.add(w1, w3, out=l)
+    np.subtract(l, w1, out=w4)
+    w3 -= w4
+    w3 += w2
+    np.add(l, w3, out=w1)
+    np.subtract(w1, l, out=w4)
+    w3 -= w4
+    np.add(w1, w3, out=h)
+    h -= np.floor(h, out=w4)
+    # rounding can land exactly on 1.0; wrap it
+    np.subtract(h, 1.0, out=h, where=h >= 1.0)
+    return h
 
 
 def frac_int_mul(c, n):

@@ -235,21 +235,28 @@ class TableSequence(BoundedSequence):
         return {"sequence": "table", "length": int(self.values.size)}
 
 
-def monomials_dd(coeff_dd, m: np.ndarray):
+def monomials_dd(coeff_dd, m: np.ndarray, work=None):
     """Yield c_i m^i in dd for i = 1, 2, ...: m^i = ddmath.mul(m^(i-1), m),
-    then ddmath.mul(m^i, c_i).  coeff_dd holds the (hi, lo) pairs c_1, c_2, ...
-    of one polynomial; polynomial_frac and the polynomial floors both draw
-    their monomials from here."""
-    npow = ddmath.from_float(np.ones(m.shape))
-    mf = ddmath.from_float(m.astype(np.float64))
+    then ddmath.mul(m^i, c_i), both written in place by ddmath.mul_into.
+    coeff_dd holds the (hi, lo) pairs c_1, c_2, ... of one polynomial;
+    polynomial_frac and the polynomial floors both draw their monomials
+    from here.  A yielded pair is scratch: the next step overwrites it, and
+    the consumer may too.  work, four scratch arrays shaped like m, is
+    rewritten by every step, so the consumer may use it between steps."""
+    mf = m.astype(np.float64)
+    msplit = ddmath._split(mf)
+    npow = (np.ones(m.shape), np.zeros(m.shape))  # m^0 = from_float(1)
+    term = (np.empty(m.shape), np.empty(m.shape))
+    if work is None:
+        work = [np.empty(m.shape) for _ in range(4)]
     for c in coeff_dd:
-        npow = ddmath.mul(npow, mf)
-        yield ddmath.mul(npow, c)
+        ddmath.mul_into(npow, (mf, 0.0), npow, work, msplit)
+        yield ddmath.mul_into(npow, c, term, work)
 
 
 def polynomial_frac(coefficients, n: np.ndarray) -> np.ndarray:
     """{sum_i c_i n^i} with each monomial (from monomials_dd) reduced
-    separately in dd.
+    separately in dd by ddmath.frac_into.
 
     Coefficients are Constants or raw (hi, lo) pairs.  Errors out once n^i
     reaches 2^80: past that the two-term representation cannot keep the
@@ -267,13 +274,15 @@ def polynomial_frac(coefficients, n: np.ndarray) -> np.ndarray:
 
     def frac_sum(m):
         total = np.zeros(m.shape, dtype=np.float64)
-        for term in monomials_dd(coeff_dd[1:], m):
-            total += ddmath.frac(term)
+        work = [np.empty(m.shape) for _ in range(4)]
+        for term in monomials_dd(coeff_dd[1:], m, work):
+            total += ddmath.frac_into(term, work)
         # constant term shifts every phase identically; include it for fidelity
         if coeff_dd:
             total += (coeff_dd[0][0] + coeff_dd[0][1]) % 1.0
-        total -= np.floor(total)
-        return np.where(total >= 1.0, total - 1.0, total)
+        total -= np.floor(total, out=work[0])
+        np.subtract(total, 1.0, out=total, where=total >= 1.0)
+        return total
 
     return ddmath.blockwise(frac_sum, n)
 

@@ -4,8 +4,11 @@ Turan-Kubilius moment and prime series, plus the advisory slope fits.
 
 checkpoint_sums (sums over n) cuts [1, c] at the checkpoints, then into
 fixed chunks of 2^16 values.  Each chunk is summed independently (numpy's
-pairwise kernel) and the chunk results are combined by a fixed binary tree,
-so the result is bit-identical no matter how many threads computed the chunks.
+pairwise kernel, along the last axis) and the chunk results are combined by
+a fixed binary tree, so the result is bit-identical no matter how many
+threads computed the chunks.  A chunk's summands may also come as rows, one
+per sum: equidist.weyl_sums takes all W_N(k), k <= k_max, in one pass this
+way, one column per ddmath.BLOCK slice of the chunk.
 prime_series (sums over primes p <= y) adds the terms one prime at a time in
 increasing order and reads the running sum off at each checkpoint.  The
 slopes are centred least-squares fits in closed form over math.fsum sums
@@ -68,19 +71,24 @@ def checkpoints_upto(checkpoints, x: int, label: str) -> list[int]:
 def checkpoint_sums(values_of, checkpoints, threads: int = 1):
     """Cumulative sums of values_of over [1, c] for each checkpoint c >= 1.
 
-    values_of(lo, hi) must return the summand array for n in [lo, hi).
-    Returns a list of cumulative sums, one per checkpoint, deterministic in
-    the thread count.
+    values_of(lo, hi) must return the summand array for n in [lo, hi), a
+    scalar that is already their sum, or a 2-d array whose rows are summed
+    separately.  Returns a list of cumulative sums (or rows of sums), one per
+    checkpoint, deterministic in the thread count.
     """
+    def chunk_sum(ch):
+        values = values_of(*ch)
+        return np.sum(values, axis=-1 if np.ndim(values) else None)
+
     out, acc, lo = [], None, 1
     for c in sorted_checkpoints(checkpoints):
         if c + 1 > lo:  # a duplicate or contained checkpoint adds nothing
             chunks = _chunks(lo, c + 1)
             if threads > 1 and len(chunks) > 1:
                 with ThreadPoolExecutor(max_workers=threads) as pool:
-                    parts = list(pool.map(lambda ch: np.sum(values_of(*ch)), chunks))
+                    parts = list(pool.map(chunk_sum, chunks))
             else:
-                parts = [np.sum(values_of(*ch)) for ch in chunks]
+                parts = [chunk_sum(ch) for ch in chunks]
             s = pairwise_total(parts)
             acc = s if acc is None else acc + s
             lo = c + 1

@@ -109,6 +109,51 @@ def test_frac_int_mul_in_place_is_the_formula_bit_for_bit():
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), (c, scalar)
 
 
+def _seeded_dd(rng, size):
+    """dd pairs (hi, lo) with |lo| <= ulp(hi)/2: wide magnitudes, integers,
+    halves and signed zeros in both words."""
+    hi = rng.standard_normal(size) * 10.0 ** rng.integers(-20, 30, size)
+    hi[::7] = np.round(hi[::7])
+    hi[::11] = rng.integers(-2**40, 2**40, hi[::11].size) + 0.5
+    hi[:6] = [0.0, -0.0, 1.0, -1.0, 2.0**60, -(2.0**52)]
+    lo = np.spacing(hi) * (rng.random(size) - 0.5)
+    lo[::5] = 0.0
+    lo[::13] = -0.0
+    return ddmath.quick_two_sum(hi, lo)
+
+
+def _bits(a):
+    return np.asarray(a).view(np.int64)
+
+
+def test_in_place_mul_and_frac_are_the_formulas_bit_for_bit():
+    from katailab.constants import SQRT2
+
+    rng = np.random.default_rng(41)
+    size = 5000
+    x, y = _seeded_dd(rng, size), _seeded_dd(rng, size)
+    work = [np.empty(size) for _ in range(4)]
+
+    def fresh():
+        return np.empty(size), np.empty(size)
+
+    def aliased(y, ysplit=None):  # out is x itself
+        xc = (x[0].copy(), x[1].copy())
+        return ddmath.mul_into(xc, y, xc, work, ysplit)
+
+    cases = [
+        (ddmath.mul_into(x, y, fresh(), work), ddmath.mul(x, y)),
+        (aliased(y, ddmath._split(y[0])), ddmath.mul(x, y)),
+        (aliased((y[0], 0.0)), ddmath.mul(x, (y[0], np.zeros(size)))),
+    ] + [(ddmath.mul_into(x, c, fresh(), work), ddmath.mul(x, c))
+         for c in (SQRT2.dd, (-0.3, 1e-17), (3.0, 0.0))]
+    for got, want in cases:
+        for g, w in zip(got, want):
+            assert np.array_equal(_bits(g), _bits(w))
+    got = ddmath.frac_into((x[0].copy(), x[1].copy()), work)
+    assert np.array_equal(_bits(got), _bits(ddmath.frac(x)))
+
+
 def test_constant_dd_is_computed_once():
     from katailab.constants import Constant
 

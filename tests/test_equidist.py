@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from katailab import ddmath
+from katailab import ddmath, equidist, summation
 from katailab import functions as fns
 from katailab.cli import parse_hardy
 from katailab.constants import GOLDEN, SQRT2, rational
@@ -31,9 +31,11 @@ from katailab.equidist import (
     total_ergodicity_test,
     ud_test,
     weyl_sum,
+    weyl_sums,
 )
 from katailab.levelsets import GenericLevel, OmegaMod, Squarefree, TruncationError
 from katailab.orthogonality import e_of, polynomial_frac
+from katailab.reports import render_csv, render_json
 from katailab.sieve import SieveRangeError
 
 mpmath.mp.dps = 40
@@ -498,3 +500,130 @@ def test_blocked_guards_match_whole_array(monkeypatch):
                 call()
         assert type(whole.value) is type(blocked.value)
         assert str(whole.value) == str(blocked.value)
+
+
+# -- one pass per discrepancy report ------------------------------------------
+
+U = 2.0**-53
+E1 = 1.125 * math.sqrt(2) * U  # e_of's error per term (orthogonality docstring)
+
+
+def _power_bound(k):
+    """The power route's error per term (equidist docstring)."""
+    return k * (E1 + math.sqrt(5) * U) * (1 + 4 * U) ** k
+
+
+def _sum_bound(n):
+    """|error| of a normalized sum of n terms of modulus <= 1 + 1e-15, plus
+    the rounding of the division by n.  Each component is added by a tree of
+    depth d < 40 + log2(n): at most 26 levels in a 128-entry leaf of numpy's
+    pairwise sum, one more per halving, 3 for a chunk's four blocks and one
+    per level of checkpoint_sums' chunk tree."""
+    d = 40 + math.ceil(math.log2(n))
+    return math.sqrt(2) * d * U / (1 - d * U) * (1 + 1e-15) + 4 * U
+
+
+def _old_star_discrepancy(v):
+    pts = np.sort(v, kind="stable")
+    n = pts.size
+    i = np.arange(1, n + 1, dtype=np.float64)
+    return float(max((i / n - pts).max(), (pts - (i - 1) / n).max()))
+
+
+def test_dstar_is_the_whole_array_formula_bit_for_bit():
+    rng = np.random.default_rng(14)
+    for size in (1, 2, 7, B - 1, B, B + 1, 3 * B + 7):
+        uniform = rng.random(size)
+        ties = rng.integers(0, 50, size) / 50  # many equal values
+        signed_zeros = np.where(rng.random(size) < 0.3, -0.0, ties)
+        signed_zeros[::5] = 0.0
+        clustered = np.sort(rng.random(size))[::-1] ** 9  # dense near 0, reversed
+        for v in (uniform, ties, signed_zeros, clustered, np.zeros(size)):
+            got = star_discrepancy(Mod1Sequence(v))
+            assert got.hex() == _old_star_discrepancy(v).hex(), size
+
+
+def test_mod1_sequence_rejects_non_finite_entries():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Mod1Sequence(np.array([0.5, bad, 0.25]))
+    with pytest.raises(ValueError, match="finite"):
+        Mod1Sequence(np.array([np.nan]))
+    assert len(Mod1Sequence(np.array([-0.0, 0.5]))) == 2
+
+
+def test_power_route_terms_meet_the_stated_bound():
+    # one point per block: the block's sum is the power itself
+    rng = np.random.default_rng(3)
+    xs = np.concatenate([[0.0, 0.5, 0.25, 0.75, 2.0**-40, 1 - 2.0**-53, 1 / 3],
+                         rng.random(13)])
+    k_max = 200
+    with mpmath.workdps(40):
+        for x in xs.tolist():
+            powers = equidist._power_sums(np.array([x]), k_max)
+            for k in range(1, k_max + 1):
+                exact = mpmath.mpc(mpmath.cospi(2 * k * mpmath.mpf(x)),
+                                   mpmath.sinpi(2 * k * mpmath.mpf(x)))
+                err = float(abs(mpmath.mpc(powers[k - 1]) - exact))
+                assert err <= _power_bound(k), (x, k, err)
+
+
+def test_weyl_rows_match_weyl_sum_and_mpmath():
+    rng = np.random.default_rng(77)
+    for n in (1, 5, 1000, B + 3, 3 * 2**16 + 123):
+        seq = Mod1Sequence(rng.random(n))
+        k_max = 12
+        rows = weyl_sums(seq, k_max)
+        assert len(rows) == k_max and all(type(w) is complex for w in rows)
+        for k, w in enumerate(rows, start=1):
+            single = 2 * math.pi * k * U + E1  # weyl_sum's error per term
+            tol = _power_bound(k) + single + 2 * _sum_bound(n)
+            assert abs(w - weyl_sum(seq, k)) <= tol, (n, k)
+    seq = Mod1Sequence(rng.random(200))
+    rows = weyl_sums(seq, 40)
+    with mpmath.workdps(40):
+        xs = [mpmath.mpf(x) for x in seq.values.tolist()]
+        for k, w in enumerate(rows, start=1):
+            exact = mpmath.fsum(mpmath.mpc(mpmath.cospi(2 * k * x), mpmath.sinpi(2 * k * x))
+                                for x in xs) / len(xs)
+            err = float(abs(mpmath.mpc(w) - exact))
+            assert err <= _power_bound(k) + _sum_bound(len(xs)), (k, err)
+
+
+def test_weyl_sums_validate_like_weyl_sum():
+    with pytest.raises(ValueError, match="empty"):
+        weyl_sums(Mod1Sequence(np.array([])), 3)
+    with pytest.raises(ValueError, match="k_max must be >= 1, got 0"):
+        weyl_sums(Mod1Sequence(np.array([0.5])), 0)
+
+
+def test_discrepancy_reports_do_not_depend_on_the_thread_count(sieve_big, monkeypatch):
+    # checkpoint_sums with threads=2 sums the chunks in a pool
+    def reports():
+        h = power(rational("1.5"))
+        return [ud_test(h, Squarefree(), 3 * 2**16 + 5, 5, sieve_big),
+                ud_test(log_gamma(), OmegaMod(2, 0), 2**16 + 1, 3, sieve_big),
+                pq_dilation_check(t_log_t(), 2, 3, 3 * 2**16 + 5, 5)]
+
+    one = reports()
+    with monkeypatch.context() as m:
+        m.setattr(equidist, "checkpoint_sums",
+                  lambda *a, **kw: summation.checkpoint_sums(*a, **kw, threads=2))
+        two = reports()
+    for a, b in zip(one, two):
+        for render in (render_csv, render_json):
+            assert render(a, {"case": "threads"}) == render(b, {"case": "threads"})
+
+
+def test_discrepancy_peaks_do_not_grow_with_the_array_or_k_max():
+    n = 2**20
+    seq = Mod1Sequence(np.random.default_rng(8).random(n))
+    # the sorted copy is 8 MiB; measured 8.38 MiB, against 32 MiB when
+    # the terms were taken over whole-array temporaries
+    assert _traced_peak(lambda: star_discrepancy(seq)) <= 8 * n + 4 * 8 * B
+    # measured 1.13 MiB at k_max = 5 and 1.15 MiB at 64; a (k_max, chunk)
+    # array of powers would add 64 MiB
+    at5 = _traced_peak(lambda: weyl_sums(seq, 5))
+    assert _traced_peak(lambda: weyl_sums(seq, 64)) <= at5 + (64 << 10)
+    rep5 = _traced_peak(lambda: equidist._discrepancy_report(seq, 5))
+    assert _traced_peak(lambda: equidist._discrepancy_report(seq, 64)) <= rep5 + (64 << 10)

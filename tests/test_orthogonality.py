@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from mpmath import libmp
 
+from katailab import ddmath
 from katailab import functions as fns
-from katailab.constants import GOLDEN, PI, SQRT2, rational
+from katailab.constants import GOLDEN, PI, SQRT2, Constant, rational
 from katailab.levelsets import Abundant, GenericLevel, OmegaMod, Squarefree
 from katailab.orthogonality import (
     ConstantSequence,
@@ -358,6 +359,49 @@ def test_correlation_peak_leaves_out_chunk_temporaries():
     # temporaries get 2.5 MB.  Measured 3.1 MB, against 5.1 MB when each
     # chunk made two e(x) arrays, a conjugate and their product.
     assert peak <= 4 << 20, peak
+
+
+def _polynomial_frac_formula(coefficients, n):
+    """polynomial_frac with every dd step a fresh whole-array temporary."""
+    coeff_dd = [c if isinstance(c, tuple) else c.dd for c in coefficients]
+    npow = ddmath.from_float(np.ones(n.shape))
+    mf = ddmath.from_float(n.astype(np.float64))
+    total = np.zeros(n.shape)
+    for c in coeff_dd[1:]:
+        npow = ddmath.mul(npow, mf)
+        total += ddmath.frac(ddmath.mul(npow, c))
+    total += (coeff_dd[0][0] + coeff_dd[0][1]) % 1.0
+    total -= np.floor(total)
+    return np.where(total >= 1.0, total - 1.0, total)
+
+
+def test_polynomial_frac_in_place_is_the_formula_bit_for_bit():
+    rng = np.random.default_rng(1729)
+    polys = [[rational(0), SQRT2], [GOLDEN, SQRT2, PI, rational("1/3")],
+             [rational("-2.5"), Constant("e"), rational(0), SQRT2],
+             [rational(0), rational(0), rational(0), rational(0), GOLDEN],
+             [(0.25, 0.0), ddmath.mul_f(SQRT2.dd, -5.0), ddmath.mul_f(GOLDEN.dd, 19.0)]]
+    for coeffs in polys:
+        top = min(int(2 ** (79 / (len(coeffs) - 1))), 2**62)
+        n = np.concatenate([rng.integers(-top, top, 4000), rng.integers(1, 5000, 2000),
+                            rng.integers(top - 2**20, top, 2000), np.arange(-50, 50)])
+        got = polynomial_frac(coeffs, n)
+        want = _polynomial_frac_formula(coeffs, n)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_polynomial_correlation_peak_writes_dd_steps_in_place():
+    seq = PolynomialExponential([rational(0), GOLDEN, SQRT2])
+    katai_correlation(seq, 2, 7, 1000)
+    tracemalloc.start()
+    try:
+        katai_correlation(seq, 2, 7, 2**18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # measured 3.69 MB, against 4.46 MB when every dd step of the monomials
+    # and their fractional parts made a fresh temporary
+    assert peak <= 4_000_000, peak
 
 
 def test_correlation_rejects_nonpositive_p_or_q():

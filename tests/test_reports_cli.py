@@ -147,10 +147,28 @@ def test_checkpoints_above_x_exit_2(cache, capsys):
           "--checkpoints", "50000,200000"], "N = 100000, got 200000"),
         (["katai", "--set", "squarefree", "--theta", "sqrt2", "--x", "100000",
           "--checkpoints", "200000"], "x = 100000, got 200000"),
+        (["density", "--set", "squarefree", "--x", "100000",
+          "--checkpoints", "5000,200000"], "x = 100000, got 200000"),
     ]
     for argv, tail in cases:
         assert run(argv + ["--cache", cache]) == 2
         assert capsys.readouterr().err == f"error: checkpoints must be <= {tail}\n"
+    # rejected before any sieve is built, not by the sieve's range check
+    assert run(["density", "--set", "squarefree", "--x", "1000", "--checkpoints", "2000"]) == 2
+    assert capsys.readouterr().err == "error: checkpoints must be <= x = 1000, got 2000\n"
+
+
+def test_correlation_summary_names_its_checkpoint(tmp_path, cache, capsys):
+    # the correlation sum runs to the last checkpoint, also past x
+    base = ["katai", "--theta", "sqrt2", "--x", "1000", "--correlation", "2", "3",
+            "--cache", cache]
+    for extra, at in (([], 1000), (["--checkpoints", "500,500000"], 500000)):
+        out = tmp_path / "corr.json"
+        assert run(base + extra + ["--json", str(out)]) == 0
+        last = json.loads(out.read_text())["series"][-1]
+        assert last["x"] == at
+        assert capsys.readouterr().out == (f"correlation p=2 q=3 at {at}: "
+                                           f"|value| = {last['value']:.3e}\n")
 
 
 def test_meanvalue_with_product(tmp_path, cache):
@@ -411,12 +429,12 @@ PINNED_DIGESTS = {
     "total_integer": "c3b39fef6ff154537c401601c939e1ecf5be0c7a12519ecfd42b4f3b1f0e9b42",
     "total_third": "d831cbf4c51f0e9054d204a2cadf91e7cf600b15a09a5a0546743694dadba600",
     "floor_ergodic": "22f0332e521ade5e1367edd2eb824594349daa9d241fdc3fad6843f303a6e54a",
-    "ud_power": "c387d321543daecc15ef5052e2dbd366002fc843e7d7a2bdd032a26472b1d35e",
-    "dilation": "07be06e7ebbd1eb3a07358547c3cf24238056f8beab54b37c370651c16dbed2f",
-    "ud_power_blocks": "13e4691ac0f2de6951a7b60572a8a78f3d9a481288064bedbee01532bcd25319",
-    "ud_loggamma_blocks": "97c844fb3962eb657d63463396e4eedc64f9b486c7386415590b012dfd181048",
-    "dilation_blocks": "9d8397e89ccf148c86c42c1f27a8747d6ca2c37abd93a9bb89d09af336c7a082",
-    "ud_poly_blocks": "53225cd4fbfd02611a998a9ec2846f72e36f6fdfb59bfdb1f776e9ca3b2f6503",
+    "ud_power": "b7b2da74bc72ac5abc1b2ded1e98c0c762e09f290e9677c8b6f950d899df7035",
+    "dilation": "42d743c016116d3bb1986daef66ec91ad317d5dc83fa8febbcb9afece72163d1",
+    "ud_power_blocks": "628f11878f118e4b453c7d191bcdf7ff1580c20252123130c9fde6f59aa6a644",
+    "ud_loggamma_blocks": "fe0a4f29793df5f23da9178635c1f326fd14a86d51e176e3cb14110729f4ba7b",
+    "dilation_blocks": "1c57dc7c23f5e4d1b91c03581b53fa865bf0643960b4db4c0b4a30922cdcf0d9",
+    "ud_poly_blocks": "1e96fddf18bdc08728e94410bcc5dc5fad9138c8cd96ed6058170f620ee3b5e1",
     "floor_ergodic_tlogt": "d58d7a475991122191468dfd75ae09bec1145eec741ba7122210a00b2882ed9e",
 }
 
@@ -521,10 +539,10 @@ README_DIGESTS = {
              "05157a0020a5d2cb93c9d3b666cbf26c40a25091133210fc1aa0aaa0813d5c12"],
     "tk_x_list": ["57e0204d947b4c6d0b4c235f5464fee51c22cf24a2df6951a72c5e69759d89fa",
                   "364acbe8274620759c9f53baa01b46c7fca07e6ec04f72d7f989fdc1c3b2a185"],
-    "weyl_dilate": ["094164bd5a1636efd27f09847da4dc1fbdee1dc8c8ab23baa3e5993028de34ca",
-                    "d5901aa27eac630b0c19f485c37594ab631de10fe76b923f19cada911897e906"],
-    "weyl_set": ["c4f3951fa69b1a2ed60e8e1a967e19b3017515e0d1106a7714071145f14f343a",
-                 "572b9062f6d247c6cb611b4d0439b835442aed7665b2a1303d8ff5cc98ca5a95"],
+    "weyl_dilate": ["816b2eba1fbbf82c6120f12d2e3efc8e80afe2ef2f31282f4b396658f30cfcff",
+                    "d5a43f4009d87d0fc6edecb7b3c63030872a4446c8726a58b0354539da9969b0"],
+    "weyl_set": ["be7a81d4ca196adea05a132c446de17b77ef134d7ab0f402753f1ffc939f4b2d",
+                 "6aeef76adc0c017b719c193752fdcad2cac1fd72cdd78d7c3b28b275029bd992"],
 }
 
 
