@@ -26,10 +26,14 @@ CPython/numpy provide.  The transcendental layer on top:
   irrational constant for |n| < 2^53, runs the two_prod and floor steps in
   place in four buffers per block, in the order of the whole-array formula,
   so its bits are that formula's.
-- mul_into and frac_into are mul and frac written in place into buffers
-  the caller passes, in the same operation order, so their bits are those
-  of mul and frac; the polynomial phases (orthogonality.monomials_dd and
-  polynomial_frac) run each block through them.
+- mul_into and frac_into write a dd product and a fractional part in
+  place into buffers the caller passes; the polynomial phases
+  (orthogonality.monomials_dd and polynomial_frac) run each block through
+  them.  frac is frac_into on a copy of its input, so the fractional part
+  has one body.  mul keeps its own three lines because exp, log and
+  log_gamma also call it on numpy scalars, where out= buffers would cost
+  more than the product; mul_into takes mul's steps in the same order, and
+  tests/test_ddmath.py checks the two bit for bit.
 - orthogonality.e_of, e(x) for float phases, is built from the same parts:
   a 256-entry table of cos and sin (Tang's reduction again), short float
   polynomials and blockwise().  It uses only +, -, *, rint and take, with
@@ -191,23 +195,19 @@ def floor(x):
 
 def frac(x):
     """Fractional part of a dd value, returned as a float64 array in [0, 1)."""
-    fh, fl = floor(x)
-    rh, rl = add(x, (-fh, -fl))
-    out = rh + rl
-    out = out - np.floor(out)
-    # rounding can land exactly on 1.0; wrap it
-    return np.where(out >= 1.0, out - 1.0, out)
+    h, l = (np.array(a, dtype=np.float64) for a in np.broadcast_arrays(*x))
+    return frac_into((h, l), [np.empty_like(h) for _ in range(4)])
 
 
-def mul_into(x, y, out, work, ysplit=None):
+def mul_into(x, y, out, work):
     """out = mul(x, y), bit for bit, written in place; returns out.
 
     x and out are dd pairs of arrays (out may be x), y a dd pair of arrays
-    or scalars, ysplit its _split(y[0]) if already known, and work four
-    scratch arrays shaped like x.  The steps are mul's, in the same order.
+    or scalars, and work four scratch arrays shaped like x.  The steps are
+    mul's, in the same order.
     """
     p, a, b, e = work
-    bhi, blo = _split(y[0]) if ysplit is None else ysplit
+    bhi, blo = _split(y[0])
     np.multiply(x[0], y[0], out=p)
     np.multiply(x[0], _SPLITTER, out=a)
     np.subtract(a, x[0], out=b)
@@ -232,11 +232,11 @@ def mul_into(x, y, out, work, ysplit=None):
 
 
 def frac_into(x, work):
-    """frac(x), bit for bit, written in place into x[0], which it returns.
+    """frac(x) written in place into x[0], which it returns.
 
     x is a dd pair of arrays, both of which this overwrites, and work four
-    scratch arrays shaped like them.  The steps are those of floor, neg and
-    add inside frac, in the same order.
+    scratch arrays shaped like them.  The steps are those of floor(x), then
+    add(x, neg(floor(x))), then the reduction of the sum to [0, 1).
     """
     h, l = x
     w1, w2, w3, w4 = work

@@ -235,23 +235,19 @@ class TableSequence(BoundedSequence):
         return {"sequence": "table", "length": int(self.values.size)}
 
 
-def monomials_dd(coeff_dd, m: np.ndarray, work=None):
+def monomials_dd(coeff_dd, m: np.ndarray):
     """Yield c_i m^i in dd for i = 1, 2, ...: m^i = ddmath.mul(m^(i-1), m),
     then ddmath.mul(m^i, c_i), both written in place by ddmath.mul_into.
     coeff_dd holds the (hi, lo) pairs c_1, c_2, ... of one polynomial;
     polynomial_frac and the polynomial floors both draw their monomials
-    from here.  A yielded pair is scratch: the next step overwrites it, and
-    the consumer may too.  work, four scratch arrays shaped like m, is
-    rewritten by every step, so the consumer may use it between steps."""
+    from here.  Each yielded pair is a fresh pair of arrays that the
+    consumer owns."""
     mf = m.astype(np.float64)
-    msplit = ddmath._split(mf)
     npow = (np.ones(m.shape), np.zeros(m.shape))  # m^0 = from_float(1)
-    term = (np.empty(m.shape), np.empty(m.shape))
-    if work is None:
-        work = [np.empty(m.shape) for _ in range(4)]
+    work = [np.empty(m.shape) for _ in range(4)]
     for c in coeff_dd:
-        ddmath.mul_into(npow, (mf, 0.0), npow, work, msplit)
-        yield ddmath.mul_into(npow, c, term, work)
+        ddmath.mul_into(npow, (mf, 0.0), npow, work)
+        yield ddmath.mul_into(npow, c, (np.empty(m.shape), np.empty(m.shape)), work)
 
 
 def polynomial_frac(coefficients, n: np.ndarray) -> np.ndarray:
@@ -275,7 +271,7 @@ def polynomial_frac(coefficients, n: np.ndarray) -> np.ndarray:
     def frac_sum(m):
         total = np.zeros(m.shape, dtype=np.float64)
         work = [np.empty(m.shape) for _ in range(4)]
-        for term in monomials_dd(coeff_dd[1:], m, work):
+        for term in monomials_dd(coeff_dd[1:], m):
             total += ddmath.frac_into(term, work)
         # constant term shifts every phase identically; include it for fidelity
         if coeff_dd:

@@ -126,6 +126,15 @@ def _bits(a):
     return np.asarray(a).view(np.int64)
 
 
+def _frac_formula(x):
+    """{x} with every dd step a fresh whole-array temporary."""
+    fh, fl = ddmath.floor(x)
+    rh, rl = ddmath.add(x, (-fh, -fl))
+    out = rh + rl
+    out = out - np.floor(out)
+    return np.where(out >= 1.0, out - 1.0, out)
+
+
 def test_in_place_mul_and_frac_are_the_formulas_bit_for_bit():
     from katailab.constants import SQRT2
 
@@ -137,21 +146,27 @@ def test_in_place_mul_and_frac_are_the_formulas_bit_for_bit():
     def fresh():
         return np.empty(size), np.empty(size)
 
-    def aliased(y, ysplit=None):  # out is x itself
+    def aliased(y):  # out is x itself
         xc = (x[0].copy(), x[1].copy())
-        return ddmath.mul_into(xc, y, xc, work, ysplit)
+        return ddmath.mul_into(xc, y, xc, work)
 
     cases = [
         (ddmath.mul_into(x, y, fresh(), work), ddmath.mul(x, y)),
-        (aliased(y, ddmath._split(y[0])), ddmath.mul(x, y)),
+        (aliased(y), ddmath.mul(x, y)),
         (aliased((y[0], 0.0)), ddmath.mul(x, (y[0], np.zeros(size)))),
     ] + [(ddmath.mul_into(x, c, fresh(), work), ddmath.mul(x, c))
          for c in (SQRT2.dd, (-0.3, 1e-17), (3.0, 0.0))]
     for got, want in cases:
         for g, w in zip(got, want):
             assert np.array_equal(_bits(g), _bits(w))
-    got = ddmath.frac_into((x[0].copy(), x[1].copy()), work)
-    assert np.array_equal(_bits(got), _bits(ddmath.frac(x)))
+    xc = (x[0].copy(), x[1].copy())
+    assert np.array_equal(_bits(ddmath.frac(x)), _bits(_frac_formula(x)))
+    assert np.array_equal(_bits(x[0]), _bits(xc[0]))  # frac leaves x alone
+    assert np.array_equal(_bits(x[1]), _bits(xc[1]))
+    got = ddmath.frac_into(xc, work)
+    assert np.array_equal(_bits(got), _bits(_frac_formula(x)))
+    scalar = ddmath.frac((np.float64(5.0), -1e-18))
+    assert scalar.shape == () and scalar == _frac_formula((np.array(5.0), np.array(-1e-18)))
 
 
 def test_constant_dd_is_computed_once():
