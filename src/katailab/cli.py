@@ -266,7 +266,7 @@ def cmd_dist(args):
             raise ValueError("--series three needs an additive function "
                              "(big_omega or small_omega)")
         rep = reports.ThreeSeriesReport(*meanvalues.three_series(
-            lambda p: float(fn.prime_power(p, 1)), args.y, checkpoints, sieve))
+            fn, args.y, checkpoints, sieve))
         emit(rep, "dist", params, args,
              f"three-series[{fn.name}] at y={args.y}: " +
              " / ".join(f"{s.partial_sums[-1]:.4f}" for s in rep.series()))
@@ -289,7 +289,7 @@ def cmd_weyl(args):
     h = parse_hardy(args.hardy)
     if args.dilate:
         p, q = args.dilate
-        rep = equidist.pq_dilation_check(h, p, q, args.n, args.kmax)
+        rep = equidist.pq_dilation_check(h, p, q, args.n, args.kmax, threads=args.threads)
         params = {"hardy": h.to_json(), "p": p, "q": q, "n": args.n, "kmax": args.kmax}
         emit(rep, "weyl", params, args,
              f"dilation ({p},{q}) N={rep.n_points}: D*={rep.dstar:.5f} "
@@ -297,7 +297,7 @@ def cmd_weyl(args):
         return 0
     spec = parse_set(args.set)
     sieve = obtain_sieve(args, args.sieve_limit or 4 * args.n)
-    rep = equidist.ud_test(h, spec, args.n, args.kmax, sieve)
+    rep = equidist.ud_test(h, spec, args.n, args.kmax, sieve, threads=args.threads)
     params = {"hardy": h.to_json(), "set": spec.to_json(), "n": args.n, "kmax": args.kmax}
     emit(rep, "weyl", params, args,
          f"ud[{spec.name}] N={rep.n_points}: D*={rep.dstar:.5f} "

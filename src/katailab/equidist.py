@@ -380,9 +380,10 @@ def weyl_sum(seq: Mod1Sequence, k: int) -> complex:
     return complex(total / x.size)  # numpy scalars divide as .mean() does
 
 
-def weyl_sums(seq: Mod1Sequence, k_max: int) -> list[complex]:
+def weyl_sums(seq: Mod1Sequence, k_max: int, threads: int = 1) -> list[complex]:
     """[W_N(1), ..., W_N(k_max)] from one pass over the points: one e(x)
-    per point, and z^k = z^(k-1) z (module docstring)."""
+    per point, and z^k = z^(k-1) z (module docstring); the same bits for
+    any thread count."""
     _require_positive("k_max", k_max)
     if len(seq) == 0:
         raise ValueError("empty sequence")
@@ -393,7 +394,7 @@ def weyl_sums(seq: Mod1Sequence, k_max: int) -> list[complex]:
         return np.stack([_power_sums(xs[b:b + ddmath.BLOCK], k_max)
                          for b in range(0, xs.size, ddmath.BLOCK)], axis=-1)
 
-    total = checkpoint_sums(block_sums, [x.size])[0]
+    total = checkpoint_sums(block_sums, [x.size], threads=threads)[0]
     return [complex(w) for w in total / x.size]
 
 
@@ -437,22 +438,24 @@ def star_discrepancy(seq: Mod1Sequence) -> float:
 
 
 def ud_test(h: HardyFunction, spec: LevelSet, count: int, k_max: int,
-            sieve: FactorSieve) -> DiscrepancyReport:
+            sieve: FactorSieve, threads: int = 1) -> DiscrepancyReport:
     """Equidistribution report for {h(n_j)}: W_N(k) for k <= k_max, and D*."""
     _require_positive("count", count)
     _require_positive("k_max", k_max)
-    return _discrepancy_report(fractional_parts_along(h, spec, count, sieve), k_max)
+    return _discrepancy_report(fractional_parts_along(h, spec, count, sieve), k_max,
+                               threads)
 
 
 def pq_dilation_check(h: HardyFunction, p: int, q: int, count: int,
-                      k_max: int) -> DiscrepancyReport:
+                      k_max: int, threads: int = 1) -> DiscrepancyReport:
     """Equidistribution report for {h(pn) - h(qn)}, n = 1..count."""
     if p == q:
         raise ValueError("dilation check needs distinct primes p != q")
     _require_positive("count", count)
     _require_positive("k_max", k_max)
     n = np.arange(1, count + 1, dtype=np.int64)
-    return _discrepancy_report(Mod1Sequence(h.dilated_difference_parts(p, q, n)), k_max)
+    return _discrepancy_report(Mod1Sequence(h.dilated_difference_parts(p, q, n)), k_max,
+                               threads)
 
 
 def _require_positive(name: str, value: int):
@@ -460,8 +463,8 @@ def _require_positive(name: str, value: int):
         raise ValueError(f"{name} must be >= 1, got {value}")
 
 
-def _discrepancy_report(seq: Mod1Sequence, k_max: int) -> DiscrepancyReport:
-    return DiscrepancyReport(len(seq), star_discrepancy(seq), weyl_sums(seq, k_max))
+def _discrepancy_report(seq: Mod1Sequence, k_max: int, threads: int = 1) -> DiscrepancyReport:
+    return DiscrepancyReport(len(seq), star_discrepancy(seq), weyl_sums(seq, k_max, threads))
 
 
 def floor_sequence(h: HardyFunction, spec: LevelSet, count: int,

@@ -82,6 +82,25 @@ class ArithmeticFunction:
             self._memo[key] = v
         return v
 
+    def prime_values(self, primes: np.ndarray, m: int = 1):
+        """(values, array): g(p, m) for each p in primes, as the rule returned
+        it and as numpy's array of those values.
+
+        The bulk form of prime_power: one rule call per prime, no memo, and
+        one finiteness check on the whole array, so the EvaluationError names
+        the first non-finite value in the order of primes.
+        """
+        ps = primes.tolist()
+        rule = self._rule
+        values = [rule(p, m) for p in ps]
+        arr = np.array(values)  # integers past 64 bits give an object array
+        if arr.dtype.kind not in "biu":  # floats, complex, and objects such as Fraction
+            finite = np.isfinite(arr if arr.dtype.kind in "fc" else arr.astype(complex))
+            if not finite.all():
+                i = int(np.argmin(finite))
+                raise EvaluationError(ps[i], m, values[i])
+        return values, arr
+
     def __call__(self, n: int, sieve: FactorSieve):
         return self.eval(n, sieve)
 
@@ -114,15 +133,21 @@ class ArithmeticFunction:
 def bulk_values(fn: ArithmeticFunction, x: int, sieve: FactorSieve) -> np.ndarray:
     """values[n] for n <= x through the sieve's prime-power kernel."""
     sieve.require_upto("x", x)
-    # rule values on every prime power q = p^m <= x, placed densely at q
+    # rule values on every prime power q = p^m <= x, placed densely at q, one
+    # exponent m at a time
     ppval = np.zeros(x + 1, dtype=complex)
-    for p in sieve.primes(x):
-        p = int(p)
-        q, m = p, 1
-        while q <= x:
-            ppval[q] = complex(fn.prime_power(p, m))
-            q *= p
-            m += 1
+    primes = sieve.primes(x)
+    q, m, errors = primes, 1, []
+    while primes.size:
+        try:
+            ppval[q] = fn.prime_values(primes, m)[1]
+        except EvaluationError as err:
+            errors.append(err)
+        q = q * primes  # below 2^62: q <= x <= 2^31 and p <= x
+        keep = q <= x
+        primes, q, m = primes[keep], q[keep], m + 1
+    if errors:  # the first non-finite value in p-then-m order, as a loop over p, then m
+        raise min(errors, key=lambda err: (err.p, err.m))
     if not ppval.imag.any():
         ppval = ppval.real  # keep real rules in float tables
     return sieve._kernel(lambda p, e: ppval[p.astype(np.int64) ** e], ppval.dtype,
@@ -156,7 +181,7 @@ def liouville() -> ArithmeticFunction:
     return ArithmeticFunction(
         "liouville", lambda p, m: (-1) ** m,
         kind="completely_multiplicative", in_unit_ball=True, integer_valued=True,
-        table=lambda x, s: np.where(s.table("big_omega", x) % 2 == 0, 1.0, -1.0),
+        table=lambda x, s: np.where((s.table("big_omega", x) & 1) == 0, 1.0, -1.0),
     )
 
 

@@ -480,14 +480,35 @@ def concentration_scan(fn: ArithmeticFunction, target, y: int, checkpoints,
     how the torus-criteria series are probed.  The divergence slope is
     advisory only.
     """
-    if predicate is None:
-        if tolerance == 0.0:
-            predicate = lambda v: v == target
+    if predicate is None and tolerance != 0.0:
+        predicate = lambda v: abs(complex(v) - complex(target)) <= tolerance
+
+    def terms(primes):
+        values, arr = fn.prime_values(primes)
+        if predicate is None:
+            hit = _equal_to(values, arr, target)
         else:
-            predicate = lambda v: abs(complex(v) - complex(target)) <= tolerance
-    checkpoints, sums = prime_series(sieve, y, checkpoints, lambda primes: [
-        1.0 / p if predicate(fn.prime_power(p, 1)) else 0.0 for p in primes.tolist()])
+            hit = [bool(predicate(v)) for v in values]
+        return np.where(hit, 1.0 / primes, 0.0)
+
+    checkpoints, sums = prime_series(sieve, y, checkpoints, terms)
     return SeriesReport(
         name=f"concentration({fn.name})", cutoffs=checkpoints, partial_sums=sums.tolist(),
         slope=divergence_slope(checkpoints, sums),
     )
+
+
+def _equal_to(values, arr, target):
+    """[v == target for v in values], as one array compare where numpy gives
+    Python's answer: float, complex or integer values below 2^53 in modulus
+    (so none was rounded into arr) against a target that a complex double
+    holds exactly."""
+    try:
+        t = complex(target)
+    except (TypeError, ValueError, OverflowError):
+        t = None
+    if t is not None and t == target and arr.dtype.kind in "biufc":
+        parts = (arr.real, arr.imag) if arr.dtype.kind == "c" else (arr,)
+        if all(np.all(np.abs(a) < 2**53) for a in parts):
+            return arr == (t.real if t.imag == 0 else t)
+    return [v == target for v in values]

@@ -155,11 +155,17 @@ def halasz_series(fn: ArithmeticFunction, t: float, y: int, checkpoints,
 def three_series(a_of_p, y: int, checkpoints, sieve: FactorSieve):
     """The three convergence-criterion series of a real additive function.
 
+    a_of_p is a(p) as a callable on one prime, or an ArithmeticFunction whose
+    g(p, 1) is a(p) (evaluated over the primes at once by prime_values).
     Returns SeriesReports for sum 1/p over |a(p)|>1, sum a(p)/p and
     sum a(p)^2/p over |a(p)|<=1, split applied per prime.
     """
     def terms(primes):
-        a = np.array([float(a_of_p(p)) for p in primes.tolist()])
+        if isinstance(a_of_p, ArithmeticFunction):
+            values = a_of_p.prime_values(primes)[0]
+        else:
+            values = [a_of_p(p) for p in primes.tolist()]
+        a = np.array(list(map(float, values)), dtype=np.float64)
         if not np.isfinite(a).all():
             raise ValueError(f"a(p) not finite at p={primes[~np.isfinite(a)][0]}")
         large = np.abs(a) > 1.0

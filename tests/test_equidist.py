@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from katailab import ddmath, equidist, summation
+from katailab import ddmath, equidist
 from katailab import functions as fns
 from katailab.cli import parse_hardy
 from katailab.constants import GOLDEN, SQRT2, rational
@@ -597,19 +597,16 @@ def test_weyl_sums_validate_like_weyl_sum():
         weyl_sums(Mod1Sequence(np.array([0.5])), 0)
 
 
-def test_discrepancy_reports_do_not_depend_on_the_thread_count(sieve_big, monkeypatch):
-    # checkpoint_sums with threads=2 sums the chunks in a pool
-    def reports():
+def test_discrepancy_reports_do_not_depend_on_the_thread_count(sieve_big):
+    # with threads=2, checkpoint_sums sums the chunks in a pool
+    def reports(threads):
         h = power(rational("1.5"))
-        return [ud_test(h, Squarefree(), 3 * 2**16 + 5, 5, sieve_big),
-                ud_test(log_gamma(), OmegaMod(2, 0), 2**16 + 1, 3, sieve_big),
-                pq_dilation_check(t_log_t(), 2, 3, 3 * 2**16 + 5, 5)]
+        return [ud_test(h, Squarefree(), 3 * 2**16 + 5, 5, sieve_big, threads=threads),
+                ud_test(log_gamma(), OmegaMod(2, 0), 2**16 + 1, 3, sieve_big,
+                        threads=threads),
+                pq_dilation_check(t_log_t(), 2, 3, 3 * 2**16 + 5, 5, threads=threads)]
 
-    one = reports()
-    with monkeypatch.context() as m:
-        m.setattr(equidist, "checkpoint_sums",
-                  lambda *a, **kw: summation.checkpoint_sums(*a, **kw, threads=2))
-        two = reports()
+    one, two = reports(1), reports(2)
     for a, b in zip(one, two):
         for render in (render_csv, render_json):
             assert render(a, {"case": "threads"}) == render(b, {"case": "threads"})

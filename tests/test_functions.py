@@ -17,6 +17,8 @@ from katailab.functions import (
     root_of_unity,
     smallest_primitive_root,
 )
+from katailab.levelsets import concentration_scan
+from katailab.summation import prime_series
 
 
 def test_catalog_point_values(sieve_small):
@@ -324,3 +326,110 @@ def test_json_roundtrip():
     ]:
         g = fns.from_json(f.to_json())
         assert g.name == f.name and g.params == f.params
+
+
+# -- rule values over prime arrays against the per-prime route ---------------
+
+def _bulk_values_per_prime(fn, x, sieve):
+    """bulk_values as one prime_power call per prime power, p then m."""
+    ppval = np.zeros(x + 1, dtype=complex)
+    for p in sieve.primes(x).tolist():
+        q, m = p, 1
+        while q <= x:
+            ppval[q] = complex(fn.prime_power(p, m))
+            q *= p
+            m += 1
+    if not ppval.imag.any():
+        ppval = ppval.real
+    return sieve._kernel(lambda p, e: ppval[p.astype(np.int64) ** e], ppval.dtype,
+                         fn.kind == "additive", x)
+
+
+def _concentration_per_prime(fn, target, y, checkpoints, sieve, tolerance=0.0,
+                             predicate=None):
+    """concentration_scan's partial sums with one prime_power call per prime."""
+    if predicate is None:
+        if tolerance == 0.0:
+            predicate = lambda v: v == target
+        else:
+            predicate = lambda v: abs(complex(v) - complex(target)) <= tolerance
+    return prime_series(sieve, y, checkpoints, lambda primes: [
+        1.0 / p if predicate(fn.prime_power(p, 1)) else 0.0 for p in primes.tolist()])[1]
+
+
+def _rules():
+    """Catalog functions and custom rules with int, Fraction, float and complex
+    values, each with a target some of its prime values hit."""
+    sqrt2 = Constant("sqrt", 2)
+    return [
+        *((make(), -1) for make in (fns.mobius, fns.liouville)),
+        *((make(), 1) for make in (fns.euler_phi_ratio, fns.squarefree_indicator,
+                                   fns.big_omega, fns.small_omega, fns.constant_one)),
+        (fns.sigma(), 8), (fns.tau(), 2), (fns.archimedean(1.0), 1),
+        (dirichlet_character(7, (2,)), 1), (dirichlet_character(5, (1,)), 1j),
+        (fns.lambda_xi(rational(Fraction(1, 3))), root_of_unity(1, 3)),
+        (fns.kappa_xi(sqrt2), 1), (fns.mu_xi(rational(Fraction(1, 4))), 1j),
+        (fns.custom(lambda p, m: p % 5 - 2 * m), -1),
+        (fns.custom(lambda p, m: Fraction(p % 3, m)), Fraction(1, 1)),
+        (fns.custom(lambda p, m: Fraction(1, p**m)), Fraction(1, 2)),
+        (fns.custom(lambda p, m: (p % 4) / 4 + m), 1.25),
+        (fns.custom(lambda p, m: m * math.log(p), kind="additive"), math.log(2)),
+        (fns.custom(lambda p, m: cmath.exp(1j * (p % 6)) * m), 1),
+        # integers past 2^53 (alone, and mixed with small ones into a float
+        # array) compare exactly only in Python
+        (fns.custom(lambda p, m: 2**53 + p % 3), 2.0**53),
+        (fns.custom(lambda p, m: 2**63 if p % 4 == 1 else -1), 2.0**63),
+        (fns.custom(lambda p, m: 2**70 + p), 2**70 + 3),
+        (fns.custom(lambda p, m: float(p % 4)), 2**53 + 1),
+    ]
+
+
+def test_bulk_values_match_the_per_prime_route(sieve_small):
+    x = sieve_small.limit
+    for fn, _ in _rules():
+        got, want = fns.bulk_values(fn, x, sieve_small), _bulk_values_per_prime(
+            fn, x, sieve_small)
+        assert got.dtype == want.dtype and np.array_equal(
+            got.view(np.uint8), want.view(np.uint8)), fn.name
+
+
+def test_concentration_scan_matches_the_per_prime_route(sieve_small):
+    cps = [10, 100, 1000, sieve_small.limit]
+    hits = 0
+    for fn, target in _rules():
+        for kwargs in ({}, {"tolerance": 1e-9}, {"predicate": lambda v: abs(v) > 1.5}):
+            got = concentration_scan(fn, target, sieve_small.limit, cps, sieve_small,
+                                     **kwargs).partial_sums
+            want = _concentration_per_prime(fn, target,
+                                            sieve_small.limit, cps, sieve_small, **kwargs)
+            assert got == want.tolist(), (fn.name, target, kwargs)
+            hits += got[-1] > 0
+    assert hits > 40  # the targets are hit, not only missed
+
+
+def test_big_integers_compare_as_python_does(sieve_small):
+    # numpy would round 2^53 + 1 to 2^53 before comparing
+    fn = fns.custom(lambda p, m: 2**53 + 1 if p == 3 else 0)
+    assert concentration_scan(fn, 2.0**53, 100, [100], sieve_small).partial_sums == [0.0]
+    fn = fns.custom(lambda p, m: 2.0**53 if p == 3 else 0.0)
+    assert concentration_scan(fn, 2**53 + 1, 100, [100], sieve_small).partial_sums == [0.0]
+    assert concentration_scan(fn, 2**53, 100, [100], sieve_small).partial_sums == [1 / 3]
+
+
+def test_nonfinite_rule_raises_at_the_first_p_then_m(sieve_small):
+    # non-finite at (5, 1) and (2, 2): the loop over p, then m meets (2, 2) first
+    rule = lambda p, m: float("nan") if (p, m) in ((5, 1), (2, 2)) else 1.0
+    complex_rule = lambda p, m: complex(1, math.inf) if p in (7, 11) else 1j
+    for route in (fns.bulk_values, _bulk_values_per_prime):
+        with pytest.raises(EvaluationError) as err:
+            route(fns.custom(rule), 100, sieve_small)
+        assert (err.value.p, err.value.m) == (2, 2)
+        assert str(err.value) == "rule returned non-finite value nan at p=2, m=2"
+    for route in (concentration_scan, _concentration_per_prime):
+        with pytest.raises(EvaluationError) as err:
+            route(fns.custom(rule), 1.0, 100, [100], sieve_small)
+        assert (err.value.p, err.value.m) == (5, 1)
+        with pytest.raises(EvaluationError) as err:
+            route(fns.custom(complex_rule), 1j, 100, [100], sieve_small)
+        assert (err.value.p, err.value.m) == (7, 1)
+        assert str(err.value) == "rule returned non-finite value (1+infj) at p=7, m=1"

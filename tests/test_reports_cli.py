@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from katailab import cli, reports
+from katailab import cli, equidist, reports
 from katailab import functions as fns
 from katailab.cli import main, parse_function, parse_hardy, parse_set
 from katailab.constants import Constant, rational
@@ -222,6 +222,28 @@ def test_weyl_command(tmp_path, cache):
 def test_weyl_dilation_mode(cache):
     assert run(["weyl", "--hardy", "power:1.5", "--dilate", "2", "3",
                 "--n", "10000", "--kmax", "2", "--cache", cache]) == 0
+
+
+def test_weyl_threads_take_effect_and_keep_the_bytes(tmp_path, cache, monkeypatch):
+    seen = []
+    sums = equidist.checkpoint_sums
+
+    def recording(values_of, checkpoints, threads=1):
+        seen.append(threads)
+        return sums(values_of, checkpoints, threads=threads)
+
+    monkeypatch.setattr(equidist, "checkpoint_sums", recording)
+    # N > 2^16: the Weyl sums span several chunks, so two threads split them
+    for mode in (["--set", "squarefree"], ["--dilate", "2", "3"]):
+        outs = []
+        for threads in (1, 2):
+            out = tmp_path / f"weyl_{mode[0]}_{threads}.json"
+            assert run(["weyl", *mode, "--hardy", "power:1.5", "--n", "150000",
+                        "--threads", str(threads), "--cache", cache,
+                        "--json", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1], mode
+    assert seen == [1, 2, 1, 2]
 
 
 def test_ergodic_modes(cache):

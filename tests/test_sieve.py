@@ -1,5 +1,7 @@
 """Sieve construction, factorization, bulk tables, and the cache format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,10 +26,24 @@ from katailab.sieve import (
     CACHE_MAGIC,
     FactorSieve,
     SieveRangeError,
-    _trial_spf,
+    _simple_spf,
+    _spot_check_sample,
+    _spot_check_truth,
     build_sieve,
     factorize,
 )
+
+
+def _trial_spf(n: int) -> int:
+    """Smallest prime factor of n >= 2 by trial division, one n at a time."""
+    if n % 2 == 0:
+        return 2
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return d
+        d += 2
+    return n
 
 
 def test_small_spf_values_by_inspection():
@@ -225,6 +241,74 @@ def test_cache_rejects_corruption(tmp_path):
     bad2.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="spot check"):
         FactorSieve.load(bad2)
+
+
+@pytest.mark.parametrize("limit", [2, 3, 10**5, 10**7, 2**31])
+def test_spot_check_truth_is_trial_division(limit):
+    # the samples alone: no sieve of the limit is built
+    sample = _spot_check_sample(limit)
+    assert sample.size == 1024 and sample.min() >= 2 and sample.max() <= limit
+    assert _spot_check_truth(sample, limit).tolist() == [_trial_spf(int(n)) for n in sample]
+    # squares and products of the primes just below sqrt(limit): their smallest
+    # prime factor is among the last primes of the trial set
+    root = int(np.sqrt(limit))
+    base = _simple_spf(max(root, 2))
+    top = [p for p in range(max(2, root - 300), root + 1) if base[p] == p][-4:]
+    pairs = [(p, q) for p in top for q in top if p <= q]
+    near = np.array([p * q for p, q in pairs], dtype=np.int64)
+    assert _spot_check_truth(near, limit).tolist() == [p for p, _ in pairs]
+    assert limit < 10**5 or len(pairs) == 10
+
+
+def _corrupt(path, tmp_path, entries):
+    raw = bytearray(path.read_bytes())
+    for n in entries:
+        raw[16 + 4 * n] ^= 0xFF
+    bad = tmp_path / "corrupt.spf"
+    bad.write_bytes(bytes(raw))
+    return bad
+
+
+def test_cache_spot_check_catches_the_last_sample(tmp_path):
+    path = tmp_path / "cache.spf"
+    build_sieve(10_000).save(path)
+    last = int(_spot_check_sample(10_000)[-1])
+    with pytest.raises(ValueError, match=f"spot check at n={last}$"):
+        FactorSieve.load(_corrupt(path, tmp_path, [last]))
+
+
+def test_cache_spot_check_names_the_first_failing_sample_in_seeded_order(tmp_path):
+    path = tmp_path / "cache.spf"
+    build_sieve(10_000).save(path)
+    sample = _spot_check_sample(10_000).tolist()
+    # two samples with the later one smaller, so seeded order is not numeric order
+    first = sample[5]
+    later = next(n for n in sample[6:] if n < first and n not in sample[:6])
+    with pytest.raises(ValueError, match=f"spot check at n={first}$"):
+        FactorSieve.load(_corrupt(path, tmp_path, [later, first]))
+
+
+def test_primes_match_the_spf_fixed_points_across_blocks():
+    s = build_sieve(200_000)
+    n = np.arange(s.limit + 1)
+    every = n[2:][s.spf[2:] == n[2:]]
+    for upto in (2, 3, 4, 65_537, 65_538, 65_539, 131_073, 131_074, 199_999, 200_000):
+        got = s.primes(upto)
+        assert got.dtype == np.int64 and np.array_equal(got, every[every <= upto]), upto
+
+
+def test_primes_peak_is_the_output_plus_one_block():
+    s = build_sieve(2_000_000)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        out = s.primes()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.size == 148_933
+    # one block: the uint32 arange, the bool mask and at most 2^16 int64 indices
+    assert peak <= out.nbytes + (1 << 16) * (4 + 1 + 8) + 4096, peak
 
 
 def test_unknown_table_name_lists_the_tables():
