@@ -14,6 +14,7 @@ out of memory.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -256,8 +257,8 @@ def cmd_dist(args):
              f"cdf[{fn.name}] at {args.n}: " +
              " ".join(f"F({t:g})={y:.6f}" for t, y in table[:: max(1, len(table) // 5)]))
         return 0
+    checkpoints = checkpoints_upto(parse_checkpoints(args.checkpoints, args.y), args.y, "y")
     sieve = obtain_sieve(args, args.y)
-    checkpoints = parse_checkpoints(args.checkpoints, args.y)
     params = {"function": fn.to_json(), "series": args.series, "y": args.y,
               "checkpoints": checkpoints, "t": args.t, "target": args.target,
               "tolerance": args.tolerance}
@@ -356,14 +357,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--limit", type=int, required=True)
     s.add_argument("--out", help="cache path (default: cache dir/spf_<limit>.spf)")
     s.add_argument("--threads", type=int, default=1)
-    s.set_defaults(func=cmd_sieve)
 
     s = sp.add_parser("density", help="empirical density of a level set")
     s.add_argument("--set", required=True)
     s.add_argument("--x", type=int, required=True)
     s.add_argument("--checkpoints")
     _common(s)
-    s.set_defaults(func=cmd_density)
 
     s = sp.add_parser("katai", help="orthogonality decay / dilated correlations")
     s.add_argument("--set", default="squarefree")
@@ -375,14 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--negative-control", action="store_true",
                    help="allow rational theta (hypothesis-failure mode)")
     _common(s)
-    s.set_defaults(func=cmd_katai)
 
     s = sp.add_parser("tk", help="finite-prime-set variance against its budget")
     s.add_argument("--pmax", type=int, required=True)
     s.add_argument("--x", type=int)
     s.add_argument("--x-list", help="comma-separated x values")
     _common(s)
-    s.set_defaults(func=cmd_tk)
 
     s = sp.add_parser("meanvalue", help="empirical mean, optionally vs Euler product")
     s.add_argument("--function", required=True)
@@ -391,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--euler-product", action="store_true")
     s.add_argument("--prime-cutoff", type=int, default=100_000)
     _common(s)
-    s.set_defaults(func=cmd_meanvalue)
 
     s = sp.add_parser("dist", help="value distribution and criterion series")
     s.add_argument("--function", required=True)
@@ -405,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--tolerance", type=float, default=0.0)
     s.add_argument("--checkpoints")
     _common(s)
-    s.set_defaults(func=cmd_dist)
 
     s = sp.add_parser("weyl", help="equidistribution report along a level set")
     s.add_argument("--set", default="squarefree")
@@ -415,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--dilate", nargs=2, type=int, metavar=("P", "Q"))
     s.add_argument("--sieve-limit", type=int)
     _common(s)
-    s.set_defaults(func=cmd_weyl)
 
     s = sp.add_parser("ergodic", help="ergodic-sequence Weyl averages")
     s.add_argument("--set", required=True)
@@ -426,19 +420,25 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--sieve-limit", type=int)
     s.add_argument("--negative-control", action="store_true")
     _common(s)
-    s.set_defaults(func=cmd_ergodic)
 
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser() once per process: parsing leaves the parser unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
+    ap = _parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as err:
         return 2 if err.code not in (0, None) else 0
     try:
-        return args.func(args)
+        # looked up on each call: the parser outlives any rebinding of cmd_*
+        return globals()[f"cmd_{args.command}"](args)
     except SieveRangeError as err:
         print(f"numeric budget violated: {err}", file=sys.stderr)
         return 3

@@ -94,11 +94,16 @@ class ArithmeticFunction:
         rule = self._rule
         values = [rule(p, m) for p in ps]
         arr = np.array(values)  # integers past 64 bits give an object array
-        if arr.dtype.kind not in "biu":  # floats, complex, and objects such as Fraction
-            finite = np.isfinite(arr if arr.dtype.kind in "fc" else arr.astype(complex))
-            if not finite.all():
-                i = int(np.argmin(finite))
-                raise EvaluationError(ps[i], m, values[i])
+        if arr.dtype.kind in "fc":
+            finite = np.isfinite(arr)
+        elif arr.dtype.kind == "O":  # ints past 64 bits and Fractions are finite
+            finite = np.array([isinstance(v, (int, Fraction)) or cmath.isfinite(v)
+                               for v in values])
+        else:
+            return values, arr
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise EvaluationError(ps[i], m, values[i])
         return values, arr
 
     def __call__(self, n: int, sieve: FactorSieve):

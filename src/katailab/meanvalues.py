@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .functions import ArithmeticFunction
+from .functions import ArithmeticFunction, EvaluationError
 from .reports import MeanValueReport, SeriesReport
 from .sieve import FactorSieve
 from .summation import CHUNK, checkpoint_sums, checkpoints_upto, divergence_slope, prime_series
@@ -81,15 +81,12 @@ def euler_product_mean(rule, prime_cutoff: int, sieve: FactorSieve | None = None
     if sieve is None or prime_cutoff > sieve.limit:
         sieve = FactorSieve.build(prime_cutoff)
     primes = sieve.primes(prime_cutoff)
-    g = rule.prime_power if isinstance(rule, ArithmeticFunction) else rule
+    values, depth, failed = _values_by_exponent(rule, primes)
     product = complex(1.0)
-    for p in primes.tolist():
-        terms = []
-        weight, m = 1.0 / p, 1
-        while weight >= POWER_CUTOFF:
-            terms.append((m, g(p, m)))
-            weight /= p
-            m += 1
+    for i, (p, count) in enumerate(zip(primes.tolist(), depth)):
+        if failed is not None and p == failed.p:
+            raise failed
+        terms = [(m, values[m - 1][i]) for m in range(1, count + 1)]
         if all(isinstance(v, (int, Fraction)) for _, v in terms):
             # exact local factor (p - 1)/p * (1 + sum_m v_m / p^m) as one ratio
             # of integers over big = lcm(denominators) * p^M, the sum taken by
@@ -116,6 +113,41 @@ def euler_product_mean(rule, prime_cutoff: int, sieve: FactorSieve | None = None
         product *= local
     tail = 2.0 / prime_cutoff
     return product, tail
+
+
+def _values_by_exponent(rule, primes):
+    """(values, depth, failed): g(p, m) for every prime power p^m with
+    p^-m >= 1e-18, taken one exponent m at a time.
+
+    values[m - 1] holds g(p, m) at a prefix of primes, and depth[i] is the
+    number of exponents of primes[i]; p^-m comes from the same repeated
+    division as a loop over m.  An ArithmeticFunction's values come from
+    prime_values, which raises EvaluationError at a non-finite value; failed
+    is the first such error in p-then-m order (or None), and the values below
+    its prime are still returned, so the product raises it on reaching that
+    prime, as a loop over p, then m, would.
+    """
+    if isinstance(rule, ArithmeticFunction):
+        def row(ps, m):
+            return rule.prime_values(ps, m)[0]
+    else:
+        def row(ps, m):
+            return [rule(p, m) for p in ps.tolist()]
+    values, depth, failed = [], np.zeros(primes.size, dtype=np.int64), None
+    weight, m = 1.0 / primes, 1
+    # p^-m falls with p, so the primes still inside the truncation are a prefix
+    while (alive := int(np.count_nonzero(weight >= POWER_CUTOFF))):
+        ps = primes[:alive]
+        try:
+            values.append(row(ps, m))
+        except EvaluationError as err:
+            values.append(row(ps[:int(np.searchsorted(ps, err.p))], m))
+            if failed is None or err.p < failed.p:
+                failed = err
+        depth[:alive] += 1
+        weight = weight[:alive] / ps
+        m += 1
+    return values, depth.tolist(), failed
 
 
 def mean_with_product(fn: ArithmeticFunction, n_max: int, checkpoints,

@@ -370,9 +370,10 @@ def turan_kubilius_variance(prime_set, x: int, sieve: FactorSieve) -> TuranKubil
     if max(primes) > x:
         raise ValueError(f"max(P) = {max(primes)} exceeds x = {x}")
     sieve.require_upto("x", x)
-    for p in primes:
-        if int(sieve.spf[p]) != p:
-            raise ValueError(f"{p} is not prime")
+    ps = np.array(primes, dtype=np.int64)
+    composite = ps[sieve.spf[ps] != ps]
+    if composite.size:
+        raise ValueError(f"{int(composite[0])} is not prime")
 
     w = np.zeros(x + 1, dtype=np.int16)
     for p in primes:

@@ -1,16 +1,20 @@
 """Smallest-prime-factor sieve, factorization, and bulk arithmetic tables.
 
-The FactorSieve is the backbone of the package: a uint32 table spf[n] holding
-the smallest prime factor of every n up to its limit, built segment-parallel
-but byte-identical for any thread count.  Factorization is then an O(log n)
-chase n -> n / spf[n].
+The FactorSieve is the backbone of the package: a table of the smallest prime
+factor spf(n) of every n up to its limit, built segment-parallel but
+byte-identical for any thread count.  Every composite n <= 2^31 has
+spf(n) <= 46,340 < 2^16, so the table is uint16 with 0 marking the primes
+(and n = 0, 1): half the bytes of a uint32 table of spf(n).  One accessor,
+FactorSieve.spf, decodes it: spf[n], spf[lo:hi] and spf[index array] give
+spf(n) as uint32, a prime decoded to itself and 0 at n < 2.  Factorization is
+then an O(log n) chase n -> n / spf(n).
 
 A multiplicative (or additive) function is fixed by its values g(p^e) on
 prime powers, so every bulk table (big_omega, small_omega, mobius, tau, phi,
 sigma, and any prime-power rule through functions.bulk_values) comes from one
 kernel,
 
-    v(n) = v(n / p^e) * g(p, e)   (+ for additive tables),  p = spf[n], p^e || n,
+    v(n) = v(n / p^e) * g(p, e)   (+ for additive tables),  p = spf(n), p^e || n,
 
 run block by block over [lo, hi) with hi <= 2 lo: n / p^e <= n / 2 lies below
 the block, so each block is one vectorized gather.  Tables are sized to the
@@ -23,18 +27,22 @@ for big_omega, small_omega and mobius, int16 for tau (at most 1600), int32
 for phi (at most n - 1), int64 for sigma, bool for squarefree.  A consumer
 that multiplies table entries widens them to int64 first.
 
-A cache file is a 16-byte header (magic, limit) and the spf entries; load()
-memory-maps them, so a request reads only the pages of the prefix it uses.
-It then checks 1024 seeded entries against their true smallest prime factor,
-found by one array trial division over the primes <= sqrt(limit) of an
-independent small sieve: the same samples and the same exact answers as a
-per-sample trial division, so the check is just as strong.
+A cache file (v2) is the magic KATAISV2, the limit (LE uint64), one crc32 per
+2^16-entry segment of the table (LE uint32), then the table (LE uint16).
+load() memory-maps the table, so a request reads only the pages of the
+prefix it uses, and each segment is checked against its crc32 the first time
+a read touches it.  load() also checks 1024 seeded raw entries, without
+setting off those checks, against their true smallest prime factor, found by
+one array trial division over the primes <= sqrt(limit) of an independent
+small sieve.  A v1 file (KATAISV1, LE uint32 entries with spf(p) = p) still
+loads: it is converted into the uint16 table block by block.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import isqrt
@@ -44,10 +52,12 @@ import numpy as np
 from .reports import _atomic_write
 
 MAX_LIMIT = 2**31
-CACHE_MAGIC = b"KATAISV1"
+CACHE_MAGIC = b"KATAISV2"
+_V1_MAGIC = b"KATAISV1"
 _HEADER = 16  # magic, then the limit as LE uint64
+_CRC_SEGMENT = 1 << 16  # table entries per crc32 in a cache file
 _SPOT_CHECK_SEED = 0x5EED
-_SEGMENT = 1 << 22
+_SEGMENT = 1 << 20  # build segment: its strided writes stay in cache
 _BLOCK = 1 << 16
 
 
@@ -75,12 +85,76 @@ class Factorization:
         return out
 
 
-class FactorSieve:
-    """Immutable smallest-prime-factor table for 0..limit (spf[0]=spf[1]=0)."""
+def _decode(raw: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """spf from the raw entries at n, written over n, a fresh uint32 array of
+    their indices: 0 marks a prime, its own spf.  In place, since a 2^16-entry
+    temporary costs about as much as the arithmetic."""
+    n *= raw == 0
+    n += raw
+    return n
 
-    def __init__(self, limit: int, spf: np.ndarray):
+
+class SpfTable:
+    """The uint16 table of a FactorSieve behind its one accessor.
+
+    raw[n] is spf(n) for composite n and 0 at primes and n < 2.  spf[n] (an
+    int), spf[lo:hi] and spf[idx] (an integer array) decode it to uint32 with
+    each prime decoded to itself and 0 at n < 2.  A table loaded from a cache
+    carries one crc32 per 2^16-entry segment; a read through the accessor or
+    block() first checks each segment it touches that no read has checked
+    yet, and a mismatch raises ValueError naming the segment.
+    """
+
+    def __init__(self, raw: np.ndarray, crcs: np.ndarray | None = None):
+        self.raw = raw
+        self._crcs = crcs
+        self._checked = None if crcs is None else np.zeros(crcs.size, dtype=bool)
+
+    def block(self, lo: int, hi: int) -> np.ndarray:
+        """raw[lo:hi], its segments checked."""
+        if self._crcs is not None and hi > lo:
+            self._check(range(lo // _CRC_SEGMENT, (hi - 1) // _CRC_SEGMENT + 1))
+        return self.raw[lo:hi]
+
+    def _check(self, segments):
+        # two threads racing on one segment only check it twice
+        for k in segments:
+            if not self._checked[k]:
+                lo = k * _CRC_SEGMENT
+                if zlib.crc32(self.raw[lo:lo + _CRC_SEGMENT]) != self._crcs[k]:
+                    hi = min(lo + _CRC_SEGMENT, self.raw.size) - 1
+                    raise ValueError(f"sieve cache segment {k} (n = {lo}..{hi}) "
+                                     f"fails its checksum")
+                self._checked[k] = True
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):  # the factorization chase
+            n = int(key)
+            if self._crcs is not None:
+                self._check((n // _CRC_SEGMENT,))
+            p = int(self.raw[n])
+            return p if p or n < 2 else n
+        if isinstance(key, slice):
+            lo, hi, step = key.indices(self.raw.size)
+            if step != 1:
+                raise ValueError("spf slices take no step")
+            out = _decode(self.block(lo, hi), np.arange(lo, hi, dtype=np.uint32))
+            out[: max(0, min(2, hi) - lo)] = 0
+            return out
+        n = np.asarray(key)
+        if self._crcs is not None:
+            self._check(np.unique(n // _CRC_SEGMENT).tolist())
+        out = _decode(self.raw[n], n.astype(np.uint32))
+        out[n < 2] = 0
+        return out
+
+
+class FactorSieve:
+    """Immutable smallest-prime-factor table for 0..limit, read through spf."""
+
+    def __init__(self, limit: int, raw: np.ndarray, crcs: np.ndarray | None = None):
         self.limit = int(limit)
-        self.spf = spf
+        self.spf = SpfTable(raw, crcs)
         self._tables: dict[str, np.ndarray] = {}
         self._rest_e: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -95,11 +169,12 @@ class FactorSieve:
             )
         root = isqrt(limit)
         base = _simple_spf(max(root, 2))
-        base_primes = FactorSieve(base.size - 1, base).primes(root)
+        # largest first: the last write at a composite is its smallest prime
+        # factor, and primes are never written
+        base_primes = FactorSieve(base.size - 1, base).primes(root).tolist()[::-1]
 
-        spf = np.zeros(limit + 1, dtype=np.uint32)
-        if root >= 2:
-            spf[2 : root + 1] = base[2 : root + 1]
+        raw = np.zeros(limit + 1, dtype=np.uint16)
+        raw[2 : root + 1] = base[2 : root + 1]
 
         segments = [
             (lo, min(lo + _SEGMENT, limit + 1))
@@ -108,16 +183,11 @@ class FactorSieve:
 
         def mark(seg):
             lo, hi = seg
-            block = spf[lo:hi]
+            block = raw[lo:hi]
             for p in base_primes:
-                p = int(p)
-                start = ((lo + p - 1) // p) * p
+                start = -(-lo // p) * p
                 if start < hi:
-                    view = block[start - lo :: p]
-                    view[view == 0] = p
-            # untouched entries are primes
-            idx = np.nonzero(block == 0)[0]
-            block[idx] = (idx + lo).astype(np.uint32)
+                    block[start - lo :: p] = p
 
         if threads > 1 and segments:
             with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -125,7 +195,7 @@ class FactorSieve:
         else:
             for seg in segments:
                 mark(seg)
-        return FactorSieve(limit, spf)
+        return FactorSieve(limit, raw)
 
     # -- factorization -----------------------------------------------------
 
@@ -145,7 +215,7 @@ class FactorSieve:
         pairs = []
         spf = self.spf
         while n > 1:
-            p = int(spf[n])
+            p = spf[n]
             e = 0
             while n % p == 0:
                 n //= p
@@ -159,17 +229,15 @@ class FactorSieve:
         if upto < 2:
             return np.empty(0, dtype=np.int64)
         self._check(upto)
-        # n is prime iff spf[n] == n; counting first sizes the output exactly,
-        # so no whole-prefix temporary is made
+        # n >= 2 is prime iff its raw entry is 0; counting the nonzero entries
+        # first sizes the output exactly, with no temporary
         blocks = [(lo, min(lo + _BLOCK, upto + 1)) for lo in range(2, upto + 1, _BLOCK)]
-
-        def prime_mask(lo, hi):
-            return self.spf[lo:hi] == np.arange(lo, hi, dtype=np.uint32)
-
-        out = np.empty(sum(np.count_nonzero(prime_mask(*b)) for b in blocks), np.int64)
+        block = self.spf.block
+        out = np.empty(sum(hi - lo - np.count_nonzero(block(lo, hi)) for lo, hi in blocks),
+                       np.int64)
         k = 0
         for lo, hi in blocks:
-            idx = np.flatnonzero(prime_mask(lo, hi))
+            idx = np.flatnonzero(block(lo, hi) == 0)
             np.add(idx, lo, out=out[k:k + idx.size])
             k += idx.size
         return out
@@ -177,28 +245,32 @@ class FactorSieve:
     # -- bulk tables -------------------------------------------------------
 
     def _split(self, upto: int) -> tuple[np.ndarray, np.ndarray]:
-        """(rest, e) over 0..upto with n = spf[n]^e[n] * rest[n]; rest = 1, e = 0
+        """(rest, e) over 0..upto with n = spf(n)^e[n] * rest[n]; rest = 1, e = 0
         at n < 2.  Memoized; a larger upto rebuilds the pair."""
         if self._rest_e is None or self._rest_e[0].size <= upto:
             spf = self.spf
+            raw = spf.raw  # every block below lo was read, so checked, first
             rest = np.ones(upto + 1, dtype=np.uint32)
             e = np.zeros(upto + 1, dtype=np.int8)
             for lo, hi in _blocks(upto):
                 p = spf[lo:hi]
                 div32 = np.arange(lo, hi, dtype=np.uint32) // p
                 div = div32.astype(np.intp)  # take() is fastest with intp indices
-                same = spf.take(div) == p  # spf[1] = 0 never matches
+                # raw[div] == p misses n = p^2, where div = p is a prime stored
+                # as 0; raw[1] = 0 never matches
+                same = (raw.take(div) == p) | (div32 == p)
                 rest[lo:hi] = np.where(same, rest.take(div), div32)
                 e[lo:hi] = e.take(div) * same + 1
             self._rest_e = rest, e
         rest, e = self._rest_e
         return rest[: upto + 1], e[: upto + 1]
 
-    def _kernel(self, rule, dtype, additive: bool, upto: int) -> np.ndarray:
+    def _kernel(self, rule, dtype, additive: bool, upto: int, reads_p: bool = True):
         """out[n] = out[n / p^e] (+ or *) rule(p, e) for 2 <= n <= upto.
 
-        rule is vectorized over a block's (spf uint32, e int8) arrays; out[1]
-        is the unit of the combination and out[0] = 0.
+        rule is vectorized over a block's (spf uint32, e int8) arrays; a rule
+        of e alone takes reads_p=False and gets p=None, which spares decoding
+        the table.  out[1] is the unit of the combination and out[0] = 0.
         """
         rest, e = self._split(upto)
         spf = self.spf
@@ -207,7 +279,7 @@ class FactorSieve:
             out[1] = 1
         for lo, hi in _blocks(upto):
             head = out.take(rest[lo:hi].astype(np.intp))
-            g = rule(spf[lo:hi], e[lo:hi])
+            g = rule(spf[lo:hi] if reads_p else None, e[lo:hi])
             # a fixed operand order: numpy's SIMD complex multiply is not
             # bitwise commutative
             out[lo:hi] = np.add(head, g) if additive else np.multiply(head, g)
@@ -226,7 +298,7 @@ class FactorSieve:
         memo = self._tables.get(name)
         if memo is None or memo.size <= upto:
             if name in _RULES:
-                memo = self._kernel(*_RULES[name], upto=upto)
+                memo = self._kernel(*_RULES[name], upto=upto, reads_p=name not in _E_ONLY)
             elif name == "squarefree":
                 memo = _kfree_mask(2, upto, self)
             else:
@@ -238,37 +310,77 @@ class FactorSieve:
     # -- cache file --------------------------------------------------------
 
     def save(self, path: str | os.PathLike):
-        """Write the cache file atomically (magic, LE limit, LE uint32 entries)."""
-        _atomic_write(path, CACHE_MAGIC, struct.pack("<Q", self.limit),
-                      self.spf.astype("<u4", copy=False))
+        """Write the v2 cache file atomically: magic, LE limit, one LE crc32 per
+        2^16-entry segment, then the LE uint16 table."""
+        body = self.spf.block(0, self.limit + 1).astype("<u2", copy=False)
+        crcs = np.array([zlib.crc32(body[lo:lo + _CRC_SEGMENT])
+                         for lo in range(0, body.size, _CRC_SEGMENT)], dtype="<u4")
+        _atomic_write(path, CACHE_MAGIC, struct.pack("<Q", self.limit), crcs, body)
 
     @staticmethod
     def load(path: str | os.PathLike) -> "FactorSieve":
-        """Map and verify a cache file; spot-checks 1024 seeded entries by trial
+        """Map a cache file and spot-check 1024 seeded entries by trial
         division, run as one array pass (_spot_check_truth).
 
-        The spf body is memory-mapped read-only, so a request reads from disk
-        only the pages of the prefix it uses.
+        The table of a v2 file is memory-mapped read-only, so a request reads
+        from disk only the pages of the prefix it uses, and checks their
+        segments' crc32 as it first reads them.  A v1 file is converted.
         """
         with open(path, "rb") as fh:
             header = fh.read(_HEADER)
-            if header[:8] != CACHE_MAGIC:
-                raise ValueError(f"bad sieve cache magic {header[:8]!r} in {path}")
+            magic = header[:8]
+            if magic not in (CACHE_MAGIC, _V1_MAGIC):
+                raise ValueError(f"bad sieve cache magic {magic!r} in {path}")
             if len(header) < _HEADER:
                 raise ValueError(f"sieve cache truncated: {len(header)}-byte header")
             (limit,) = struct.unpack("<Q", header[8:])
             if not (2 <= limit <= MAX_LIMIT):
                 raise ValueError(f"sieve cache limit {limit} out of range")
-            entries = (os.fstat(fh.fileno()).st_size - _HEADER) // 4
-            if entries < limit + 1:
-                raise ValueError(f"sieve cache truncated: {entries} of {limit + 1} entries")
-            spf = np.memmap(fh, dtype="<u4", mode="r", offset=_HEADER, shape=(limit + 1,))
-        spf = spf.view(np.ndarray)  # plain array ops; the view keeps the map open
+            if magic == _V1_MAGIC:
+                raw, crcs = _from_v1(fh, limit), None
+            else:
+                segments = -(-(limit + 1) // _CRC_SEGMENT)
+                head = fh.read(4 * segments)
+                if len(head) < 4 * segments:
+                    raise ValueError(f"sieve cache truncated: {len(head) // 4} of "
+                                     f"{segments} checksums")
+                crcs = np.frombuffer(head, dtype="<u4")
+                offset = _HEADER + len(head)
+                entries = (os.fstat(fh.fileno()).st_size - offset) // 2
+                if entries < limit + 1:
+                    raise ValueError(f"sieve cache truncated: {entries} of "
+                                     f"{limit + 1} entries")
+                raw = np.memmap(fh, dtype="<u2", mode="r", offset=offset,
+                                shape=(limit + 1,))
+                raw = raw.view(np.ndarray)  # plain array ops; the view keeps the map open
+        # raw entries: no crc32 is attached yet, so the scattered samples do
+        # not set off a check of every segment
         sample = _spot_check_sample(limit)
-        bad = np.flatnonzero(spf[sample] != _spot_check_truth(sample, limit))
+        got = SpfTable(raw)[sample]
+        bad = np.flatnonzero(got != _spot_check_truth(sample, limit))
         if bad.size:
             raise ValueError(f"sieve cache failed spot check at n={int(sample[bad[0]])}")
-        return FactorSieve(int(limit), spf)
+        return FactorSieve(int(limit), raw, crcs)
+
+
+def _from_v1(fh, limit: int) -> np.ndarray:
+    """The uint16 table of a v1 cache file (LE uint32 entries, spf(p) = p),
+    converted block by block."""
+    entries = (os.fstat(fh.fileno()).st_size - _HEADER) // 4
+    if entries < limit + 1:
+        raise ValueError(f"sieve cache truncated: {entries} of {limit + 1} entries")
+    old = np.memmap(fh, dtype="<u4", mode="r", offset=_HEADER, shape=(limit + 1,))
+    raw = np.empty(limit + 1, dtype=np.uint16)
+    for lo in range(0, limit + 1, _BLOCK):
+        hi = min(lo + _BLOCK, limit + 1)
+        block = old[lo:hi]
+        coded = np.where(block == np.arange(lo, hi, dtype=np.uint32), 0, block)
+        wide = np.flatnonzero(coded > 0xFFFF)
+        if wide.size:
+            raise ValueError(f"sieve cache entry {int(coded[wide[0]])} at "
+                             f"n={lo + int(wide[0])} is no smallest prime factor")
+        raw[lo:hi] = coded
+    return raw
 
 
 def _blocks(upto: int):
@@ -300,6 +412,7 @@ _RULES = {
     "phi": (_phi_pp, np.int32, False),  # phi(n) < 2^31 for n <= 2^31
     "sigma": (_sigma_pp, np.int64, False),
 }
+_E_ONLY = frozenset({"big_omega", "small_omega", "mobius", "tau"})  # rules that ignore p
 
 
 def _kfree_mask(k: int, x: int, sieve: FactorSieve) -> np.ndarray:
@@ -314,13 +427,12 @@ def _kfree_mask(k: int, x: int, sieve: FactorSieve) -> np.ndarray:
 
 
 def _simple_spf(limit: int) -> np.ndarray:
-    spf = np.zeros(limit + 1, dtype=np.uint32)
+    """The uint16 table of FactorSieve up to a small limit (< 2^32), sieved directly."""
+    spf = np.zeros(limit + 1, dtype=np.uint16)
     for p in range(2, isqrt(limit) + 1):
         if spf[p] == 0:
             view = spf[p * p :: p]
             view[view == 0] = p
-    idx = np.nonzero(spf[2:] == 0)[0] + 2
-    spf[idx] = idx.astype(np.uint32)
     return spf
 
 

@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 
 from katailab import functions as fns
-from katailab.constants import Constant
+from katailab.constants import Constant, rational
 from katailab.meanvalues import (
     empirical_cdf,
     empirical_mean,
@@ -131,6 +131,106 @@ def test_euler_product_names_the_first_prime_power_outside_the_unit_ball():
     with pytest.raises(LocalFactorError, match="small_omega is additive"):
         euler_product_mean(fns.small_omega(), 100)
 
+
+def _per_prime_euler_product(rule, prime_cutoff, sieve):
+    """The Euler product as one loop over p, then m, with a memoized
+    prime_power per term: the route euler_product_mean replaced."""
+    from katailab.meanvalues import _UNIT_BALL_SLACK, _outside_unit_ball
+
+    if isinstance(rule, fns.ArithmeticFunction) and rule.kind == "additive":
+        raise LocalFactorError(f"{rule.name} is additive; the mean-value Euler "
+                               f"product needs a multiplicative rule")
+    g = rule.prime_power if isinstance(rule, fns.ArithmeticFunction) else rule
+    product = complex(1.0)
+    for p in sieve.primes(prime_cutoff).tolist():
+        terms = []
+        weight, m = 1.0 / p, 1
+        while weight >= 1e-18:
+            terms.append((m, g(p, m)))
+            weight /= p
+            m += 1
+        if all(isinstance(v, (int, Fraction)) for _, v in terms):
+            den = math.lcm(*[v.denominator for _, v in terms])
+            inner = 0
+            for m, v in terms:
+                scaled = v.numerator * (den // v.denominator)
+                if abs(scaled) > den:
+                    raise _outside_unit_ball(p, m, v)
+                inner = inner * p + scaled
+            big = den * p ** len(terms)
+            local = complex((p - 1) * (big + inner) / (p * big))
+        else:
+            bad = next((t for t in terms if abs(t[1]) > _UNIT_BALL_SLACK), None)
+            if bad is not None:
+                raise _outside_unit_ball(p, *bad)
+            inner = complex(1.0)
+            for m, v in reversed(terms):
+                inner += complex(v) / p**m
+            local = (1.0 - 1.0 / p) * inner
+        product *= local
+    return product, 2.0 / prime_cutoff
+
+
+def _outcome(call):
+    try:
+        value, tail = call()
+    except (LocalFactorError, fns.EvaluationError) as err:
+        return type(err), str(err)
+    return value.real.hex(), value.imag.hex(), tail
+
+
+def _euler_rules():
+    xi = [Constant("sqrt", 2), Constant("golden"), rational(Fraction(1, 3))]
+    rules = {name: make for name, make in fns.CATALOG.items()}
+    rules.update({f"{fam.__name__}({c})": (lambda fam=fam, c=c: fam(c))
+                  for fam in (fns.lambda_xi, fns.kappa_xi, fns.mu_xi) for c in xi})
+    rules.update({
+        "chi_5": lambda: fns.dirichlet_character(5, [1]),
+        "chi_8": lambda: fns.dirichlet_character(8, [1, 1]),
+        "chi_7_real": lambda: fns.dirichlet_character(7, [3]),
+        "archimedean": lambda: fns.archimedean(1.0),
+        "int": lambda: lambda p, m: (-1) ** (p + m) if m < 3 else 0,
+        "fraction": lambda: lambda p, m: Fraction(1, m + 1) - Fraction(1, p),
+        "float": lambda: lambda p, m: math.cos(p * m) / (1 + m),
+        "complex": lambda: lambda p, m: complex(math.cos(p), math.sin(m)) / 1.5,
+        "custom_fn": lambda: fns.ArithmeticFunction(
+            "custom", lambda p, m: complex(0.5, -0.25) ** m if p % 4 == 1 else 0.75),
+    })
+    return rules
+
+
+def test_euler_product_by_exponent_is_the_per_prime_loop_bit_for_bit():
+    sieve = FactorSieve.build(5_000)
+    for name, make in _euler_rules().items():
+        for cutoff in (2, 3, 97, 5_000):
+            want = _outcome(lambda: _per_prime_euler_product(make(), cutoff, sieve))
+            assert _outcome(lambda: euler_product_mean(make(), cutoff, sieve)) == want, (
+                name, cutoff)
+
+
+def test_euler_product_errors_name_the_same_first_prime_power():
+    nan = float("nan")
+    rules = {
+        # non-finite at (7, 2), outside the ball at (5, 3): 5 comes first
+        "ball_first": lambda p, m: nan if (p, m) == (7, 2) else 1.5 if (p, m) == (5, 3)
+        else 0.5,
+        # at one prime, every value is taken before the ball check
+        "value_first": lambda p, m: nan if (p, m) == (5, 3) else 1.5 if (p, m) == (5, 1)
+        else 0.5,
+        # two non-finite values: the smaller p wins over the smaller m
+        "smaller_p": lambda p, m: nan if (p, m) in ((3, 4), (11, 1)) else 0.5,
+        "same_p": lambda p, m: nan if (p, m) in ((13, 3), (13, 2), (17, 1)) else 0.5,
+        "exact_ball": lambda p, m: Fraction(3, 2) if (p, m) == (5, 2) else 1,
+    }
+    sieve = FactorSieve.build(200)
+    seen = set()
+    for name, rule in rules.items():
+        for wrap in (True, False):
+            make = (lambda: fns.ArithmeticFunction(name, rule)) if wrap else (lambda: rule)
+            want = _outcome(lambda: _per_prime_euler_product(make(), 200, sieve))
+            assert _outcome(lambda: euler_product_mean(make(), 200, sieve)) == want, name
+            seen.add(want[0])
+    assert seen >= {LocalFactorError, fns.EvaluationError}
 
 def test_halasz_formula_consistency(sieve_big):
     # rules with a convergent series and nonzero mean: empirical vs product

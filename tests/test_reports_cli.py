@@ -58,7 +58,7 @@ def read_csv(path):
 def test_sieve_command_writes_valid_cache(tmp_path):
     out = tmp_path / "c.spf"
     assert run(["sieve", "--limit", "100000", "--out", str(out)]) == 0
-    assert out.read_bytes()[:8] == b"KATAISV1"
+    assert out.read_bytes()[:8] == b"KATAISV2"
     assert FactorSieve.load(out).limit == 100_000
 
 
@@ -514,6 +514,47 @@ def test_checkpoints_below_one_exit_2(capsys):
         first = next(c for c in first if int(c) < 1)
         assert capsys.readouterr().err == f"error: checkpoints must be >= 1, got {first}\n"
 
+
+
+@pytest.mark.parametrize("series", ["concentration", "halasz", "three"])
+def test_dist_series_checkpoints_outside_1_to_y_exit_2(series, tmp_path, cache, capsys):
+    out = tmp_path / "s.csv"
+    base = ["dist", "--function", "big_omega", "--series", series, "--y", "1000",
+            "--cache", cache, "--csv", str(out)]
+    assert run([*base, "--checkpoints", "100,5000"]) == 2
+    assert capsys.readouterr().err == "error: checkpoints must be <= y = 1000, got 5000\n"
+    assert run([*base, "--checkpoints", "0,100"]) == 2
+    assert capsys.readouterr().err == "error: checkpoints must be >= 1, got 0\n"
+    assert not out.exists()
+    assert run([*base, "--checkpoints", "100,1000"]) == 0
+
+
+def test_main_parses_with_one_parser_per_process(tmp_path, cache, monkeypatch, capsys):
+    assert cli._parser() is cli._parser()
+    calls = [
+        ["density", "--set", "squarefree", "--x", "50000", "--checkpoints", "100,1000"],
+        ["meanvalue", "--function", "liouville", "--n", "20000"],
+        ["dist", "--function", "mobius", "--series", "halasz", "--y", "3000", "--t", "0.5"],
+        ["density", "--set", "squarefree"],  # no --x: a parse error
+        ["weyl", "--hardy", "power:1.5", "--n", "300", "--kmax", "2"],
+        ["density", "--set", "tau_mod:3,1", "--x", "40000"],
+        ["katai", "--theta", "sqrt2", "--x", "5000", "--correlation", "2", "3"],
+        ["dist", "--function", "big_omega", "--series", "three", "--y", "2000"],
+    ]
+
+    def series(tag):
+        out = []
+        for k, argv in enumerate(calls):
+            csv = tmp_path / f"{tag}{k}.csv"
+            code = main([*argv, "--cache", cache, "--csv", str(csv)])
+            out.append((code, csv.read_bytes() if csv.exists() else None,
+                        capsys.readouterr().out))
+        return out
+
+    shared = series("shared")
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a fresh parser per call
+    assert series("fresh") == shared
+    assert [code for code, _, _ in shared] == [0, 0, 0, 2, 0, 0, 0, 0]
 
 # The README's CLI commands at small sizes; each run writes --json and --csv.
 # A change that deletes code must leave both files' bytes alone.

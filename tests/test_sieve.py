@@ -1,6 +1,9 @@
 """Sieve construction, factorization, bulk tables, and the cache format."""
 
+import os
+import struct
 import tracemalloc
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from katailab.orthogonality import (
 )
 from katailab.sieve import (
     _RULES,
+    _SEGMENT,
     CACHE_MAGIC,
     FactorSieve,
     SieveRangeError,
@@ -97,7 +101,7 @@ def test_spf_invariants_at_1e8():
 def test_parallel_build_is_byte_identical():
     a = FactorSieve.build(300_000, threads=1)
     b = FactorSieve.build(300_000, threads=4)
-    assert a.spf.tobytes() == b.spf.tobytes()
+    assert a.spf.raw.tobytes() == b.spf.raw.tobytes()
 
 
 def test_factorize_examples(sieve_small):
@@ -220,7 +224,7 @@ def test_cache_roundtrip_and_spot_check(tmp_path):
     assert int.from_bytes(raw[8:16], "little") == 50_000
     loaded = FactorSieve.load(path)
     assert loaded.limit == 50_000
-    assert np.array_equal(loaded.spf, s.spf)
+    assert np.array_equal(loaded.spf.raw, s.spf.raw)
 
 
 def test_cache_rejects_corruption(tmp_path):
@@ -236,7 +240,7 @@ def test_cache_rejects_corruption(tmp_path):
     # corrupt an entry the loader is guaranteed to sample (same fixed seed)
     target = int(np.random.default_rng(0x5EED).integers(2, 10_001, size=1024)[0])
     raw = bytearray(path.read_bytes())
-    raw[16 + 4 * target] ^= 0xFF
+    raw[_entry_offset(10_000, target)] ^= 0xFF
     bad2 = tmp_path / "bad_entry.spf"
     bad2.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="spot check"):
@@ -253,17 +257,23 @@ def test_spot_check_truth_is_trial_division(limit):
     # prime factor is among the last primes of the trial set
     root = int(np.sqrt(limit))
     base = _simple_spf(max(root, 2))
-    top = [p for p in range(max(2, root - 300), root + 1) if base[p] == p][-4:]
+    top = [p for p in range(max(2, root - 300), root + 1) if base[p] == 0][-4:]
     pairs = [(p, q) for p in top for q in top if p <= q]
     near = np.array([p * q for p, q in pairs], dtype=np.int64)
     assert _spot_check_truth(near, limit).tolist() == [p for p, _ in pairs]
     assert limit < 10**5 or len(pairs) == 10
 
 
+def _entry_offset(limit, n):
+    """Byte offset of entry n in a v2 cache file of the given limit."""
+    return 16 + 4 * -(-(limit + 1) // 2**16) + 2 * n
+
+
 def _corrupt(path, tmp_path, entries):
     raw = bytearray(path.read_bytes())
+    limit = int.from_bytes(raw[8:16], "little")
     for n in entries:
-        raw[16 + 4 * n] ^= 0xFF
+        raw[_entry_offset(limit, n)] ^= 0xFF
     bad = tmp_path / "corrupt.spf"
     bad.write_bytes(bytes(raw))
     return bad
@@ -368,7 +378,7 @@ def test_cache_load_maps_the_body(tmp_path):
     path = tmp_path / "cache.spf"
     s.save(path)
     loaded = FactorSieve.load(path)
-    assert isinstance(loaded.spf.base, np.memmap) and not loaded.spf.flags.writeable
+    assert isinstance(loaded.spf.raw.base, np.memmap) and not loaded.spf.raw.flags.writeable
     for name in TABLES:
         assert _same_bits(loaded.table(name, 12_345), s.table(name, 12_345)), name
 
@@ -377,9 +387,9 @@ def test_cache_load_rejects_truncated_files(tmp_path):
     good = tmp_path / "good.spf"
     build_sieve(1_000).save(good)
     raw = good.read_bytes()
-    full = 16 + 4 * 1_001
-    cuts = {"inside_body": 16 + 4 * 500 + 2, "header_only": 16, "short_header": 12}
-    cuts.update({f"trailing_{t}": full - 4 + t for t in (1, 2, 3)})  # t bytes of a last entry
+    full = _entry_offset(1_000, 1_001)
+    cuts = {"inside_body": _entry_offset(1_000, 500) + 1, "header_only": 16,
+            "short_header": 12, "inside_checksums": 18, "trailing_1": full - 1}
     for label, size in cuts.items():
         path = tmp_path / f"{label}.spf"
         path.write_bytes(raw[:size])
@@ -397,9 +407,196 @@ def test_resave_over_a_mapped_cache_keeps_the_loaded_sieve(tmp_path):
     loaded = FactorSieve.load(path)
     new = build_sieve(40_000)
     new.save(path)  # a rename: the mapped inode stays readable
-    assert np.array_equal(loaded.spf, old.spf)
+    assert np.array_equal(loaded.spf.raw, old.spf.raw)
     assert _same_bits(loaded.table("sigma"), old.table("sigma"))
     assert FactorSieve.load(path).limit == 40_000
-    assert np.array_equal(FactorSieve.load(path).spf, new.spf)
+    assert np.array_equal(FactorSieve.load(path).spf.raw, new.spf.raw)
     loaded.save(path)  # saving from the map onto its own path
-    assert np.array_equal(FactorSieve.load(path).spf, old.spf)
+    assert np.array_equal(FactorSieve.load(path).spf.raw, old.spf.raw)
+
+
+# -- the uint16 table against a uint32 oracle, and cache v2 -------------------
+
+
+def _oracle_spf(limit):
+    """uint32 spf over 0..limit with spf[p] = p and 0 at n < 2: an ascending
+    sieve that marks each composite once, with no encoding."""
+    spf = np.zeros(limit + 1, dtype=np.uint32)
+    for p in range(2, isqrt(limit) + 1):
+        if spf[p] == 0:
+            view = spf[p * p :: p]
+            view[view == 0] = p
+    idx = np.flatnonzero(spf[2:] == 0) + 2
+    spf[idx] = idx
+    return spf
+
+
+def _oracle_tables(spf):
+    """Every sieve table from the uint32 oracle: n = p^e * rest with
+    p = spf[n], then v(n) = v(rest) (+ or *) rule(p, e), in blocks hi <= 2 lo."""
+    upto = spf.size - 1
+    rest = np.ones(upto + 1, dtype=np.uint32)
+    e = np.zeros(upto + 1, dtype=np.int8)
+    edges = [2]
+    while edges[-1] <= upto:
+        edges.append(min(2 * edges[-1], upto + 1))
+    blocks = list(zip(edges, edges[1:]))
+    for lo, hi in blocks:
+        p = spf[lo:hi]
+        div = np.arange(lo, hi, dtype=np.uint32) // p
+        same = spf[div] == p
+        rest[lo:hi] = np.where(same, rest[div], div)
+        e[lo:hi] = e[div] * same + 1
+    tables = {}
+    for name, (rule, dtype, additive) in _RULES.items():
+        out = np.zeros(upto + 1, dtype=dtype)
+        out[1] = 0 if additive else 1
+        for lo, hi in blocks:
+            head, g = out[rest[lo:hi]], rule(spf[lo:hi], e[lo:hi])
+            out[lo:hi] = np.add(head, g) if additive else np.multiply(head, g)
+        tables[name] = out
+    tables["squarefree"] = np.concatenate([[False], tables["mobius"][1:] != 0])
+    return tables
+
+
+def _oracle_factorize(n, spf):
+    pairs = []
+    while n > 1:
+        p, e = int(spf[n]), 0
+        while n % p == 0:
+            n, e = n // p, e + 1
+        pairs.append((p, e))
+    return pairs
+
+
+@pytest.mark.parametrize("limit", [70_001, 140_000])  # past 2^16, past 2^17
+def test_uint16_table_matches_the_uint32_oracle(limit, tmp_path):
+    oracle = _oracle_spf(limit)
+    built = build_sieve(limit, threads=2)
+    assert built.spf.raw.dtype == np.uint16
+    assert np.array_equal(built.spf.raw, np.where(oracle == np.arange(limit + 1), 0, oracle))
+    path = tmp_path / "c.spf"
+    built.save(path)
+    want = _oracle_tables(oracle)
+    for s in (built, FactorSieve.load(path)):
+        assert np.array_equal(s.spf[:], oracle) and s.spf[:].dtype == np.uint32
+        idx = np.random.default_rng(limit).integers(0, limit + 1, size=5_000)
+        assert np.array_equal(s.spf[idx], oracle[idx])
+        assert [s.spf[int(n)] for n in idx[:500]] == oracle[idx[:500]].tolist()
+        squares = [p * p for p in s.primes(isqrt(limit)).tolist()]
+        for n in [*squares, *idx[:2_000].tolist()]:
+            if n >= 1:
+                assert list(s.factorize(n)) == _oracle_factorize(n, oracle), n
+        for name, table in want.items():
+            assert _same_bits(s.table(name), table), name
+
+
+def test_builds_on_one_and_two_threads_give_the_same_table_and_file(tmp_path):
+    limit = 2 * _SEGMENT + 12_345  # three build segments
+    one, two = build_sieve(limit, threads=1), build_sieve(limit, threads=2)
+    assert one.spf.raw.tobytes() == two.spf.raw.tobytes()
+    one.save(tmp_path / "one.spf")
+    two.save(tmp_path / "two.spf")
+    assert (tmp_path / "one.spf").read_bytes() == (tmp_path / "two.spf").read_bytes()
+
+
+def test_build_peak_is_two_bytes_per_entry():
+    # marking writes the uint16 table in place: what is left over is the
+    # small base sieve and the thread bookkeeping, not a segment's masks
+    limit = 2**22
+    for threads in (1, 2):
+        tracemalloc.start()
+        try:
+            build_sieve(limit, threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * (limit + 1) + (1 << 16), (threads, peak)
+
+
+def _v1_bytes(limit):
+    return b"KATAISV1" + struct.pack("<Q", limit) + _oracle_spf(limit).astype("<u4").tobytes()
+
+
+def test_v1_cache_loads_to_identical_tables(tmp_path):
+    path = tmp_path / "v1.spf"
+    path.write_bytes(_v1_bytes(100_000))
+    loaded, built = FactorSieve.load(path), build_sieve(100_000)
+    assert loaded.spf.raw.dtype == np.uint16
+    assert np.array_equal(loaded.spf.raw, built.spf.raw)
+    for name in TABLES:
+        assert _same_bits(loaded.table(name), built.table(name)), name
+    argv = ["density", "--set", "squarefree", "--x", "100000", "--cache", str(path)]
+    assert main(argv) == 0
+    loaded.save(path)  # a v1 cache saved again is v2
+    assert path.read_bytes()[:8] == CACHE_MAGIC
+    assert np.array_equal(FactorSieve.load(path).spf.raw, built.spf.raw)
+
+
+def test_v1_cache_faults_fail_cleanly(tmp_path):
+    raw = bytearray(_v1_bytes(1_000))
+    path = tmp_path / "v1.spf"
+    path.write_bytes(bytes(raw[: 16 + 4 * 600]))
+    with pytest.raises(ValueError, match="truncated: 600 of 1001 entries"):
+        FactorSieve.load(path)
+    raw[16 + 4 * 999 + 2] = 1  # spf(999) = 3 + 2^16: no uint16 holds it
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="n=999 is no smallest prime factor"):
+        FactorSieve.load(path)
+    assert main(["density", "--set", "squarefree", "--x", "100", "--cache", str(path)]) == 2
+
+
+def _unsampled(limit, lo, hi):
+    """An n in [lo, hi) that load()'s spot check does not read."""
+    sample = set(_spot_check_sample(limit).tolist())
+    return next(n for n in range(lo, hi) if n not in sample)
+
+
+def test_cache_checks_only_the_segments_a_request_reads(tmp_path):
+    path = tmp_path / "c.spf"
+    build_sieve(300_000).save(path)  # five 2^16-entry segments
+    loaded = FactorSieve.load(path)
+    assert not loaded.spf._checked.any()  # the spot check reads raw entries
+    loaded.table("mobius", 100_000)
+    assert loaded.spf._checked.tolist() == [True, True, False, False, False]
+    loaded.primes(200_000)
+    assert loaded.spf._checked.tolist() == [True, True, True, True, False]
+    loaded.factorize(299_999)
+    assert loaded.spf._checked.all()
+
+
+def test_a_flipped_byte_fails_the_request_that_reads_its_segment(tmp_path):
+    path = tmp_path / "c.spf"
+    build_sieve(300_000).save(path)
+    n = _unsampled(300_000, 3 * 2**16 + 100, 4 * 2**16)  # in segment 3
+    bad = _corrupt(path, tmp_path, [n])
+    loaded = FactorSieve.load(bad)  # neither the header nor the spot check sees it
+    loaded.table("tau", 150_000)
+    with pytest.raises(ValueError, match=r"segment 3 \(n = 196608\.\.262143\) fails its checksum"):
+        loaded.table("tau")
+    with pytest.raises(ValueError, match="segment 3"):
+        FactorSieve.load(bad).factorize(n)
+    # the squarefree mask reads only the primes <= sqrt(x); Omega reads every n <= x
+    density = ["density", "--set", "big_omega_mod:2,0", "--cache", str(bad), "--x"]
+    assert main([*density, "150000"]) == 0
+    assert main([*density, "250000"]) == 2
+    meanvalue = ["meanvalue", "--function", "mobius", "--n", "250000", "--cache", str(bad)]
+    assert main(meanvalue) == 2
+
+
+def test_an_interrupted_save_leaves_no_file(tmp_path, monkeypatch):
+    def interrupted(src, dst):
+        raise OSError("interrupted before the rename")
+
+    path = tmp_path / "c.spf"
+    monkeypatch.setattr(os, "replace", interrupted)
+    with pytest.raises(OSError, match="interrupted"):
+        build_sieve(1_000).save(path)
+    assert main(["sieve", "--limit", "1000", "--out", str(path)]) == 2
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.undo()
+    build_sieve(1_000).save(path)
+    monkeypatch.setattr(os, "replace", interrupted)
+    with pytest.raises(OSError):
+        build_sieve(2_000).save(path)  # the old cache stays whole
+    assert list(tmp_path.iterdir()) == [path] and FactorSieve.load(path).limit == 1_000
