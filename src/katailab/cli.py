@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -23,9 +22,9 @@ import numpy as np
 
 from . import equidist, functions, levelsets, meanvalues, orthogonality, reports
 from .constants import Constant
-from .levelsets import IntervalSetMod1, LevelSet, TruncationError
+from .levelsets import TruncationError
 from .sieve import FactorSieve, SieveRangeError
-from .summation import checkpoints_upto, geometric_checkpoints
+from .summation import checkpoint_grid, checkpoints_upto
 
 SCHEMA_VERSION = 1
 
@@ -37,89 +36,10 @@ def default_cache_dir() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "katailab")
 
 
-# -- spec parsers -------------------------------------------------------------
-
-
-def parse_set(text: str) -> LevelSet:
-    """Level-set shorthand: squarefree, kfree:3, big_omega_mod:2,0, abundant,
-    deficient, phi_below:0.5, tau_mod:4,1, omega_rot:sqrt2,0,0.5, all, or raw
-    JSON."""
-    text = text.strip()
-    if text.startswith("{"):
-        return levelsets.from_json(json.loads(text))
-    if text == "all":
-        return levelsets.GenericLevel(functions.constant_one(), 1)
-    name, _, args = text.partition(":")
-    parts = [a for a in args.split(",") if a] if args else []
-    try:
-        if name == "squarefree":
-            return levelsets.Squarefree()
-        if name == "abundant":
-            return levelsets.Abundant()
-        if name == "deficient":
-            return levelsets.Deficient()
-        if name == "kfree":
-            return levelsets.KFree(int(parts[0]))
-        if name in ("omega_mod", "big_omega_mod"):
-            counted = "big_omega" if name == "big_omega_mod" else "small_omega"
-            return levelsets.OmegaMod(int(parts[0]), int(parts[1]), counted)
-        if name == "tau_mod":
-            return levelsets.TauMod(int(parts[0]), int(parts[1]))
-        if name == "phi_below":
-            return levelsets.PhiRatioBelow(Constant.parse(parts[0]))
-        if name in ("omega_rot", "big_omega_rot"):
-            counted = "big_omega" if name == "big_omega_rot" else "small_omega"
-            window = IntervalSetMod1([(Constant.parse(parts[1]), Constant.parse(parts[2]), "[)")])
-            return levelsets.OmegaRot(Constant.parse(parts[0]), window, counted)
-    except (IndexError, ValueError) as err:
-        raise ValueError(f"bad level-set spec {text!r}: {err}") from err
-    raise ValueError(f"unknown level-set spec {text!r}")
-
-
-def parse_function(text: str) -> functions.ArithmeticFunction:
-    text = text.strip()
-    if text.startswith("{"):
-        return functions.from_json(json.loads(text))
-    name, _, args = text.partition(":")
-    parts = [a for a in args.split(",") if a] if args else []
-    if name in functions.CATALOG:
-        return functions.CATALOG[name]()
-    if name == "dirichlet":
-        return functions.dirichlet_character(int(parts[0]), [int(a) for a in parts[1:]])
-    if name == "archimedean":
-        return functions.archimedean(float(parts[0]))
-    if name in ("lambda_xi", "kappa_xi", "mu_xi"):
-        maker = {"lambda_xi": functions.lambda_xi, "kappa_xi": functions.kappa_xi,
-                 "mu_xi": functions.mu_xi}[name]
-        return maker(Constant.parse(parts[0]))
-    raise ValueError(f"unknown function spec {text!r}")
-
-
-def parse_hardy(text: str) -> equidist.HardyFunction:
-    text = text.strip()
-    if text.startswith("{"):
-        return equidist.HardyFunction.from_json(json.loads(text))
-    name, _, args = text.partition(":")
-    parts = [a for a in args.split(",") if a] if args else []
-    if name == "power":
-        return equidist.power(Constant.parse(parts[0]))
-    if name == "poly":
-        return equidist.polynomial([Constant.parse(a) for a in parts])
-    if name == "logpow":
-        return equidist.log_power(Constant.parse(parts[0]))
-    if name == "tlogt":
-        return equidist.t_log_t()
-    if name == "toverlogt":
-        return equidist.t_over_log_t()
-    if name == "loggamma":
-        return equidist.log_gamma()
-    raise ValueError(f"unknown hardy spec {text!r}")
-
-
-def parse_checkpoints(text: str | None, x: int):
-    if not text:
-        return geometric_checkpoints(x)
-    return sorted({int(float(t)) for t in text.split(",")} | {int(x)})
+# one reader per spec family (specs.Family.parse)
+parse_set = levelsets.SPELLINGS.parse
+parse_function = functions.SPELLINGS.parse
+parse_hardy = equidist.SPELLINGS.parse
 
 
 # -- sieve cache --------------------------------------------------------------
@@ -165,7 +85,7 @@ def cmd_sieve(args):
 
 def cmd_density(args):
     spec = parse_set(args.set)
-    checkpoints = checkpoints_upto(parse_checkpoints(args.checkpoints, args.x), args.x, "x")
+    checkpoints = checkpoints_upto(checkpoint_grid(args.checkpoints, args.x), args.x, "x")
     sieve = obtain_sieve(args, args.x)
     rep = levelsets.empirical_density(spec, checkpoints, sieve)
     params = {"set": spec.to_json(), "x": args.x, "checkpoints": checkpoints}
@@ -183,7 +103,7 @@ def cmd_katai(args):
             f"pass --negative-control to run the falsification mode"
         )
     seq = orthogonality.LinearExponential(theta)
-    checkpoints = parse_checkpoints(args.checkpoints, args.x)
+    checkpoints = checkpoint_grid(args.checkpoints, args.x)
     if args.correlation:
         p, q = args.correlation
         rep = orthogonality.katai_correlation(seq, p, q, args.x, checkpoints,
@@ -210,7 +130,7 @@ def cmd_katai(args):
 def cmd_tk(args):
     if args.x is None and not args.x_list:
         raise ValueError("tk needs --x or --x-list")
-    xs = sorted({int(float(t)) for t in args.x_list.split(",")}) if args.x_list else [args.x]
+    xs = sorted(set(args.x_list)) if args.x_list else [args.x]
     sieve = obtain_sieve(args, max(xs))
     primes = [int(p) for p in sieve.primes(args.pmax)]
     reps = [orthogonality.turan_kubilius_variance(primes, x, sieve) for x in xs]
@@ -223,7 +143,7 @@ def cmd_tk(args):
 
 def cmd_meanvalue(args):
     fn = parse_function(args.function)
-    checkpoints = parse_checkpoints(args.checkpoints, args.n)
+    checkpoints = checkpoint_grid(args.checkpoints, args.n)
     sieve = obtain_sieve(args, args.n)
     if args.euler_product:
         rep = meanvalues.mean_with_product(fn, args.n, checkpoints, sieve,
@@ -257,7 +177,7 @@ def cmd_dist(args):
              f"cdf[{fn.name}] at {args.n}: " +
              " ".join(f"F({t:g})={y:.6f}" for t, y in table[:: max(1, len(table) // 5)]))
         return 0
-    checkpoints = checkpoints_upto(parse_checkpoints(args.checkpoints, args.y), args.y, "y")
+    checkpoints = checkpoints_upto(checkpoint_grid(args.checkpoints, args.y), args.y, "y")
     sieve = obtain_sieve(args, args.y)
     params = {"function": fn.to_json(), "series": args.series, "y": args.y,
               "checkpoints": checkpoints, "t": args.t, "target": args.target,
@@ -336,6 +256,14 @@ def _count(text: str) -> int:
     return value
 
 
+def _int_list(text: str) -> list[int]:
+    """A comma list of integers; each is read as int(float(t)), so 1e5 works."""
+    try:
+        return [int(float(t)) for t in text.split(",")]
+    except (OverflowError, ValueError) as err:
+        raise argparse.ArgumentTypeError(f"not a comma list of finite numbers: {text!r}") from err
+
+
 def _common(sub, cache=True):
     sub.add_argument("--csv", help="write the report as CSV")
     sub.add_argument("--json", dest="json_out", help="write the report as JSON")
@@ -361,14 +289,14 @@ def build_parser() -> argparse.ArgumentParser:
     s = sp.add_parser("density", help="empirical density of a level set")
     s.add_argument("--set", required=True)
     s.add_argument("--x", type=int, required=True)
-    s.add_argument("--checkpoints")
+    s.add_argument("--checkpoints", type=_int_list)
     _common(s)
 
     s = sp.add_parser("katai", help="orthogonality decay / dilated correlations")
     s.add_argument("--set", default="squarefree")
     s.add_argument("--theta", required=True)
     s.add_argument("--x", type=int, required=True)
-    s.add_argument("--checkpoints")
+    s.add_argument("--checkpoints", type=_int_list)
     s.add_argument("--correlation", nargs=2, type=int, metavar=("P", "Q"),
                    help="report the (p,q) correlation instead of set decay")
     s.add_argument("--negative-control", action="store_true",
@@ -378,13 +306,13 @@ def build_parser() -> argparse.ArgumentParser:
     s = sp.add_parser("tk", help="finite-prime-set variance against its budget")
     s.add_argument("--pmax", type=int, required=True)
     s.add_argument("--x", type=int)
-    s.add_argument("--x-list", help="comma-separated x values")
+    s.add_argument("--x-list", type=_int_list, help="comma-separated x values")
     _common(s)
 
     s = sp.add_parser("meanvalue", help="empirical mean, optionally vs Euler product")
     s.add_argument("--function", required=True)
     s.add_argument("--n", type=int, required=True)
-    s.add_argument("--checkpoints")
+    s.add_argument("--checkpoints", type=_int_list)
     s.add_argument("--euler-product", action="store_true")
     s.add_argument("--prime-cutoff", type=int, default=100_000)
     _common(s)
@@ -399,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--t", type=float, default=0.0, help="frequency for halasz series")
     s.add_argument("--target", help="re[,im] target for concentration scans")
     s.add_argument("--tolerance", type=float, default=0.0)
-    s.add_argument("--checkpoints")
+    s.add_argument("--checkpoints", type=_int_list)
     _common(s)
 
     s = sp.add_parser("weyl", help="equidistribution report along a level set")

@@ -59,6 +59,7 @@ from .levelsets import LevelSet, first_members
 from .orthogonality import e_of, monomials_dd, polynomial_frac
 from .reports import DecayProfile, DiscrepancyReport
 from .sieve import FactorSieve, SieveRangeError
+from .specs import Family, Spelling, constant
 from .summation import (checkpoint_sums, checkpoints_upto, fit_loglog_slope,
                         geometric_checkpoints)
 
@@ -237,19 +238,6 @@ class HardyFunction:
             out["negative_control"] = True
         return out
 
-    @staticmethod
-    def from_json(obj) -> "HardyFunction":
-        v = obj["hardy"]
-        nc = obj.get("negative_control", False)
-        if v == "power":
-            return power(Constant.from_json(obj["c"]))
-        if v == "log_power":
-            return log_power(Constant.from_json(obj["r"]), negative_control=nc)
-        if v == "polynomial":
-            return polynomial([Constant.from_json(c) for c in obj["coefficients"]],
-                              negative_control=nc)
-        return HardyFunction(v)
-
 
 # The root route's s-th power multiplies the v-th root's rounding error by
 # s < v; up to v = 128 that stays near the error of exp(c log t) at t = 2^40.
@@ -340,6 +328,21 @@ def t_over_log_t() -> HardyFunction:
 
 def log_gamma() -> HardyFunction:
     return HardyFunction("log_gamma")
+
+
+# negative_control is a JSON-only field: no shorthand builds a falsification mode
+SPELLINGS = Family("hardy", "hardy", [
+    Spelling("power", "power", {"c": constant}, lambda o: power(Constant.from_json(o["c"]))),
+    Spelling("polynomial", "poly", {"coefficients": [constant]},
+             lambda o: polynomial([Constant.from_json(c) for c in o["coefficients"]],
+                                  o.get("negative_control", False))),
+    Spelling("log_power", "logpow", {"r": constant},
+             lambda o: log_power(Constant.from_json(o["r"]), o.get("negative_control", False))),
+    Spelling("t_log_t", "tlogt", {}, lambda o: t_log_t()),
+    Spelling("t_over_log_t", "toverlogt", {}, lambda o: t_over_log_t()),
+    Spelling("log_gamma", "loggamma", {}, lambda o: log_gamma()),
+])
+from_json = SPELLINGS.from_json
 
 
 # -- mod-1 sequences and their statistics ------------------------------------

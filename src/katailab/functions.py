@@ -25,6 +25,7 @@ import numpy as np
 
 from .constants import Constant, as_constant
 from .sieve import FactorSieve
+from .specs import Family, Spelling, constant
 from .summation import CHUNK
 
 
@@ -428,15 +429,13 @@ CATALOG = {
 }
 
 
-def from_json(obj) -> ArithmeticFunction:
-    name = obj["function"]
-    if name in CATALOG:
-        return CATALOG[name]()
-    if name == "archimedean":
-        return archimedean(obj["t"])
-    if name == "dirichlet":
-        return dirichlet_character(obj["modulus"], obj["exponents"])
-    if name in ("lambda_xi", "kappa_xi", "mu_xi"):
-        xi = Constant.from_json(obj["xi"])
-        return {"lambda_xi": lambda_xi, "kappa_xi": kappa_xi, "mu_xi": mu_xi}[name](xi)
-    raise ValueError(f"unknown function spec {obj!r}")
+SPELLINGS = Family("function", "function", [
+    *(Spelling(name, name, {}, lambda o, make=make: make()) for name, make in CATALOG.items()),
+    Spelling("archimedean", "archimedean", {"t": float}, lambda o: archimedean(o["t"])),
+    Spelling("dirichlet", "dirichlet", {"modulus": int, "exponents": [int]},
+             lambda o: dirichlet_character(o["modulus"], o["exponents"])),
+    *(Spelling(name, name, {"xi": constant},
+               lambda o, make=make: make(Constant.from_json(o["xi"])))
+      for name, make in (("lambda_xi", lambda_xi), ("kappa_xi", kappa_xi), ("mu_xi", mu_xi))),
+])
+from_json = SPELLINGS.from_json

@@ -25,6 +25,7 @@ from .constants import Constant, as_constant
 from .functions import ArithmeticFunction, from_json as function_from_json
 from .sieve import _RULES, FactorSieve, _kfree_mask
 from .reports import DensityReport, SeriesReport
+from .specs import Family, Spelling, constant
 from .summation import checkpoint_sums, divergence_slope, prime_series, sorted_checkpoints
 
 BOUNDARY_EPS = 1e-12
@@ -237,16 +238,23 @@ class _CountMod(LevelSet):
         return {"variant": self._variant, "b": self.b, "r": self.r}
 
 
+# the prefix of an omega spelling's tag, by the sieve table it counts
+_OMEGA_PREFIX = {"small_omega": "omega", "big_omega": "big_omega"}
+
+
+def _omega_prefix(counted):
+    if counted not in _OMEGA_PREFIX:
+        raise ValueError("counted must be 'big_omega' or 'small_omega'")
+    return _OMEGA_PREFIX[counted]
+
+
 class OmegaMod(_CountMod):
     """Residue class of omega(n) or Omega(n) modulo b."""
 
     def __init__(self, b: int, r: int, counted="big_omega"):
         if b < 1:
             raise ValueError("modulus must be positive")
-        if counted not in ("big_omega", "small_omega"):
-            raise ValueError("counted must be 'big_omega' or 'small_omega'")
-        variant = "big_omega_mod" if counted == "big_omega" else "omega_mod"
-        super().__init__(b, r, counted, variant)
+        super().__init__(b, r, counted, f"{_omega_prefix(counted)}_mod")
         self.counted = counted
 
 
@@ -265,10 +273,8 @@ class OmegaRot(LevelSet):
     def __init__(self, alpha, window: IntervalSetMod1, counted="big_omega"):
         self.alpha = as_constant(alpha)
         self.window = window
-        if counted not in ("big_omega", "small_omega"):
-            raise ValueError("counted must be 'big_omega' or 'small_omega'")
+        self._variant = f"{_omega_prefix(counted)}_rot"
         self.counted = self.table = counted
-        self._variant = "big_omega_rot" if counted == "big_omega" else "omega_rot"
         self.name = f"{self._variant}({self.alpha})"
 
     def _fracs(self, k):
@@ -406,34 +412,43 @@ class Intersection(LevelSet):
                 "left": self.left.to_json(), "right": self.right.to_json()}
 
 
-_SIMPLE = {"squarefree": Squarefree, "abundant": Abundant, "deficient": Deficient}
+def _one_window(fields):
+    """omega_rot:alpha,lo,hi: the window is the one interval [lo, hi)."""
+    lo, hi = fields.pop("lo"), fields.pop("hi")
+    return {**fields, "window": {"intervals": [{"lo": lo, "hi": hi, "closed": "[)"}]}}
 
 
-def from_json(obj) -> LevelSet:
-    v = obj["variant"]
-    if v in _SIMPLE:
-        return _SIMPLE[v]()
-    if v == "kfree":
-        return KFree(obj["k"])
-    if v in ("omega_mod", "big_omega_mod"):
-        counted = "big_omega" if v == "big_omega_mod" else "small_omega"
-        return OmegaMod(obj["b"], obj["r"], counted)
-    if v in ("omega_rot", "big_omega_rot"):
-        counted = "big_omega" if v == "big_omega_rot" else "small_omega"
-        return OmegaRot(Constant.from_json(obj["alpha"]),
-                        IntervalSetMod1.from_json(obj["window"]), counted)
-    if v == "phi_ratio_below":
-        return PhiRatioBelow(Constant.from_json(obj["threshold"]))
-    if v == "tau_mod":
-        return TauMod(obj["b"], obj["r"])
-    if v == "generic_level":
-        fn = function_from_json(obj["function"])
-        t = obj["target"]
-        target = t["re"] if t["im"] == 0 else complex(t["re"], t["im"])
-        return GenericLevel(fn, target, obj["tolerance"])
-    if v == "intersection":
-        return Intersection(from_json(obj["left"]), from_json(obj["right"]))
-    raise ValueError(f"unknown level-set variant {v!r}")
+def _generic_level(obj):
+    t = obj["target"]
+    target = t["re"] if t["im"] == 0 else complex(t["re"], t["im"])
+    return GenericLevel(function_from_json(obj["function"]), target, obj["tolerance"])
+
+
+SPELLINGS = Family("level-set", "variant", [
+    Spelling("squarefree", "squarefree", {}, lambda o: Squarefree()),
+    Spelling("kfree", "kfree", {"k": int}, lambda o: KFree(o["k"])),
+    *(Spelling(f"{prefix}_mod", f"{prefix}_mod", {"b": int, "r": int},
+               lambda o, c=counted: OmegaMod(o["b"], o["r"], c))
+      for counted, prefix in _OMEGA_PREFIX.items()),
+    Spelling("tau_mod", "tau_mod", {"b": int, "r": int}, lambda o: TauMod(o["b"], o["r"])),
+    Spelling("abundant", "abundant", {}, lambda o: Abundant()),
+    Spelling("deficient", "deficient", {}, lambda o: Deficient()),
+    Spelling("phi_ratio_below", "phi_below", {"threshold": constant},
+             lambda o: PhiRatioBelow(Constant.from_json(o["threshold"]))),
+    *(Spelling(f"{prefix}_rot", f"{prefix}_rot",
+               {"alpha": constant, "lo": constant, "hi": constant},
+               lambda o, c=counted: OmegaRot(Constant.from_json(o["alpha"]),
+                                             IntervalSetMod1.from_json(o["window"]), c),
+               shape=_one_window)
+      for counted, prefix in _OMEGA_PREFIX.items()),
+    # all: the level set of the constant 1 at 1; the int target keeps its name level(one,1)
+    Spelling("generic_level", "all", {}, _generic_level,
+             shape=lambda _: {"function": {"function": "one"}, "target": {"re": 1, "im": 0},
+                              "tolerance": 0.0}),
+    Spelling("intersection", None, {},
+             lambda o: Intersection(from_json(o["left"]), from_json(o["right"]))),
+])
+from_json = SPELLINGS.from_json
 
 
 # -- operations --------------------------------------------------------------

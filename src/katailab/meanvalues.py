@@ -22,7 +22,8 @@ import numpy as np
 from .functions import ArithmeticFunction, EvaluationError
 from .reports import MeanValueReport, SeriesReport
 from .sieve import FactorSieve
-from .summation import CHUNK, checkpoint_sums, checkpoints_upto, divergence_slope, prime_series
+from .summation import (CHUNK, checkpoint_grid, checkpoint_sums, checkpoints_upto,
+                        divergence_slope, prime_series)
 
 POWER_CUTOFF = 1e-18
 
@@ -42,7 +43,7 @@ def seminorm_l1(fn: ArithmeticFunction, n_max: int, checkpoints,
 
 def _running_means(values_upto, n_max, checkpoints, sieve, threads):
     sieve.require_upto("N", n_max)
-    checkpoints = sorted(set(checkpoints_upto([*checkpoints, n_max], n_max, "N")))
+    checkpoints = checkpoints_upto(checkpoint_grid(checkpoints, n_max), n_max, "N")
     values = values_upto(n_max, sieve)
     sums = checkpoint_sums(lambda lo, hi: values[lo:hi], checkpoints, threads=threads)
     return MeanValueReport(checkpoints, [s / c for s, c in zip(sums, checkpoints)])

@@ -57,7 +57,7 @@ from .constants import Constant, as_constant
 from .levelsets import LevelSet
 from .reports import CorrelationReport, DecayProfile, TuranKubiliusReport
 from .sieve import FactorSieve, SieveRangeError
-from .summation import checkpoint_sums, checkpoints_upto, fit_loglog_slope
+from .summation import checkpoint_grid, checkpoint_sums, checkpoints_upto, fit_loglog_slope
 
 PHASE_BUDGET = 2**40
 
@@ -283,17 +283,6 @@ def polynomial_frac(coefficients, n: np.ndarray) -> np.ndarray:
     return ddmath.blockwise(frac_sum, n)
 
 
-def sequence_from_json(obj) -> BoundedSequence:
-    tag = obj["sequence"]
-    if tag == "linear_exponential":
-        return LinearExponential(Constant.from_json(obj["theta"]))
-    if tag == "polynomial_exponential":
-        return PolynomialExponential([Constant.from_json(c) for c in obj["coefficients"]])
-    if tag == "constant":
-        return ConstantSequence(complex(obj["re"], obj["im"]))
-    raise ValueError(f"unknown sequence spec {obj!r}")
-
-
 def correlation_reference(theta: Constant, p: int, q: int, x: int) -> float:
     """|sin(pi x (p-q) theta) / (x sin(pi (p-q) theta))| via dd phases."""
     beta_num = p - q
@@ -346,7 +335,7 @@ def orthogonality_sum(spec: LevelSet, seq: BoundedSequence, x: int,
                       threads: int = 1) -> DecayProfile:
     """|sum_{n<=x'} 1_E(n) a(n)| / x' on the checkpoint grid, with slope."""
     sieve.require_upto("x", x)
-    checkpoints = sorted(set(checkpoints_upto([*checkpoints, x], x, "x")))
+    checkpoints = checkpoints_upto(checkpoint_grid(checkpoints, x), x, "x")
     members = spec.members_upto(x, sieve)
 
     def term(n):
@@ -370,6 +359,8 @@ def turan_kubilius_variance(prime_set, x: int, sieve: FactorSieve) -> TuranKubil
     if max(primes) > x:
         raise ValueError(f"max(P) = {max(primes)} exceeds x = {x}")
     sieve.require_upto("x", x)
+    if primes[0] < 2:
+        raise ValueError(f"{primes[0]} is not prime")
     ps = np.array(primes, dtype=np.int64)
     composite = ps[sieve.spf[ps] != ps]
     if composite.size:

@@ -18,6 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .summation import last_decade
+
 
 @dataclass
 class DensityReport:
@@ -32,9 +34,8 @@ class DensityReport:
 
     @property
     def max_oscillation_last_decade(self) -> float:
-        xs = np.asarray(self.checkpoints, dtype=np.float64)
         ds = np.asarray(self.densities, dtype=np.float64)
-        keep = xs >= xs.max() / 10.0
+        keep = last_decade(self.checkpoints)
         return float(ds[keep].max() - ds[keep].min())
 
     def rows(self):

@@ -68,6 +68,19 @@ def checkpoints_upto(checkpoints, x: int, label: str) -> list[int]:
     return checkpoints
 
 
+def checkpoint_grid(checkpoints, x: int) -> list[int]:
+    """geometric_checkpoints(x) for None, else the checkpoints and x as sorted
+    distinct ints; ValueError names one that is below 1 or not finite.  A sum
+    that stops at x composes this with checkpoints_upto; katai --correlation
+    does not, since a correlation needs no sieve and may sum past x."""
+    if checkpoints is None:
+        return geometric_checkpoints(x)
+    try:
+        return sorted_checkpoints(sorted({int(c) for c in checkpoints} | {int(x)}))
+    except OverflowError as err:  # int() of an infinity
+        raise ValueError(f"checkpoints must be finite: {err}") from err
+
+
 def checkpoint_sums(values_of, checkpoints, threads: int = 1):
     """Cumulative sums of values_of over [1, c] for each checkpoint c >= 1.
 
@@ -128,6 +141,12 @@ def _least_squares_slope(us, vs) -> float:
     return math.fsum(d * (v - mv) for d, v in zip(du, vs)) / sxx
 
 
+def last_decade(xs) -> np.ndarray:
+    """Mask of the xs within a factor of 10 of the largest."""
+    xs = np.asarray(xs, dtype=np.float64)
+    return xs >= xs.max() / 10.0
+
+
 def fit_loglog_slope(xs, ys):
     """Least-squares slope of log10(y) vs log10(x) over the last decade of xs.
 
@@ -136,7 +155,7 @@ def fit_loglog_slope(xs, ys):
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
-    keep = (xs >= xs.max() / 10.0) & (ys > 0)
+    keep = last_decade(xs) & (ys > 0)
     if keep.sum() < 2:
         return 0.0
     return _least_squares_slope([math.log10(x) for x in xs[keep]],
@@ -151,7 +170,7 @@ def divergence_slope(cutoffs, sums) -> float:
     """
     ys = np.asarray(cutoffs, dtype=np.float64)
     ss = np.asarray(sums, dtype=np.float64)
-    keep = (ys >= ys.max() / 10.0) & (ys > math.e)
+    keep = last_decade(ys) & (ys > math.e)
     if keep.sum() < 2:
         return 0.0
     return _least_squares_slope([math.log(math.log(y)) for y in ys[keep]], ss[keep])

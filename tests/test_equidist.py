@@ -14,7 +14,6 @@ from katailab.cli import parse_hardy
 from katailab.constants import GOLDEN, SQRT2, rational
 from katailab.equidist import (
     AdmissibilityError,
-    HardyFunction,
     Mod1Sequence,
     _int_root,
     ergodic_weyl_test,
@@ -401,7 +400,7 @@ def test_hardy_json_roundtrip():
               polynomial([rational(0), rational(1), SQRT2]),
               log_power(rational("2.5")), t_log_t(), t_over_log_t(), log_gamma(),
               log_power(rational("1.5"), negative_control=True)):
-        clone = HardyFunction.from_json(h.to_json())
+        clone = equidist.from_json(h.to_json())
         assert clone.to_json() == h.to_json()
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from katailab.sieve import FactorSieve
-from katailab.summation import prime_series
+from katailab.summation import checkpoint_grid, geometric_checkpoints, prime_series
 
 
 def scalar_walk(sieve, y, checkpoints, rows):
@@ -88,3 +88,15 @@ def test_checkpoints_below_one_raise(sieve_small):
             empirical_density(Squarefree(), checkpoints, sieve_small)
         with pytest.raises(ValueError, match=message):
             empirical_mean(mobius(), 100, checkpoints, sieve_small)
+
+
+def test_checkpoint_grid():
+    assert checkpoint_grid(None, 10**5) == geometric_checkpoints(10**5)
+    assert checkpoint_grid([], 500) == [500]
+    # x is added, floats are truncated, duplicates go; nothing caps at x
+    assert checkpoint_grid([300, 1e2, 300.7, 500], 400) == [100, 300, 400, 500]
+    for bad, match in (([10, 0], ">= 1, got 0"), ([5, -3, -1], ">= 1, got -3"),
+                       ([10, float("inf")], "finite"), ([-float("inf")], "finite"),
+                       ([float("nan")], "NaN")):
+        with pytest.raises(ValueError, match=match):
+            checkpoint_grid(bad, 100)
