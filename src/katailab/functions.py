@@ -1,14 +1,17 @@
 """Catalog of multiplicative and additive arithmetic functions.
 
 Every function is described by its rule on prime powers; evaluation at a
-single n goes through the sieve factorization, while values_upto(x) produces
-a whole table at once through the builder passed as ``table=``.  Catalog
+single n goes through the sieve factorization, while reader(x) hands out the
+values on any window [lo, hi) within [0, x + 1) through the window builder
+passed as ``table=``, and values_upto(x) is the window [0, x + 1).  Catalog
 entries with a sieve table of their own (mobius, sigma, tau, Omega, omega,
 the squarefree indicator) read that table; liouville, phi(n)/n, the
 Archimedean and Dirichlet characters, the e(xi * Omega) families and the
 constant 1 have closed forms over those tables; a function built without a
 table (any other prime-power rule) runs through the sieve's prime-power
-kernel in bulk_values.
+kernel in bulk_values, and its reader slices that table.  Each window entry
+comes from the same elementwise code at any window, so a window is bit-equal
+to the same slice of the whole table.
 
 Functions carry a ``kind`` tag (multiplicative / completely_multiplicative /
 additive) and an ``in_unit_ball`` flag marking membership in the class of
@@ -26,7 +29,6 @@ import numpy as np
 from .constants import Constant, as_constant
 from .sieve import FactorSieve
 from .specs import Family, Spelling, constant
-from .summation import CHUNK
 
 
 class EvaluationError(ValueError):
@@ -54,7 +56,8 @@ class ArithmeticFunction:
     """An arithmetic function given by its rule on prime powers.
 
     kind: "multiplicative", "completely_multiplicative" or "additive".
-    table: builder (x, sieve) -> values for n = 0..x; None means bulk_values.
+    table: window builder (x, sieve) -> read, where read(lo, hi) gives the
+    values for lo <= n < hi within [0, x + 1); None means bulk_values.
     """
 
     def __init__(self, name, prime_power, kind="multiplicative",
@@ -120,12 +123,22 @@ class ArithmeticFunction:
             out = out * self.prime_power(p, m)
         return out
 
-    def values_upto(self, x: int, sieve: FactorSieve) -> np.ndarray:
-        """Table of values for n = 0..x (index 0 is padding)."""
+    def reader(self, x: int, sieve: FactorSieve):
+        """read(lo, hi): the values for lo <= n < hi, 0 <= lo <= hi <= x + 1
+        (the entry of n = 0 is padding).
+
+        Every sieve table the values need is built here, on the calling
+        thread, so read may run in checkpoint_sums' workers.
+        """
         sieve.require_upto("x", x)
         if self._table is None:
-            return bulk_values(self, x, sieve)
+            values = bulk_values(self, x, sieve)
+            return lambda lo, hi: values[lo:hi]
         return self._table(x, sieve)
+
+    def values_upto(self, x: int, sieve: FactorSieve) -> np.ndarray:
+        """Table of values for n = 0..x (index 0 is padding)."""
+        return self.reader(x, sieve)(0, x + 1)
 
     def to_json(self):
         return {"function": self.name, **self.params}
@@ -160,22 +173,39 @@ def bulk_values(fn: ArithmeticFunction, x: int, sieve: FactorSieve) -> np.ndarra
                          fn.kind == "additive", x)
 
 
-# -- catalog -----------------------------------------------------------------
+# -- catalog: window builders (x, sieve) -> read(lo, hi) --------------------
+
+def _zero_at_0(out: np.ndarray, lo: int) -> np.ndarray:
+    """out, the window from lo, with the padding entry of n = 0 set to 0."""
+    if lo == 0 and out.size:
+        out[0] = 0
+    return out
+
 
 def _sieve_table(name):
-    """Table builder reading the sieve table `name` as float64."""
-    return lambda x, s: s.table(name, x).astype(np.float64)
+    """Window builder reading the sieve table `name` as float64."""
+    def reader(x, s):
+        table = s.table(name, x)
+        return lambda lo, hi: table[lo:hi].astype(np.float64)
+    return reader
+
+
+def _liouville_table(x, s):
+    big_omega = s.table("big_omega", x)
+    return lambda lo, hi: np.where((big_omega[lo:hi] & 1) == 0, 1.0, -1.0)
 
 
 def _phi_ratio_table(x, s):
-    # phi / n block by block into one output, without whole-table temporaries
     phi = s.table("phi", x)
-    out = np.empty(x + 1, dtype=np.float64)
-    out[0] = 0.0
-    for lo in range(1, x + 1, CHUNK):
-        hi = min(lo + CHUNK, x + 1)
-        np.divide(phi[lo:hi], np.arange(lo, hi, dtype=np.float64), out=out[lo:hi])
-    return out
+
+    def read(lo, hi):
+        # phi / n divided into the float n, the window's one array
+        out = np.arange(lo, hi, dtype=np.float64)
+        k = 1 if lo == 0 else 0  # no 0 / 0 at the padding entry
+        np.divide(phi[lo + k:hi], out[k:], out=out[k:])
+        return _zero_at_0(out, lo)
+
+    return read
 
 
 def mobius() -> ArithmeticFunction:
@@ -187,7 +217,7 @@ def liouville() -> ArithmeticFunction:
     return ArithmeticFunction(
         "liouville", lambda p, m: (-1) ** m,
         kind="completely_multiplicative", in_unit_ball=True, integer_valued=True,
-        table=lambda x, s: np.where((s.table("big_omega", x) & 1) == 0, 1.0, -1.0),
+        table=_liouville_table,
     )
 
 
@@ -225,16 +255,16 @@ def small_omega() -> ArithmeticFunction:
 def archimedean(t: float) -> ArithmeticFunction:
     t = float(t)
 
-    def table(x, s):
-        n = np.arange(x + 1, dtype=np.float64)
-        n[0] = 1.0
-        out = np.exp(1j * t * np.log(n))
-        out[0] = 0.0
-        return out
+    def read(lo, hi):
+        n = np.arange(lo, hi, dtype=np.float64)
+        if lo == 0 and n.size:
+            n[0] = 1.0
+        return _zero_at_0(np.exp(1j * t * np.log(n)), lo)
 
     return ArithmeticFunction(
         "archimedean", lambda p, m: cmath.exp(1j * t * m * math.log(p)),
-        kind="completely_multiplicative", in_unit_ball=True, params={"t": t}, table=table,
+        kind="completely_multiplicative", in_unit_ball=True, params={"t": t},
+        table=lambda x, s: read,
     )
 
 
@@ -254,12 +284,16 @@ def _omega_exponential(name, xi, weight_of_m, restrict_squarefree=False):
 
     def table(x, s):
         counts = s.table("small_omega" if name == "kappa_xi" else "big_omega", x)
+        squarefree = s.table("squarefree", x) if restrict_squarefree else None
         lut = np.array([complex(phase_at(k)) for k in range(int(counts.max(initial=0)) + 1)])
-        out = lut[counts]
-        if restrict_squarefree:
-            out = out * s.table("squarefree", x)
-        out[0] = 0.0
-        return out
+
+        def read(lo, hi):
+            out = lut[counts[lo:hi]]
+            if restrict_squarefree:
+                out = out * squarefree[lo:hi]
+            return _zero_at_0(out, lo)
+
+        return read
 
     kind = "completely_multiplicative" if (name == "lambda_xi") else "multiplicative"
     return ArithmeticFunction(name, rule, kind=kind, in_unit_ball=True,
@@ -285,7 +319,7 @@ def constant_one() -> ArithmeticFunction:
     return ArithmeticFunction(
         "one", lambda p, m: 1, kind="completely_multiplicative",
         in_unit_ball=True, integer_valued=True,
-        table=lambda x, s: np.concatenate([[0.0], np.ones(x, dtype=np.float64)]),
+        table=lambda x, s: lambda lo, hi: _zero_at_0(np.ones(hi - lo, dtype=np.float64), lo),
     )
 
 
@@ -391,7 +425,7 @@ def dirichlet_character(d: int, exponents) -> ArithmeticFunction:
     fn = ArithmeticFunction(
         "dirichlet", rule, kind="completely_multiplicative", in_unit_ball=True,
         params={"modulus": d, "exponents": list(exponents)},
-        table=lambda x, s: table[np.arange(x + 1, dtype=np.int64) % d],
+        table=lambda x, s: lambda lo, hi: table[np.arange(lo, hi, dtype=np.int64) % d],
     )
     fn.modulus = d
     fn.character_table = table

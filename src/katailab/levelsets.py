@@ -1,8 +1,11 @@
 """Level sets of multiplicative functions: membership, enumeration, density.
 
 Each set variant is one predicate on (f(n), n): contains(n) feeds it the
-value from the factorization of n, members_upto(x) feeds it the sieve table
-of f, so the two agree by construction.
+value from the factorization of n, reader(x) feeds it the sieve table of f
+one 2^16-entry window at a time, so the two agree by construction.
+members_upto(x) is the reader's window [0, x + 1), which first_members
+scans; empirical_density, enumerate_members and orthogonality_sum reduce the
+windows as they are made, with no whole-table bool copy.
 Rotation and real-threshold variants return a boundary flag when the decisive
 quantity lands within eps_b of an interval endpoint or threshold (the verdict
 itself is always by strict comparison).
@@ -23,13 +26,13 @@ import numpy as np
 
 from .constants import Constant, as_constant
 from .functions import ArithmeticFunction, from_json as function_from_json
-from .sieve import _RULES, FactorSieve, _kfree_mask
+from .sieve import _RULES, FactorSieve, _kfree_windows
 from .reports import DensityReport, SeriesReport
 from .specs import Family, Spelling, constant
-from .summation import checkpoint_sums, divergence_slope, prime_series, sorted_checkpoints
+from .summation import (CHUNK, checkpoint_sums, divergence_slope, prime_series,
+                        sorted_checkpoints)
 
 BOUNDARY_EPS = 1e-12
-_BLOCK = 1 << 20  # members_upto and enumerate_members take this many n at a time
 
 
 class Verdict(NamedTuple):
@@ -135,20 +138,34 @@ class LevelSet:
     """Base: a membership predicate on (value, n), where value is f(n).
 
     contains(n) applies the predicate to the value from the factorization of
-    n, members_upto(x) applies the same predicate to the sieve table of f.  A
-    subclass names its sieve table (or overrides _value / _values) and gives
-    _holds, plus _boundary where the verdict can sit on a real endpoint.
+    n, reader(x) applies the same predicate to the sieve table of f, one
+    window at a time.  A subclass names its sieve table (or overrides _value
+    / _values) and gives _holds, plus _boundary where the verdict can sit on
+    a real endpoint.  A window passes _holds the int64 n of the window only
+    if the predicate sets reads_n; otherwise n is None, which spares a
+    window-sized temporary.
     """
 
     name = "abstract"
     is_multiplicative_set = False
     table = None  # sieve table holding f
+    reads_n = False
 
     def _value(self, n, sieve):
         return _factor_value(self.table, n, sieve)
 
     def _values(self, x, sieve):
-        return sieve.table(self.table, x)
+        """Window reader (lo, hi) -> f(n) for lo <= n < hi, tables built here."""
+        table = sieve.table(self.table, x)
+        return lambda lo, hi: table[lo:hi]
+
+    def _windows(self, x, sieve):
+        """(lo, hi) -> membership of lo <= n < hi, for windows of at most
+        CHUNK entries; every table is built here."""
+        values = self._values(x, sieve)
+        if not self.reads_n:
+            return lambda lo, hi: self._holds(values(lo, hi), None)
+        return lambda lo, hi: self._holds(values(lo, hi), np.arange(lo, hi, dtype=np.int64))
 
     def _holds(self, v, n):
         raise NotImplementedError
@@ -160,15 +177,31 @@ class LevelSet:
         v = self._value(n, sieve)
         return Verdict(bool(self._holds(v, n)), bool(self._boundary(v, n)))
 
-    def members_upto(self, x: int, sieve: FactorSieve) -> np.ndarray:
+    def reader(self, x: int, sieve: FactorSieve):
+        """read(lo, hi): membership of lo <= n < hi, 0 <= lo <= hi <= x + 1,
+        as a fresh bool array (n = 0 is no member).
+
+        Every sieve table the predicate needs is built here, on the calling
+        thread, so read may run in checkpoint_sums' workers.  The predicate
+        runs one CHUNK-entry window at a time, so its temporaries stay small
+        at any window size.
+        """
         sieve.require_upto("x", x)
-        values = self._values(x, sieve)
-        out = np.empty(x + 1, dtype=bool)
-        for lo in range(0, x + 1, _BLOCK):
-            hi = min(lo + _BLOCK, x + 1)
-            out[lo:hi] = self._holds(values[lo:hi], np.arange(lo, hi, dtype=np.int64))
-        out[0] = False
-        return out
+        window = self._windows(x, sieve)
+
+        def read(lo, hi):
+            out = np.empty(hi - lo, dtype=bool)
+            for a in range(lo, hi, CHUNK):
+                b = min(a + CHUNK, hi)
+                out[a - lo:b - lo] = window(a, b)
+            if lo == 0 and hi > 0:
+                out[0] = False
+            return out
+
+        return read
+
+    def members_upto(self, x: int, sieve: FactorSieve) -> np.ndarray:
+        return self.reader(x, sieve)(0, x + 1)
 
     def to_json(self):
         raise NotImplementedError
@@ -199,7 +232,7 @@ class KFree(LevelSet):
         return all(e < self.k for _, e in sieve.factorize(n))
 
     def _values(self, x, sieve):
-        return _kfree_mask(self.k, x, sieve)
+        return _kfree_windows(self.k, x, sieve)
 
     def _holds(self, v, n):
         return v
@@ -216,7 +249,8 @@ class Squarefree(KFree):
         self.name = "squarefree"
 
     def _values(self, x, sieve):
-        return sieve.table("squarefree", x)
+        table = sieve.table("squarefree", x)
+        return lambda lo, hi: table[lo:hi]
 
     def to_json(self):
         return {"variant": "squarefree"}
@@ -295,13 +329,10 @@ class OmegaRot(LevelSet):
 
 
 class _SigmaVersusDouble(LevelSet):
-    """sign(sigma(n) - 2n) = _sign, strict: perfect numbers are in neither set."""
+    """sigma(n) against 2n, strict: perfect numbers are in neither set."""
 
     table = "sigma"
-    _sign = 0
-
-    def _holds(self, v, n):
-        return self._sign * (v - 2 * n) > 0
+    reads_n = True
 
     def to_json(self):
         return {"variant": self.name}
@@ -311,20 +342,25 @@ class Abundant(_SigmaVersusDouble):
     """sigma(n) > 2n, strict (perfect numbers excluded exactly)."""
 
     name = "abundant"
-    _sign = 1
+
+    def _holds(self, v, n):
+        return v > 2 * n
 
 
 class Deficient(_SigmaVersusDouble):
     """sigma(n) < 2n, strict."""
 
     name = "deficient"
-    _sign = -1
+
+    def _holds(self, v, n):
+        return v < 2 * n
 
 
 class PhiRatioBelow(LevelSet):
     """{n : phi(n) < x * n}; exact for rational x, flagged near real x."""
 
     table = "phi"
+    reads_n = True
 
     def __init__(self, threshold):
         self.threshold = as_constant(threshold)
@@ -371,7 +407,7 @@ class GenericLevel(LevelSet):
         return self.fn.eval(n, sieve)
 
     def _values(self, x, sieve):
-        return self.fn.values_upto(x, sieve)
+        return self.fn.reader(x, sieve)
 
     def _holds(self, v, n):
         if self.tolerance == 0.0:
@@ -404,8 +440,9 @@ class Intersection(LevelSet):
         b = self.right.contains(n, sieve)
         return Verdict(a.member and b.member, a.boundary or b.boundary)
 
-    def members_upto(self, x, sieve):
-        return self.left.members_upto(x, sieve) & self.right.members_upto(x, sieve)
+    def _windows(self, x, sieve):
+        left, right = self.left._windows(x, sieve), self.right._windows(x, sieve)
+        return lambda lo, hi: left(lo, hi) & right(lo, hi)
 
     def to_json(self):
         return {"variant": "intersection",
@@ -455,20 +492,18 @@ from_json = SPELLINGS.from_json
 
 
 def enumerate_members(spec: LevelSet, x: int, sieve: FactorSieve):
-    """Stream the members of spec in [1, x] in increasing order."""
-    table = spec.members_upto(x, sieve)
-    for lo in range(0, x + 1, _BLOCK):
-        hi = min(lo + _BLOCK, x + 1)
-        for n in np.nonzero(table[lo:hi])[0]:
-            yield int(n) + lo
+    """Stream the members of spec in [1, x] in increasing order, one
+    CHUNK-entry window of its reader at a time."""
+    read = spec.reader(x, sieve)
+    for lo in range(0, x + 1, CHUNK):
+        yield from (np.flatnonzero(read(lo, min(lo + CHUNK, x + 1))) + lo).tolist()
 
 
 def first_members(spec: LevelSet, count: int, sieve: FactorSieve) -> np.ndarray:
     """First `count` members as an int64 array; TruncationError if too few."""
     x = min(sieve.limit, max(1024, 4 * count))
     while True:
-        table = spec.members_upto(x, sieve)
-        members = np.nonzero(table)[0]
+        members = np.flatnonzero(spec.members_upto(x, sieve))
         if members.size >= count:
             return members[:count].astype(np.int64)
         if x >= sieve.limit:
@@ -479,8 +514,8 @@ def first_members(spec: LevelSet, count: int, sieve: FactorSieve) -> np.ndarray:
 def empirical_density(spec: LevelSet, checkpoints, sieve: FactorSieve) -> DensityReport:
     """|E cap [1,x]| / x at each checkpoint (exact integer counts)."""
     checkpoints = sorted_checkpoints(checkpoints)
-    table = spec.members_upto(checkpoints[-1], sieve)
-    counts = checkpoint_sums(lambda lo, hi: np.count_nonzero(table[lo:hi]), checkpoints)
+    read = spec.reader(checkpoints[-1], sieve)
+    counts = checkpoint_sums(lambda lo, hi: np.count_nonzero(read(lo, hi)), checkpoints)
     densities = [int(k) / c for k, c in zip(counts, checkpoints)]
     return DensityReport(checkpoints, densities)
 

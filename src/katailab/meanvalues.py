@@ -31,21 +31,25 @@ POWER_CUTOFF = 1e-18
 def empirical_mean(fn: ArithmeticFunction, n_max: int, checkpoints,
                    sieve: FactorSieve, threads: int = 1) -> MeanValueReport:
     """Running means (1/x) sum_{n<=x} f(n) at each checkpoint."""
-    return _running_means(fn.values_upto, n_max, checkpoints, sieve, threads)
+    return _running_means(fn.reader, n_max, checkpoints, sieve, threads)
 
 
 def seminorm_l1(fn: ArithmeticFunction, n_max: int, checkpoints,
                 sieve: FactorSieve, threads: int = 1) -> MeanValueReport:
     """Running means of |f(n)| (the limsup of these is the averaged seminorm)."""
-    return _running_means(lambda x, s: np.abs(fn.values_upto(x, s)), n_max,
-                          checkpoints, sieve, threads)
+    def reader(x, s):
+        read = fn.reader(x, s)
+        return lambda lo, hi: np.abs(read(lo, hi))
+
+    return _running_means(reader, n_max, checkpoints, sieve, threads)
 
 
-def _running_means(values_upto, n_max, checkpoints, sieve, threads):
+def _running_means(reader, n_max, checkpoints, sieve, threads):
+    """reader(x, sieve) -> read(lo, hi), the summands on a window; each
+    window is summed as checkpoint_sums cuts it, with no whole table."""
     sieve.require_upto("N", n_max)
     checkpoints = checkpoints_upto(checkpoint_grid(checkpoints, n_max), n_max, "N")
-    values = values_upto(n_max, sieve)
-    sums = checkpoint_sums(lambda lo, hi: values[lo:hi], checkpoints, threads=threads)
+    sums = checkpoint_sums(reader(n_max, sieve), checkpoints, threads=threads)
     return MeanValueReport(checkpoints, [s / c for s, c in zip(sums, checkpoints)])
 
 

@@ -336,12 +336,15 @@ def orthogonality_sum(spec: LevelSet, seq: BoundedSequence, x: int,
     """|sum_{n<=x'} 1_E(n) a(n)| / x' on the checkpoint grid, with slope."""
     sieve.require_upto("x", x)
     checkpoints = checkpoints_upto(checkpoint_grid(checkpoints, x), x, "x")
-    members = spec.members_upto(x, sieve)
+    members = spec.reader(x, sieve)
 
-    def term(n):
-        return np.multiply(seq.eval_array(n), members[n[0]:n[-1] + 1])
+    def terms(lo, hi):
+        member = members(lo, hi)
+        return ddmath.blockwise(
+            lambda n: np.multiply(seq.eval_array(n), member[n[0] - lo:n[-1] + 1 - lo]),
+            np.arange(lo, hi, dtype=np.int64))
 
-    sums = checkpoint_sums(_blockwise_terms(term), checkpoints, threads=threads)
+    sums = checkpoint_sums(terms, checkpoints, threads=threads)
     vals = [abs(s) / c for s, c in zip(sums, checkpoints)]
     return DecayProfile(checkpoints, vals, slope=fit_loglog_slope(checkpoints, vals))
 

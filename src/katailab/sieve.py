@@ -116,6 +116,11 @@ class SpfTable:
             self._check(range(lo // _CRC_SEGMENT, (hi - 1) // _CRC_SEGMENT + 1))
         return self.raw[lo:hi]
 
+    def check_entries(self, ns):
+        """Check the segments holding the entries at ns, each segment once."""
+        if self._crcs is not None:
+            self._check({n // _CRC_SEGMENT for n in ns})
+
     def _check(self, segments):
         # two threads racing on one segment only check it twice
         for k in segments:
@@ -210,17 +215,28 @@ class FactorSieve:
         self.require_upto("n", n)
 
     def factorize(self, n: int) -> Factorization:
-        """Canonical factorization of n (1 <= n <= limit); n=1 gives ()."""
+        """Canonical factorization of n (1 <= n <= limit); n=1 gives ().
+
+        The chase n -> n / spf(n) reads raw entries; the segments it touched
+        are checked once, before the result is returned.  A raw entry that is
+        no prime factor of its n ends the chase, so a corrupt table fails its
+        check (or, without checksums, raises ValueError) instead of looping.
+        """
         self._check(n)
-        pairs = []
-        spf = self.spf
+        raw, pairs, seen = self.spf.raw, [], []
         while n > 1:
-            p = spf[n]
+            seen.append(n)
+            p = raw.item(n) or n  # 0 marks a prime
+            if p < 2 or n % p:
+                break
             e = 0
             while n % p == 0:
                 n //= p
                 e += 1
             pairs.append((p, e))
+        self.spf.check_entries(seen)
+        if n > 1:
+            raise ValueError(f"sieve table entry {p} at n={n} is no prime factor of it")
         return Factorization(tuple(pairs))
 
     def primes(self, upto: int | None = None) -> np.ndarray:
@@ -300,7 +316,7 @@ class FactorSieve:
             if name in _RULES:
                 memo = self._kernel(*_RULES[name], upto=upto, reads_p=name not in _E_ONLY)
             elif name == "squarefree":
-                memo = _kfree_mask(2, upto, self)
+                memo = _kfree_windows(2, upto, self)(0, upto + 1)
             else:
                 raise ValueError(f"unknown sieve table {name!r}; tables are "
                                  f"{', '.join([*_RULES, 'squarefree'])}")
@@ -415,15 +431,21 @@ _RULES = {
 _E_ONLY = frozenset({"big_omega", "small_omega", "mobius", "tau"})  # rules that ignore p
 
 
-def _kfree_mask(k: int, x: int, sieve: FactorSieve) -> np.ndarray:
-    """Bool table over 0..x: no p^k divides n (index 0 is False)."""
-    out = np.ones(x + 1, dtype=bool)
-    out[0] = False
-    for p in sieve.primes(int(x ** (1.0 / k)) + 1):
-        q = int(p) ** k
-        if q <= x:
-            out[q::q] = False
-    return out
+def _kfree_windows(k: int, x: int, sieve: FactorSieve):
+    """(lo, hi) -> bool window of 0..x: no p^k divides n (n = 0 is False),
+    by striking the multiples of each p^k <= x inside the window."""
+    primes = sieve.primes(int(x ** (1.0 / k)) + 1).tolist()
+    qs = [p ** k for p in primes if p ** k <= x]
+
+    def window(lo, hi):
+        out = np.ones(hi - lo, dtype=bool)
+        if lo == 0:
+            out[:1] = False  # n = 0
+        for q in qs:
+            out[-lo % q::q] = False
+        return out
+
+    return window
 
 
 def _simple_spf(limit: int) -> np.ndarray:

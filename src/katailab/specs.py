@@ -16,6 +16,10 @@ def constant(text: str):
     return Constant.parse(text).to_json()
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class Spelling(NamedTuple):
     """tag: the JSON tag.  short: the shorthand name, None for JSON only.
     fields: the shorthand's fields in order, name -> reader of the string
@@ -47,15 +51,29 @@ class Family:
         self.shorthand = {row.short: row for row in rows if row.short}
 
     def from_json(self, obj):
+        """The object of obj's row.  An integer field (read by int, or a list
+        read by [int]) must hold a JSON integer, not a float or a bool, so
+        the object, its name and its to_json agree on the value."""
         tag = obj[self.key]
         if tag not in self.rows:
             raise ValueError(f"unknown {self.name} {tag!r}")
-        return self.rows[tag].build(obj)
+        row = self.rows[tag]
+        for key, read in row.fields.items():
+            if key not in obj:
+                continue  # build names the missing field
+            value = obj[key]
+            if read is int and not _is_int(value):
+                raise ValueError(f"field {key!r} must be an integer, got {value!r}")
+            if read == [int] and not (isinstance(value, list) and all(map(_is_int, value))):
+                raise ValueError(f"field {key!r} must be a list of integers, got {value!r}")
+        return row.build(obj)
 
     def parse(self, text: str):
         """A spec from its JSON form or its shorthand.  A wrong number of
         fields, and any KeyError, IndexError, TypeError or ValueError on either
-        route, give one ValueError naming the family and the spelling."""
+        route, give one ValueError naming the family and the spelling; so does
+        a RecursionError from a JSON spec nested too deeply, on decoding or
+        in from_json."""
         text = text.strip()
         try:
             if text.startswith("{"):
@@ -74,5 +92,5 @@ class Family:
             return self.from_json({self.key: row.tag, **row.shape(fields)})
         except KeyError as err:
             raise ValueError(f"bad {self.name} spec {text!r}: missing field {err}") from err
-        except (IndexError, TypeError, ValueError) as err:
+        except (IndexError, TypeError, ValueError, RecursionError) as err:
             raise ValueError(f"bad {self.name} spec {text!r}: {err}") from err

@@ -584,6 +584,17 @@ def test_a_flipped_byte_fails_the_request_that_reads_its_segment(tmp_path):
     assert main(meanvalue) == 2
 
 
+def test_factorize_stops_at_an_entry_that_is_no_prime_factor():
+    # a table without checksums: 1 and 3 as entries of 8 would loop forever
+    s = build_sieve(1_000)
+    for wrong in (1, 3):
+        raw = s.spf.raw.copy()
+        raw[8] = wrong
+        with pytest.raises(ValueError, match=f"entry {wrong} at n=8 is no prime factor"):
+            FactorSieve(1_000, raw).factorize(8)
+    assert list(FactorSieve(1_000, s.spf.raw.copy()).factorize(8)) == [(2, 3)]
+
+
 def test_an_interrupted_save_leaves_no_file(tmp_path, monkeypatch):
     def interrupted(src, dst):
         raise OSError("interrupted before the rename")

@@ -89,15 +89,32 @@ MALFORMED = {
               '{"variant":"nosuchset"}', '{"variant":"intersection","left":5,"right":5}',
               "abundant:3", "kfree:3,4", "intersection", "generic_level",
               # the sweep workload's expected rejections
-              "kfree:x", "big_omega_mod:2", "tau_mod:a,b", "nosuchset", "omega_rot:sqrt2"],
+              "kfree:x", "big_omega_mod:2", "tau_mod:a,b", "nosuchset", "omega_rot:sqrt2",
+              # an integer field holds a JSON integer, not a float or a bool
+              '{"variant":"kfree","k":2.5}', '{"variant":"omega_mod","b":2.5,"r":0}',
+              '{"variant":"tau_mod","b":3,"r":true}'],
     "--function": ["{}", '{"function":"dirichlet"}', '{"function":"archimedean","t":null}',
+                   '{"function":"dirichlet","modulus":5,"exponents":[1.0]}',
+                   '{"function":"dirichlet","modulus":5.0,"exponents":[1]}',
                    "dirichlet", "lambda_xi", "archimedean", "mobius:4", "lambda_xi:x"],
     "--hardy": ["{}", '{"hardy":"power"}', '{"hardy":"polynomial","coefficients":5}',
                 "power", "tlogt:7", "poly:0,1,x", "polynomial:0,sqrt2"],
 }
 
 
-@pytest.mark.parametrize("flag,text", [(f, t) for f, texts in MALFORMED.items() for t in texts])
+def _nested(depth):
+    """depth intersections nested in their left operand, as one JSON spec."""
+    leaf = '{"variant":"squarefree"}'
+    return '{"variant":"intersection","left":' * depth + leaf + (',"right":' + leaf + "}") * depth
+
+
+# 3,000 levels overflow the JSON decoder, 600 levels the recursion of from_json
+NESTED = [pytest.param("--set", _nested(depth), id=f"--set-nested{depth}")
+          for depth in (600, 3_000)]
+
+
+@pytest.mark.parametrize("flag,text", [(f, t) for f, texts in MALFORMED.items() for t in texts]
+                         + NESTED)
 def test_malformed_spelling_exits_2_naming_it(flag, text, monkeypatch, capsys):
     monkeypatch.setattr(cli, "obtain_sieve", lambda *a: pytest.fail("sieve requested"))
     assert main([*COMMANDS[flag], flag, text]) == 2
