@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 
@@ -22,7 +23,6 @@ import numpy as np
 
 from . import equidist, functions, levelsets, meanvalues, orthogonality, reports
 from .constants import Constant
-from .levelsets import TruncationError
 from .sieve import FactorSieve, SieveRangeError
 from .summation import checkpoint_grid, checkpoints_upto
 
@@ -166,10 +166,10 @@ def cmd_meanvalue(args):
 def cmd_dist(args):
     fn = parse_function(args.function)
     if args.series == "cdf":
+        lo, hi, k = _thresholds(args.thresholds)
         sieve = obtain_sieve(args, args.n)
         values = np.real(fn.values_upto(args.n, sieve)[1:])
-        lo, hi, k = (float(t) for t in args.thresholds.split(":"))
-        table = meanvalues.empirical_cdf(values, np.linspace(lo, hi, int(k)))
+        table = meanvalues.empirical_cdf(values, np.linspace(lo, hi, k))
         rep = reports.CdfReport([t for t, _ in table], [y for _, y in table])
         params = {"function": fn.to_json(), "n": args.n, "series": "cdf",
                   "thresholds": args.thresholds}
@@ -178,6 +178,7 @@ def cmd_dist(args):
              " ".join(f"F({t:g})={y:.6f}" for t, y in table[:: max(1, len(table) // 5)]))
         return 0
     checkpoints = checkpoints_upto(checkpoint_grid(args.checkpoints, args.y), args.y, "y")
+    target = _target(args.target)
     sieve = obtain_sieve(args, args.y)
     params = {"function": fn.to_json(), "series": args.series, "y": args.y,
               "checkpoints": checkpoints, "t": args.t, "target": args.target,
@@ -195,9 +196,6 @@ def cmd_dist(args):
     if args.series == "halasz":
         rep = meanvalues.halasz_series(fn, args.t, args.y, checkpoints, sieve)
     else:
-        target = complex(*(float(t) for t in args.target.split(","))) if args.target else 1.0
-        if target.imag == 0:
-            target = target.real
         rep = levelsets.concentration_scan(fn, target, args.y, checkpoints, sieve,
                                            tolerance=args.tolerance)
     emit(rep, "dist", params, args,
@@ -249,6 +247,26 @@ def cmd_ergodic(args):
     return 0
 
 
+def _thresholds(text: str) -> tuple[float, float, int]:
+    """dist --thresholds lo:hi:count: finite lo and hi, an integer count >= 1."""
+    try:
+        lo, hi, k = map(finite, text.split(":"))
+        if k.is_integer() and k >= 1:
+            return lo, hi, int(k)
+    except ValueError:
+        pass
+    raise ValueError(f"--thresholds needs finite lo:hi:count, a whole count >= 1, got {text!r}")
+
+
+def _target(text: str | None):
+    """dist --target re[,im], each finite (1.0 when absent); real when im is 0."""
+    try:
+        target = complex(*map(finite, text.split(","))) if text else 1.0
+    except (TypeError, ValueError):  # complex() takes at most re and im
+        raise ValueError(f"--target must be re or re,im, each finite, got {text!r}") from None
+    return target.real if target.imag == 0 else target
+
+
 def _count(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -264,13 +282,27 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma list of finite numbers: {text!r}") from err
 
 
-def _common(sub, cache=True):
+# argparse types: a ValueError reads "invalid <type name> value: 'nan'"
+def finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def nonnegative(text: str) -> float:
+    value = finite(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
+def _common(sub):
     sub.add_argument("--csv", help="write the report as CSV")
     sub.add_argument("--json", dest="json_out", help="write the report as JSON")
     sub.add_argument("--threads", type=int, default=1,
                      help="worker threads (results are identical for any value)")
-    if cache:
-        sub.add_argument("--cache", help="sieve cache file (built+saved if missing)")
+    sub.add_argument("--cache", help="sieve cache file (built+saved if missing)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,9 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n", type=int, default=10**6, help="range for cdf mode")
     s.add_argument("--thresholds", default="0:1:21", help="lo:hi:count grid")
     s.add_argument("--y", type=int, default=10**5, help="prime cutoff for series")
-    s.add_argument("--t", type=float, default=0.0, help="frequency for halasz series")
+    s.add_argument("--t", type=finite, default=0.0, help="frequency for halasz series")
     s.add_argument("--target", help="re[,im] target for concentration scans")
-    s.add_argument("--tolerance", type=float, default=0.0)
+    s.add_argument("--tolerance", type=nonnegative, default=0.0)
     s.add_argument("--checkpoints", type=_int_list)
     _common(s)
 
@@ -373,7 +405,7 @@ def main(argv=None) -> int:
     except MemoryError as err:
         print(f"out of memory: {err}" if str(err) else "out of memory", file=sys.stderr)
         return 3
-    except (ValueError, OSError, TruncationError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -52,6 +53,8 @@ class Constant:
         elif self.kind == "rational":
             if self.value_exact is None:
                 raise ValueError("rational constant needs a value")
+            if abs(self.value_exact) > sys.float_info.max:  # dd starts from its float
+                raise ValueError("rational constant too large for a float")
         else:
             raise ValueError(f"unknown constant kind {self.kind!r}")
 
@@ -134,12 +137,13 @@ class Constant:
             if text.startswith(prefix) and text[len(prefix):].isdigit():
                 return Constant(prefix, int(text[len(prefix):]))
         try:
-            return rational(Fraction(text))
+            value = Fraction(text)
         except ValueError:
             raise ValueError(
                 f"cannot parse constant {text!r}; use sqrt<k>, golden, e, pi, "
                 f"log<k>, or a decimal/rational literal"
             ) from None
+        return rational(value)
 
     def __str__(self) -> str:
         if self.kind == "rational":
@@ -164,8 +168,6 @@ def as_constant(value) -> Constant:
 
 
 SQRT2 = Constant("sqrt", 2)
-SQRT3 = Constant("sqrt", 3)
-SQRT5 = Constant("sqrt", 5)
 GOLDEN = Constant("golden")
 PI = Constant("pi")
 E = Constant("e")

@@ -118,11 +118,7 @@ def from_float(a):
 
 
 def from_int(n):
-    """Exact dd from integers (scalar Python int or int64 array) up to ~2^106."""
-    if isinstance(n, (int, np.integer)):
-        hi = float(n)
-        lo = float(int(n) - int(hi))
-        return hi, lo
+    """Exact dd from an int64 array."""
     n = np.asarray(n)
     hi = n.astype(np.float64)
     lo = (n - hi.astype(np.int64)).astype(np.float64)

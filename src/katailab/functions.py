@@ -110,9 +110,6 @@ class ArithmeticFunction:
             raise EvaluationError(ps[i], m, values[i])
         return values, arr
 
-    def __call__(self, n: int, sieve: FactorSieve):
-        return self.eval(n, sieve)
-
     def eval(self, n: int, sieve: FactorSieve):
         """Value at n, combined over the factorization per the function kind."""
         f = sieve.factorize(n)
@@ -254,6 +251,8 @@ def small_omega() -> ArithmeticFunction:
 
 def archimedean(t: float) -> ArithmeticFunction:
     t = float(t)
+    if not math.isfinite(t):
+        raise ValueError(f"archimedean t must be finite, got {t}")
 
     def read(lo, hi):
         n = np.arange(lo, hi, dtype=np.float64)
@@ -427,7 +426,6 @@ def dirichlet_character(d: int, exponents) -> ArithmeticFunction:
         params={"modulus": d, "exponents": list(exponents)},
         table=lambda x, s: lambda lo, hi: table[np.arange(lo, hi, dtype=np.int64) % d],
     )
-    fn.modulus = d
     fn.character_table = table
     fn.is_principal = all(k % order == 0 for (_, _, order), k in zip(factors, exponents))
     return fn

@@ -40,7 +40,7 @@ class Verdict(NamedTuple):
     boundary: bool = False
 
 
-class TruncationError(RuntimeError):
+class TruncationError(ValueError):
     """The sieve ran out before the requested member count was reached."""
 
     def __init__(self, requested, attained, limit):
@@ -114,10 +114,6 @@ class IntervalSetMod1:
                 d = np.minimum(d, 1.0 - d)
                 out |= d < self.eps
         return out
-
-    @property
-    def length(self):
-        return sum(float(iv.hi) - float(iv.lo) for iv in self.intervals)
 
     def to_json(self):
         return {"intervals": [iv.to_json() for iv in self.intervals], "eps": self.eps}

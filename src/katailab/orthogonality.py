@@ -151,12 +151,8 @@ class BoundedSequence:
     """A bounded complex sequence a(n) evaluated on int64 index arrays."""
 
     name = "abstract"
-    bound = 1.0
 
     def eval_array(self, n: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def to_json(self):
         raise NotImplementedError
 
 
@@ -199,30 +195,21 @@ class PolynomialExponential(PhaseSequence):
     def phase_array(self, n):
         return polynomial_frac(self.coefficients, np.asarray(n, dtype=np.int64))
 
-    def to_json(self):
-        return {"sequence": "polynomial_exponential",
-                "coefficients": [c.to_json() for c in self.coefficients]}
-
 
 class ConstantSequence(BoundedSequence):
     def __init__(self, value):
         self.value = complex(value)
-        self.bound = abs(self.value)
         self.name = f"const({value})"
 
     def eval_array(self, n):
         return np.full(np.asarray(n).shape, self.value, dtype=complex)
 
-    def to_json(self):
-        return {"sequence": "constant", "re": self.value.real, "im": self.value.imag}
-
 
 class TableSequence(BoundedSequence):
     """a(n) read from an explicit table (index 1-based)."""
 
-    def __init__(self, values, bound=None):
+    def __init__(self, values):
         self.values = np.asarray(values, dtype=complex)
-        self.bound = float(np.abs(self.values).max()) if bound is None else bound
         self.name = f"table({self.values.size})"
 
     def eval_array(self, n):
@@ -230,9 +217,6 @@ class TableSequence(BoundedSequence):
         if int(n.max(initial=0)) > self.values.size:
             raise SieveRangeError("table sequence indexed past its length")
         return self.values[n - 1]
-
-    def to_json(self):
-        return {"sequence": "table", "length": int(self.values.size)}
 
 
 def monomials_dd(coeff_dd, m: np.ndarray):

@@ -155,15 +155,12 @@ class DecayProfile:
     checkpoints: list
     values: list
     slope: float = 0.0
-    references: list | None = None
 
     def rows(self):
-        header = ("x", "value", "reference", "slope")
-        body = []
-        for i, (x, v) in enumerate(zip(self.checkpoints, self.values)):
-            ref = "" if self.references is None else float(self.references[i])
-            body.append((int(x), float(v), ref, self.slope))
-        return header, body
+        # an empty reference column: the layout of CorrelationReport
+        return ("x", "value", "reference", "slope"), [
+            (int(x), float(v), "", self.slope) for x, v in zip(self.checkpoints, self.values)
+        ]
 
     def summary(self):
         return {"final_value": float(self.values[-1]), "slope": self.slope}

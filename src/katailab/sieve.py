@@ -34,8 +34,8 @@ prefix it uses, and each segment is checked against its crc32 the first time
 a read touches it.  load() also checks 1024 seeded raw entries, without
 setting off those checks, against their true smallest prime factor, found by
 one array trial division over the primes <= sqrt(limit) of an independent
-small sieve.  A v1 file (KATAISV1, LE uint32 entries with spf(p) = p) still
-loads: it is converted into the uint16 table block by block.
+small sieve.  A file with any other magic is refused; `katailab sieve`
+rebuilds it.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from .reports import _atomic_write
 
 MAX_LIMIT = 2**31
 CACHE_MAGIC = b"KATAISV2"
-_V1_MAGIC = b"KATAISV1"
 _HEADER = 16  # magic, then the limit as LE uint64
 _CRC_SEGMENT = 1 << 16  # table entries per crc32 in a cache file
 _SPOT_CHECK_SEED = 0x5EED
@@ -101,8 +100,8 @@ class SpfTable:
     int), spf[lo:hi] and spf[idx] (an integer array) decode it to uint32 with
     each prime decoded to itself and 0 at n < 2.  A table loaded from a cache
     carries one crc32 per 2^16-entry segment; a read through the accessor or
-    block() first checks each segment it touches that no read has checked
-    yet, and a mismatch raises ValueError naming the segment.
+    block() first checks each segment it touches (check), and a mismatch
+    raises ValueError naming the segment.
     """
 
     def __init__(self, raw: np.ndarray, crcs: np.ndarray | None = None):
@@ -112,16 +111,15 @@ class SpfTable:
 
     def block(self, lo: int, hi: int) -> np.ndarray:
         """raw[lo:hi], its segments checked."""
-        if self._crcs is not None and hi > lo:
-            self._check(range(lo // _CRC_SEGMENT, (hi - 1) // _CRC_SEGMENT + 1))
+        if hi > lo:
+            self.check(range(lo // _CRC_SEGMENT, (hi - 1) // _CRC_SEGMENT + 1))
         return self.raw[lo:hi]
 
-    def check_entries(self, ns):
-        """Check the segments holding the entries at ns, each segment once."""
-        if self._crcs is not None:
-            self._check({n // _CRC_SEGMENT for n in ns})
-
-    def _check(self, segments):
+    def check(self, segments):
+        """Check the segments k in segments that no read has checked yet; a
+        table without checksums (a built one) checks nothing."""
+        if self._crcs is None:
+            return
         # two threads racing on one segment only check it twice
         for k in segments:
             if not self._checked[k]:
@@ -135,8 +133,7 @@ class SpfTable:
     def __getitem__(self, key):
         if isinstance(key, (int, np.integer)):  # the factorization chase
             n = int(key)
-            if self._crcs is not None:
-                self._check((n // _CRC_SEGMENT,))
+            self.check((n // _CRC_SEGMENT,))
             p = int(self.raw[n])
             return p if p or n < 2 else n
         if isinstance(key, slice):
@@ -147,8 +144,7 @@ class SpfTable:
             out[: max(0, min(2, hi) - lo)] = 0
             return out
         n = np.asarray(key)
-        if self._crcs is not None:
-            self._check(np.unique(n // _CRC_SEGMENT).tolist())
+        self.check(np.unique(n // _CRC_SEGMENT).tolist())
         out = _decode(self.raw[n], n.astype(np.uint32))
         out[n < 2] = 0
         return out
@@ -234,7 +230,7 @@ class FactorSieve:
                 n //= p
                 e += 1
             pairs.append((p, e))
-        self.spf.check_entries(seen)
+        self.spf.check(m // _CRC_SEGMENT for m in seen)  # lazy: no work without checksums
         if n > 1:
             raise ValueError(f"sieve table entry {p} at n={n} is no prime factor of it")
         return Factorization(tuple(pairs))
@@ -338,37 +334,36 @@ class FactorSieve:
         """Map a cache file and spot-check 1024 seeded entries by trial
         division, run as one array pass (_spot_check_truth).
 
-        The table of a v2 file is memory-mapped read-only, so a request reads
-        from disk only the pages of the prefix it uses, and checks their
-        segments' crc32 as it first reads them.  A v1 file is converted.
+        The table is memory-mapped read-only, so a request reads from disk
+        only the pages of the prefix it uses, and checks their segments'
+        crc32 as it first reads them.  A file without the v2 magic is
+        refused with a ValueError that names `katailab sieve` for the rebuild.
         """
         with open(path, "rb") as fh:
             header = fh.read(_HEADER)
             magic = header[:8]
-            if magic not in (CACHE_MAGIC, _V1_MAGIC):
-                raise ValueError(f"bad sieve cache magic {magic!r} in {path}")
+            if magic != CACHE_MAGIC:
+                raise ValueError(f"bad sieve cache magic {magic!r} in {path}; "
+                                 f"rebuild it with `katailab sieve`")
             if len(header) < _HEADER:
                 raise ValueError(f"sieve cache truncated: {len(header)}-byte header")
             (limit,) = struct.unpack("<Q", header[8:])
             if not (2 <= limit <= MAX_LIMIT):
                 raise ValueError(f"sieve cache limit {limit} out of range")
-            if magic == _V1_MAGIC:
-                raw, crcs = _from_v1(fh, limit), None
-            else:
-                segments = -(-(limit + 1) // _CRC_SEGMENT)
-                head = fh.read(4 * segments)
-                if len(head) < 4 * segments:
-                    raise ValueError(f"sieve cache truncated: {len(head) // 4} of "
-                                     f"{segments} checksums")
-                crcs = np.frombuffer(head, dtype="<u4")
-                offset = _HEADER + len(head)
-                entries = (os.fstat(fh.fileno()).st_size - offset) // 2
-                if entries < limit + 1:
-                    raise ValueError(f"sieve cache truncated: {entries} of "
-                                     f"{limit + 1} entries")
-                raw = np.memmap(fh, dtype="<u2", mode="r", offset=offset,
-                                shape=(limit + 1,))
-                raw = raw.view(np.ndarray)  # plain array ops; the view keeps the map open
+            segments = -(-(limit + 1) // _CRC_SEGMENT)
+            head = fh.read(4 * segments)
+            if len(head) < 4 * segments:
+                raise ValueError(f"sieve cache truncated: {len(head) // 4} of "
+                                 f"{segments} checksums")
+            crcs = np.frombuffer(head, dtype="<u4")
+            offset = _HEADER + len(head)
+            entries = (os.fstat(fh.fileno()).st_size - offset) // 2
+            if entries < limit + 1:
+                raise ValueError(f"sieve cache truncated: {entries} of "
+                                 f"{limit + 1} entries")
+            raw = np.memmap(fh, dtype="<u2", mode="r", offset=offset,
+                            shape=(limit + 1,))
+            raw = raw.view(np.ndarray)  # plain array ops; the view keeps the map open
         # raw entries: no crc32 is attached yet, so the scattered samples do
         # not set off a check of every segment
         sample = _spot_check_sample(limit)
@@ -377,26 +372,6 @@ class FactorSieve:
         if bad.size:
             raise ValueError(f"sieve cache failed spot check at n={int(sample[bad[0]])}")
         return FactorSieve(int(limit), raw, crcs)
-
-
-def _from_v1(fh, limit: int) -> np.ndarray:
-    """The uint16 table of a v1 cache file (LE uint32 entries, spf(p) = p),
-    converted block by block."""
-    entries = (os.fstat(fh.fileno()).st_size - _HEADER) // 4
-    if entries < limit + 1:
-        raise ValueError(f"sieve cache truncated: {entries} of {limit + 1} entries")
-    old = np.memmap(fh, dtype="<u4", mode="r", offset=_HEADER, shape=(limit + 1,))
-    raw = np.empty(limit + 1, dtype=np.uint16)
-    for lo in range(0, limit + 1, _BLOCK):
-        hi = min(lo + _BLOCK, limit + 1)
-        block = old[lo:hi]
-        coded = np.where(block == np.arange(lo, hi, dtype=np.uint32), 0, block)
-        wide = np.flatnonzero(coded > 0xFFFF)
-        if wide.size:
-            raise ValueError(f"sieve cache entry {int(coded[wide[0]])} at "
-                             f"n={lo + int(wide[0])} is no smallest prime factor")
-        raw[lo:hi] = coded
-    return raw
 
 
 def _blocks(upto: int):

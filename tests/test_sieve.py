@@ -514,36 +514,18 @@ def test_build_peak_is_two_bytes_per_entry():
         assert peak <= 2 * (limit + 1) + (1 << 16), (threads, peak)
 
 
-def _v1_bytes(limit):
-    return b"KATAISV1" + struct.pack("<Q", limit) + _oracle_spf(limit).astype("<u4").tobytes()
-
-
-def test_v1_cache_loads_to_identical_tables(tmp_path):
+def test_v1_cache_is_refused_naming_the_rebuild(tmp_path, capsys):
+    # a v1 file: magic KATAISV1, the limit, then LE uint32 entries
     path = tmp_path / "v1.spf"
-    path.write_bytes(_v1_bytes(100_000))
-    loaded, built = FactorSieve.load(path), build_sieve(100_000)
-    assert loaded.spf.raw.dtype == np.uint16
-    assert np.array_equal(loaded.spf.raw, built.spf.raw)
-    for name in TABLES:
-        assert _same_bits(loaded.table(name), built.table(name)), name
-    argv = ["density", "--set", "squarefree", "--x", "100000", "--cache", str(path)]
-    assert main(argv) == 0
-    loaded.save(path)  # a v1 cache saved again is v2
-    assert path.read_bytes()[:8] == CACHE_MAGIC
-    assert np.array_equal(FactorSieve.load(path).spf.raw, built.spf.raw)
-
-
-def test_v1_cache_faults_fail_cleanly(tmp_path):
-    raw = bytearray(_v1_bytes(1_000))
-    path = tmp_path / "v1.spf"
-    path.write_bytes(bytes(raw[: 16 + 4 * 600]))
-    with pytest.raises(ValueError, match="truncated: 600 of 1001 entries"):
+    path.write_bytes(b"KATAISV1" + struct.pack("<Q", 1_000)
+                     + _oracle_spf(1_000).astype("<u4").tobytes())
+    with pytest.raises(ValueError, match="bad sieve cache magic b'KATAISV1'.*katailab sieve"):
         FactorSieve.load(path)
-    raw[16 + 4 * 999 + 2] = 1  # spf(999) = 3 + 2^16: no uint16 holds it
-    path.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="n=999 is no smallest prime factor"):
-        FactorSieve.load(path)
+    capsys.readouterr()
     assert main(["density", "--set", "squarefree", "--x", "100", "--cache", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad sieve cache magic") and err.count("\n") == 1, err
+    assert "katailab sieve" in err and "Traceback" not in err
 
 
 def _unsampled(limit, lo, hi):

@@ -92,13 +92,18 @@ MALFORMED = {
               "kfree:x", "big_omega_mod:2", "tau_mod:a,b", "nosuchset", "omega_rot:sqrt2",
               # an integer field holds a JSON integer, not a float or a bool
               '{"variant":"kfree","k":2.5}', '{"variant":"omega_mod","b":2.5,"r":0}',
-              '{"variant":"tau_mod","b":3,"r":true}'],
+              '{"variant":"tau_mod","b":3,"r":true}',
+              # a constant whose float overflows
+              "phi_below:1e400", '{"variant":"phi_ratio_below","threshold":'
+                                 '{"kind":"decimal","value":"1e400"}}'],
     "--function": ["{}", '{"function":"dirichlet"}', '{"function":"archimedean","t":null}',
                    '{"function":"dirichlet","modulus":5,"exponents":[1.0]}',
                    '{"function":"dirichlet","modulus":5.0,"exponents":[1]}',
-                   "dirichlet", "lambda_xi", "archimedean", "mobius:4", "lambda_xi:x"],
+                   "dirichlet", "lambda_xi", "archimedean", "mobius:4", "lambda_xi:x",
+                   # a non-finite t
+                   "archimedean:inf", "archimedean:nan", '{"function":"archimedean","t":Infinity}'],
     "--hardy": ["{}", '{"hardy":"power"}', '{"hardy":"polynomial","coefficients":5}',
-                "power", "tlogt:7", "poly:0,1,x", "polynomial:0,sqrt2"],
+                "power", "tlogt:7", "poly:0,1,x", "polynomial:0,sqrt2", "poly:0,1e400,sqrt2"],
 }
 
 
@@ -135,6 +140,27 @@ def test_non_finite_int_lists_exit_2(argv, monkeypatch, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"not a comma list of finite numbers: {argv[-1]!r}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("options", [
+    ["--series", "cdf", "--json", "cdf.json", "--thresholds", "0:1:0"],
+    ["--thresholds", "0:1:inf"],
+    ["--thresholds", "0:1:2.5"],
+    ["--thresholds", "0:1e400:3"],
+    ["--thresholds", "0:1"],
+    ["--series", "concentration", "--target", "1,2,3"],
+    ["--series", "concentration", "--target", "nan"],
+    ["--series", "halasz", "--t", "nan"],
+    ["--series", "halasz", "--t", "inf"],
+    ["--series", "concentration", "--tolerance", "nan"],
+    ["--series", "concentration", "--tolerance", "-1"],
+], ids=" ".join)
+def test_bad_dist_options_exit_2(options, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "obtain_sieve", lambda *a: pytest.fail("sieve requested"))
+    assert main(["dist", "--function", "mobius", "--n", "100", "--y", "100", *options]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and repr(options[-1]) in err, err
     assert "Traceback" not in err
 
 
