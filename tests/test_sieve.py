@@ -528,6 +528,25 @@ def test_v1_cache_is_refused_naming_the_rebuild(tmp_path, capsys):
     assert "katailab sieve" in err and "Traceback" not in err
 
 
+def test_v1_cache_faults_fail_cleanly(tmp_path, capsys):
+    # a truncated v1 file and one with an entry no uint16 holds: both fail on
+    # their magic, before any entry is read, with the same one-line error
+    raw = bytearray(b"KATAISV1" + struct.pack("<Q", 1_000)
+                    + _oracle_spf(1_000).astype("<u4").tobytes())
+    truncated = bytes(raw[: 16 + 4 * 600])
+    raw[16 + 4 * 999 + 2] = 1  # spf(999) = 3 + 2^16
+    path = tmp_path / "v1.spf"
+    for data in (truncated, bytes(raw)):
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match="bad sieve cache magic b'KATAISV1'"):
+            FactorSieve.load(path)
+        capsys.readouterr()
+        assert main(["density", "--set", "squarefree", "--x", "100", "--cache", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad sieve cache magic") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
+
 def _unsampled(limit, lo, hi):
     """An n in [lo, hi) that load()'s spot check does not read."""
     sample = set(_spot_check_sample(limit).tolist())
