@@ -55,7 +55,8 @@ def obtain_sieve(args, needed: int) -> FactorSieve:
                 f"cache {path} covers n <= {sieve.limit} but the run needs {needed}"
             )
         return sieve
-    sieve = FactorSieve.build(needed, threads=threads)
+    # a sieve to 2 answers any n <= 1; the command judges such an n itself
+    sieve = FactorSieve.build(max(needed, 2), threads=threads)
     if path:
         sieve.save(path)
     return sieve
@@ -131,7 +132,12 @@ def cmd_tk(args):
     if args.x is None and not args.x_list:
         raise ValueError("tk needs --x or --x-list")
     xs = sorted(set(args.x_list)) if args.x_list else [args.x]
-    sieve = obtain_sieve(args, max(xs))
+    # a prime lies in (x, 2x] (Bertrand), so pmax >= 2x puts one above x into P:
+    # refused before a sieve to pmax is built, which lists P
+    x = min(xs)
+    if args.pmax >= 2 * max(x, 1):
+        raise ValueError(f"P = primes <= {args.pmax} holds a prime above x = {x}")
+    sieve = obtain_sieve(args, max(*xs, args.pmax))
     primes = [int(p) for p in sieve.primes(args.pmax)]
     reps = [orthogonality.turan_kubilius_variance(primes, x, sieve) for x in xs]
     lines = [f"tk x={r.x}: variance={float(r.variance):.6g} m={float(r.m):.6f} "

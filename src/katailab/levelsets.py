@@ -526,6 +526,8 @@ def concentration_scan(fn: ArithmeticFunction, target, y: int, checkpoints,
     how the torus-criteria series are probed.  The divergence slope is
     advisory only.
     """
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise ValueError(f"concentration_scan needs a finite tolerance >= 0, got {tolerance}")
     if predicate is None and tolerance != 0.0:
         predicate = lambda v: abs(complex(v) - complex(target)) <= tolerance
 

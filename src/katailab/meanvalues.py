@@ -173,6 +173,9 @@ def halasz_series(fn: ArithmeticFunction, t: float, y: int, checkpoints,
 
     Terms lie in [0, 2/p], so the partial sums are nondecreasing.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"halasz_series needs a finite t, got {t}")
+
     def term(p):
         gp = complex(fn.prime_power(p, 1))
         if abs(gp) > 1.0 + 1e-12:

@@ -17,9 +17,14 @@ kernel,
     v(n) = v(n / p^e) * g(p, e)   (+ for additive tables),  p = spf(n), p^e || n,
 
 run block by block over [lo, hi) with hi <= 2 lo: n / p^e <= n / 2 lies below
-the block, so each block is one vectorized gather.  Tables are sized to the
-request: table(name, x) builds only 0..x, because entry n depends only on
-entries below it.  The cofactor n / p^e, the exponent e and each table are
+the block, so each block is one vectorized gather.  The blocks run band by
+band, a band being the blocks from some L up to 2 L: every block of a band
+reads only entries below L, so a band of at least 8 blocks (from 2^19 up)
+runs on the threads the sieve was built with, and each entry is written once
+by the same code, whatever the thread count.  A sieve loaded from a cache
+builds its tables on one thread.  Tables are sized to the request:
+table(name, x) builds only 0..x, because entry n depends only on entries
+below it.  The cofactor n / p^e, the exponent e and each table are
 memoized on the sieve instance at the largest x asked for so far.
 
 Each table has the narrowest dtype that holds it for every n <= 2^31: int8
@@ -58,6 +63,7 @@ _CRC_SEGMENT = 1 << 16  # table entries per crc32 in a cache file
 _SPOT_CHECK_SEED = 0x5EED
 _SEGMENT = 1 << 20  # build segment: its strided writes stay in cache
 _BLOCK = 1 << 16
+_POOL_BAND = 8  # blocks in a band worth a thread pool: bands from 2^19 up
 
 
 class SieveRangeError(ValueError):
@@ -156,6 +162,7 @@ class FactorSieve:
     def __init__(self, limit: int, raw: np.ndarray, crcs: np.ndarray | None = None):
         self.limit = int(limit)
         self.spf = SpfTable(raw, crcs)
+        self.threads = 1  # workers for the table bands; build() sets its own
         self._tables: dict[str, np.ndarray] = {}
         self._rest_e: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -163,7 +170,8 @@ class FactorSieve:
 
     @staticmethod
     def build(limit: int, threads: int = 1) -> "FactorSieve":
-        """Sieve smallest prime factors up to limit (2 <= limit <= 2^31)."""
+        """Sieve smallest prime factors up to limit (2 <= limit <= 2^31) on
+        `threads` workers, which later build the large bands of its tables."""
         if not (2 <= limit <= MAX_LIMIT):
             raise SieveRangeError(
                 f"sieve limit must be in [2, {MAX_LIMIT}], got {limit}"
@@ -196,7 +204,9 @@ class FactorSieve:
         else:
             for seg in segments:
                 mark(seg)
-        return FactorSieve(limit, raw)
+        sieve = FactorSieve(limit, raw)
+        sieve.threads = threads
+        return sieve
 
     # -- factorization -----------------------------------------------------
 
@@ -256,15 +266,37 @@ class FactorSieve:
 
     # -- bulk tables -------------------------------------------------------
 
+    def _each_block(self, upto: int, body):
+        """body(lo, hi) for every block of _blocks(upto), band by band.
+
+        A band of at least _POOL_BAND blocks runs on a pool of self.threads
+        workers when there are two or more; every other band runs on the
+        calling thread, block by block in order.  A block reads only entries
+        below its band, all written before the band starts.
+        """
+        pool = None
+        try:
+            for band in _bands(upto):
+                if self.threads > 1 and len(band) >= _POOL_BAND:
+                    pool = pool or ThreadPoolExecutor(max_workers=self.threads)
+                    list(pool.map(lambda lohi: body(*lohi), band))
+                else:
+                    for lo, hi in band:
+                        body(lo, hi)
+        finally:
+            if pool is not None:
+                pool.shutdown()
+
     def _split(self, upto: int) -> tuple[np.ndarray, np.ndarray]:
         """(rest, e) over 0..upto with n = spf(n)^e[n] * rest[n]; rest = 1, e = 0
         at n < 2.  Memoized; a larger upto rebuilds the pair."""
         if self._rest_e is None or self._rest_e[0].size <= upto:
             spf = self.spf
-            raw = spf.raw  # every block below lo was read, so checked, first
+            raw = spf.raw  # a block reads below its band: read, so checked, first
             rest = np.ones(upto + 1, dtype=np.uint32)
             e = np.zeros(upto + 1, dtype=np.int8)
-            for lo, hi in _blocks(upto):
+
+            def block(lo, hi):
                 p = spf[lo:hi]
                 div32 = np.arange(lo, hi, dtype=np.uint32) // p
                 div = div32.astype(np.intp)  # take() is fastest with intp indices
@@ -273,6 +305,8 @@ class FactorSieve:
                 same = (raw.take(div) == p) | (div32 == p)
                 rest[lo:hi] = np.where(same, rest.take(div), div32)
                 e[lo:hi] = e.take(div) * same + 1
+
+            self._each_block(upto, block)
             self._rest_e = rest, e
         rest, e = self._rest_e
         return rest[: upto + 1], e[: upto + 1]
@@ -289,12 +323,15 @@ class FactorSieve:
         out = np.zeros(upto + 1, dtype=dtype)
         if not additive and upto >= 1:
             out[1] = 1
-        for lo, hi in _blocks(upto):
+
+        def block(lo, hi):
             head = out.take(rest[lo:hi].astype(np.intp))
             g = rule(spf[lo:hi] if reads_p else None, e[lo:hi])
             # a fixed operand order: numpy's SIMD complex multiply is not
             # bitwise commutative
             out[lo:hi] = np.add(head, g) if additive else np.multiply(head, g)
+
+        self._each_block(upto, block)
         return out
 
     def table(self, name: str, upto: int | None = None) -> np.ndarray:
@@ -382,6 +419,19 @@ def _blocks(upto: int):
         hi = min(2 * lo, lo + _BLOCK, upto + 1)
         yield lo, hi
         lo = hi
+
+
+def _bands(upto: int):
+    """_blocks(upto) as lists of consecutive blocks with hi <= 2 L, L the lo of
+    the band's first block, so that n / p^e <= n / 2 < L for every n of it."""
+    band = []
+    for lo, hi in _blocks(upto):
+        if band and hi > 2 * band[0][0]:
+            yield band
+            band = []
+        band.append((lo, hi))
+    if band:
+        yield band
 
 
 def _sigma_pp(p, e):

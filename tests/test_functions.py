@@ -18,6 +18,7 @@ from katailab.functions import (
     smallest_primitive_root,
 )
 from katailab.levelsets import concentration_scan
+from katailab.sieve import FactorSieve
 from katailab.summation import prime_series
 
 
@@ -391,6 +392,26 @@ def test_bulk_values_match_the_per_prime_route(sieve_small):
             fn, x, sieve_small)
         assert got.dtype == want.dtype and np.array_equal(
             got.view(np.uint8), want.view(np.uint8)), fn.name
+
+
+def test_bulk_values_match_on_one_and_two_threads(monkeypatch):
+    # past 2^20: the bands from 2^19 of the split and the kernel run on a pool;
+    # each rule's prime-power values are read once and fed to both kernels
+    x = 2**20 + 12_345
+    one, two = FactorSieve.build(x), FactorSieve.build(x, threads=2)
+    kernel, names = one._kernel, []
+
+    def on_both(*args):
+        want, got = kernel(*args), two._kernel(*args)
+        assert got.dtype == want.dtype and np.array_equal(
+            got.view(np.uint8), want.view(np.uint8)), fn.name
+        names.append(fn.name)
+        return want
+
+    monkeypatch.setattr(one, "_kernel", on_both)
+    for fn, _ in _rules():
+        fns.bulk_values(fn, x, one)
+    assert names == [fn.name for fn, _ in _rules()]
 
 
 def test_concentration_scan_matches_the_per_prime_route(sieve_small):

@@ -245,6 +245,13 @@ def test_concentration_scan_slope_advisory(sieve_big):
     assert converging.slope == 0.0
 
 
+def test_concentration_scan_refuses_a_bad_tolerance(sieve_small):
+    for tolerance in (math.nan, -1.0, math.inf):
+        with pytest.raises(ValueError, match=r"finite tolerance >= 0, got (nan|-1.0|inf)"):
+            concentration_scan(fns.mobius(), -1, 1000, [1000], sieve_small,
+                               tolerance=tolerance)
+
+
 def test_concentration_scan_nondecreasing(sieve_mid):
     rep = concentration_scan(fns.mobius(), -1, 10**5, [10, 100, 10**3, 10**4, 10**5], sieve_mid)
     assert all(a <= b + 1e-15 for a, b in zip(rep.partial_sums, rep.partial_sums[1:]))

@@ -323,6 +323,12 @@ def test_torus_criterion_via_powers(sieve_small):
             assert rep.partial_sums[-1] > 1.0  # e(k/3) != 1: Mertens-type growth
 
 
+def test_halasz_series_refuses_a_non_finite_t(sieve_small):
+    for t in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"finite t, got (nan|inf)"):
+            halasz_series(fns.mobius(), t, 1000, [1000], sieve_small)
+
+
 def test_halasz_series_nondecreasing(sieve_small):
     rep = halasz_series(fns.lambda_xi(Constant("sqrt", 2)), 0.7, 10_000,
                         [10, 100, 1000, 10_000], sieve_small)

@@ -264,6 +264,18 @@ def test_exit_codes():
                 "--n", "100", "--unknown-flag"]) == 2
 
 
+@pytest.mark.parametrize("argv,code,err", [pytest.param(*case, id=" ".join(case[0])) for case in [
+    (["meanvalue", "--function", "mobius", "--n", "1"], 0, ""),
+    (["tk", "--pmax", "10", "--x", "0"], 2, "error: P = primes <= 10 holds a prime above x = 0\n"),
+    (["katai", "--theta", "sqrt2", "--x", "1"], 0, ""),
+    (["dist", "--function", "mobius", "--series", "cdf", "--n", "1"], 0, ""),
+]])
+def test_sizes_below_two_run_or_exit_2(argv, code, err, capsys):
+    # a sieve to 2 answers n <= 1: no size below 2 is a numeric-budget exit 3
+    assert run(argv) == code
+    assert capsys.readouterr().err == err
+
+
 def test_perfect_square_sqrt_constant_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(cli, "obtain_sieve", lambda *a: pytest.fail("sieve requested"))
     assert run(["weyl", "--hardy", "power:sqrt4", "--n", "100"]) == 2
@@ -280,6 +292,13 @@ def test_tk_without_a_size_exits_2(monkeypatch, capsys):
     assert run(["tk", "--pmax", "10"]) == 2
     err = capsys.readouterr().err
     assert "--x" in err and "--x-list" in err
+
+
+def test_tk_refuses_a_prime_above_x_before_building_the_sieve(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "obtain_sieve", lambda *a: pytest.fail("sieve requested"))
+    assert run(["tk", "--pmax", "2000000000", "--x-list", "100,1000"]) == 2
+    assert capsys.readouterr().err == (
+        "error: P = primes <= 2000000000 holds a prime above x = 100\n")
 
 
 def test_weyl_and_ergodic_reject_sizes_below_one(monkeypatch, capsys):
@@ -346,6 +365,19 @@ def test_csv_determinism_across_threads(tmp_path, cache):
     assert run(base + ["--csv", str(c), "--threads", "1"]) == 0
     assert run(base + ["--csv", str(d), "--threads", "3"]) == 0
     assert c.read_bytes() == d.read_bytes()
+
+
+def test_tables_built_on_two_threads_keep_the_bytes(tmp_path):
+    # no --cache: the sieve is built with --threads, so past 2^20 its phi and
+    # sigma tables are built band by band on two threads
+    for argv in (["meanvalue", "--function", "euler_phi_ratio", "--n", "1100000"],
+                 ["density", "--set", "abundant", "--x", "1100000"]):
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{argv[0]}_{threads}.json"
+            assert run([*argv, "--threads", threads, "--json", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1], argv[0]
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path, cache):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from katailab import functions as fns
+from katailab import sieve as sieve_module
 from katailab.constants import Constant
 from katailab.cli import main
 from katailab.levelsets import (
@@ -338,9 +339,13 @@ def _same_bits(got, want):
         got.view(np.uint8), want.view(np.uint8))
 
 
-@pytest.mark.parametrize("order", ["up", "down", "interleaved"])
-def test_tables_sized_to_the_request_match_the_whole_table(order):
-    limit = 150_000  # the last x spans three 2^16-entry kernel blocks
+@pytest.mark.parametrize("order,limit,threads", [
+    # the last x spans three 2^16-entry kernel blocks
+    *(pytest.param(order, 150_000, 1, id=order) for order in ("up", "down", "interleaved")),
+    # past 2^20: the bands from 2^19 run on two threads, against one
+    pytest.param("interleaved", 2**20 + 12_345, 2, id="interleaved-2-threads"),
+])
+def test_tables_sized_to_the_request_match_the_whole_table(order, limit, threads):
     xs = [0, 1, 2, 3, 100, 4_097, 65_536, 65_537, 140_000, limit]
     if order == "down":
         xs = xs[::-1]
@@ -349,7 +354,7 @@ def test_tables_sized_to_the_request_match_the_whole_table(order):
     whole = build_sieve(limit)
     whole_tables = {name: whole.table(name).copy() for name in TABLES}
     whole_mu = fns.bulk_values(fns.mobius(), limit, whole)
-    s = build_sieve(limit)
+    s = build_sieve(limit, threads)
     for name in TABLES:
         for x in xs:
             assert _same_bits(s.table(name, x), whole_tables[name][: x + 1]), (name, x)
@@ -358,6 +363,30 @@ def test_tables_sized_to_the_request_match_the_whole_table(order):
                 y = x // 3
                 assert _same_bits(fns.bulk_values(fns.mobius(), y, s), whole_mu[: y + 1])
     assert _same_bits(s.table("mobius"), whole_tables["mobius"])
+
+
+def test_table_bands_run_on_the_build_threads(tmp_path, monkeypatch):
+    pools = []
+
+    class Recording(sieve_module.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    built = {(limit, threads): build_sieve(limit, threads)
+             for limit, threads in ((2**20, 2), (2**20, 1), (500_000, 2))}
+    built[2**20, 2].save(tmp_path / "c.spf")
+    loaded = FactorSieve.load(tmp_path / "c.spf")
+    assert loaded.threads == 1
+    monkeypatch.setattr(sieve_module, "ThreadPoolExecutor", Recording)
+    # 2^20 with two threads: the band [2^19, 2^20) of 8 blocks runs on a
+    # pool, once for the split and once for the phi kernel
+    for s, want in ((built[2**20, 2], [2, 2]), (built[2**20, 1], []),
+                    (built[500_000, 2], []), (loaded, [])):
+        pools.clear()
+        s.table("phi")
+        assert pools == want, (s.limit, s.threads)
+    assert built[2**20, 2].table("phi").tobytes() == loaded.table("phi").tobytes()
 
 
 def test_tables_hold_only_the_requested_prefix():
