@@ -60,8 +60,7 @@ from .orthogonality import e_of, monomials_dd, polynomial_frac
 from .reports import DecayProfile, DiscrepancyReport
 from .sieve import FactorSieve, SieveRangeError
 from .specs import Family, Spelling, constant
-from .summation import (checkpoint_sums, checkpoints_upto, fit_loglog_slope,
-                        geometric_checkpoints)
+from .summation import checkpoint_sums, checkpoints_upto, geometric_checkpoints
 
 
 class AdmissibilityError(ValueError):
@@ -493,7 +492,7 @@ def ergodic_weyl_test(integers, alpha, grid=None) -> DecayProfile:
     sums = checkpoint_sums(lambda lo, hi: e_of(alpha.frac_mul(integers[lo - 1:hi - 1])),
                            grid)
     vals = [abs(s) / g for s, g in zip(sums, grid)]
-    return DecayProfile(grid, vals, slope=fit_loglog_slope(grid, vals))
+    return DecayProfile(grid, vals)
 
 
 def total_ergodicity_test(spec: LevelSet, alpha, count: int, sieve: FactorSieve,

@@ -21,6 +21,7 @@ multiplicative functions bounded by 1 in modulus.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from fractions import Fraction
 
@@ -270,6 +271,7 @@ def archimedean(t: float) -> ArithmeticFunction:
 def _omega_exponential(name, xi, weight_of_m, restrict_squarefree=False):
     xi = as_constant(xi)
 
+    @functools.cache  # one phase per k, shared by the rule and the table
     def phase_at(k):
         if xi.kind == "rational":
             v = xi.value_exact * k

@@ -29,8 +29,7 @@ from .functions import ArithmeticFunction, from_json as function_from_json
 from .sieve import _RULES, FactorSieve, _kfree_windows
 from .reports import DensityReport, SeriesReport
 from .specs import Family, Spelling, constant
-from .summation import (CHUNK, checkpoint_sums, divergence_slope, prime_series,
-                        sorted_checkpoints)
+from .summation import CHUNK, checkpoint_sums, prime_series, sorted_checkpoints
 
 BOUNDARY_EPS = 1e-12
 
@@ -510,6 +509,8 @@ def first_members(spec: LevelSet, count: int, sieve: FactorSieve) -> np.ndarray:
 def empirical_density(spec: LevelSet, checkpoints, sieve: FactorSieve) -> DensityReport:
     """|E cap [1,x]| / x at each checkpoint (exact integer counts)."""
     checkpoints = sorted_checkpoints(checkpoints)
+    if not checkpoints:
+        raise ValueError("checkpoints must be nonempty")
     read = spec.reader(checkpoints[-1], sieve)
     counts = checkpoint_sums(lambda lo, hi: np.count_nonzero(read(lo, hi)), checkpoints)
     densities = [int(k) / c for k, c in zip(counts, checkpoints)]
@@ -541,9 +542,7 @@ def concentration_scan(fn: ArithmeticFunction, target, y: int, checkpoints,
 
     checkpoints, sums = prime_series(sieve, y, checkpoints, terms)
     return SeriesReport(
-        name=f"concentration({fn.name})", cutoffs=checkpoints, partial_sums=sums.tolist(),
-        slope=divergence_slope(checkpoints, sums),
-    )
+        name=f"concentration({fn.name})", cutoffs=checkpoints, partial_sums=sums.tolist())
 
 
 def _equal_to(values, arr, target):

@@ -22,8 +22,7 @@ import numpy as np
 from .functions import ArithmeticFunction, EvaluationError
 from .reports import MeanValueReport, SeriesReport
 from .sieve import FactorSieve
-from .summation import (CHUNK, checkpoint_grid, checkpoint_sums, checkpoints_upto,
-                        divergence_slope, prime_series)
+from .summation import CHUNK, checkpoint_grid, checkpoint_sums, checkpoints_upto, prime_series
 
 POWER_CUTOFF = 1e-18
 
@@ -187,9 +186,7 @@ def halasz_series(fn: ArithmeticFunction, t: float, y: int, checkpoints,
     checkpoints, sums = prime_series(sieve, y, checkpoints,
                                      lambda primes: [term(p) for p in primes.tolist()])
     return SeriesReport(
-        name=f"halasz({fn.name},t={t})", cutoffs=checkpoints, partial_sums=sums.tolist(),
-        slope=divergence_slope(checkpoints, sums),
-    )
+        name=f"halasz({fn.name},t={t})", cutoffs=checkpoints, partial_sums=sums.tolist())
 
 
 def three_series(a_of_p, y: int, checkpoints, sieve: FactorSieve):
@@ -216,10 +213,9 @@ def three_series(a_of_p, y: int, checkpoints, sieve: FactorSieve):
     checkpoints, sums = prime_series(sieve, y, checkpoints, terms)
     s1, s2, s3 = sums.T.tolist()
     return (
-        SeriesReport("large_values", checkpoints, s1, divergence_slope(checkpoints, s1)),
-        SeriesReport("first_moment", checkpoints, s2, divergence_slope(checkpoints, s2),
-                     nonnegative_terms=False),
-        SeriesReport("second_moment", checkpoints, s3, divergence_slope(checkpoints, s3)),
+        SeriesReport("large_values", checkpoints, s1),
+        SeriesReport("first_moment", checkpoints, s2, nonnegative_terms=False),
+        SeriesReport("second_moment", checkpoints, s3),
     )
 
 

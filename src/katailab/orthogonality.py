@@ -57,7 +57,7 @@ from .constants import Constant, as_constant
 from .levelsets import LevelSet
 from .reports import CorrelationReport, DecayProfile, TuranKubiliusReport
 from .sieve import FactorSieve, SieveRangeError
-from .summation import checkpoint_grid, checkpoint_sums, checkpoints_upto, fit_loglog_slope
+from .summation import checkpoint_grid, checkpoint_sums, checkpoints_upto, sorted_checkpoints
 
 PHASE_BUDGET = 2**40
 
@@ -297,7 +297,7 @@ def katai_correlation(seq: BoundedSequence, p: int, q: int, x: int,
         raise ValueError("correlation needs distinct primes p != q")
     if p < 1 or q < 1:
         raise ValueError(f"correlation needs p, q >= 1, got p={p} q={q}")
-    checkpoints = sorted(int(c) for c in checkpoints) if checkpoints else [int(x)]
+    checkpoints = sorted_checkpoints(checkpoints) if checkpoints else [int(x)]
     # the sum runs to the last checkpoint, which may lie past x
     top = max(int(x), checkpoints[-1]) * max(int(p), int(q))
     if isinstance(seq, LinearExponential) and top > PHASE_BUDGET:
@@ -330,7 +330,7 @@ def orthogonality_sum(spec: LevelSet, seq: BoundedSequence, x: int,
 
     sums = checkpoint_sums(terms, checkpoints, threads=threads)
     vals = [abs(s) / c for s, c in zip(sums, checkpoints)]
-    return DecayProfile(checkpoints, vals, slope=fit_loglog_slope(checkpoints, vals))
+    return DecayProfile(checkpoints, vals)
 
 
 def turan_kubilius_variance(prime_set, x: int, sieve: FactorSieve) -> TuranKubiliusReport:

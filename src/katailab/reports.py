@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .summation import last_decade
+from .summation import divergence_slope, fit_loglog_slope, last_decade
 
 
 @dataclass
@@ -98,7 +98,6 @@ class SeriesReport:
     name: str
     cutoffs: list
     partial_sums: list
-    slope: float = 0.0
     nonnegative_terms: bool = True
 
     SLOPE_NOTE = "advisory: least-squares slope of partial sum vs log log y over the last decade"
@@ -112,10 +111,14 @@ class SeriesReport:
                         f"partial sums decrease ({a} -> {b})"
                     )
 
+    @property
+    def slope(self) -> float:
+        return divergence_slope(self.cutoffs, self.partial_sums)
+
     def rows(self):
+        slope = self.slope
         return ("y", "partial_sum", "slope"), [
-            (int(y), float(s), self.slope)
-            for y, s in zip(self.cutoffs, self.partial_sums)
+            (int(y), float(s), slope) for y, s in zip(self.cutoffs, self.partial_sums)
         ]
 
     def summary(self):
@@ -154,12 +157,16 @@ class DecayProfile:
 
     checkpoints: list
     values: list
-    slope: float = 0.0
+
+    @property
+    def slope(self) -> float:
+        return fit_loglog_slope(self.checkpoints, self.values)
 
     def rows(self):
         # an empty reference column: the layout of CorrelationReport
+        slope = self.slope
         return ("x", "value", "reference", "slope"), [
-            (int(x), float(v), "", self.slope) for x, v in zip(self.checkpoints, self.values)
+            (int(x), float(v), "", slope) for x, v in zip(self.checkpoints, self.values)
         ]
 
     def summary(self):

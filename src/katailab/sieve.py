@@ -20,11 +20,12 @@ run block by block over [lo, hi) with hi <= 2 lo: n / p^e <= n / 2 lies below
 the block, so each block is one vectorized gather.  The blocks run band by
 band, a band being the blocks from some L up to 2 L: every block of a band
 reads only entries below L, so a band of at least 8 blocks (from 2^19 up)
-runs on the threads the sieve was built with, and each entry is written once
-by the same code, whatever the thread count.  A sieve loaded from a cache
-builds its tables on one thread.  Tables are sized to the request:
-table(name, x) builds only 0..x, because entry n depends only on entries
-below it.  The cofactor n / p^e, the exponent e and each table are
+runs on the threads the sieve was built with, each such band on a pool of
+its own, and each entry is written once by the same code, whatever the thread
+count.  summation._in_order makes these pools and the build's.  A sieve loaded
+from a cache builds its tables on one thread.  Tables are sized to the
+request: table(name, x) builds only 0..x, because entry n depends only on
+entries below it.  The cofactor n / p^e, the exponent e and each table are
 memoized on the sieve instance at the largest x asked for so far.
 
 Each table has the narrowest dtype that holds it for every n <= 2^31: int8
@@ -48,13 +49,13 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
 
 from .reports import _atomic_write
+from .summation import _in_order
 
 MAX_LIMIT = 2**31
 CACHE_MAGIC = b"KATAISV2"
@@ -198,12 +199,7 @@ class FactorSieve:
                 if start < hi:
                     block[start - lo :: p] = p
 
-        if threads > 1 and segments:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(mark, segments))
-        else:
-            for seg in segments:
-                mark(seg)
+        _in_order(mark, segments, threads)
         sieve = FactorSieve(limit, raw)
         sieve.threads = threads
         return sieve
@@ -269,23 +265,14 @@ class FactorSieve:
     def _each_block(self, upto: int, body):
         """body(lo, hi) for every block of _blocks(upto), band by band.
 
-        A band of at least _POOL_BAND blocks runs on a pool of self.threads
-        workers when there are two or more; every other band runs on the
+        A band of at least _POOL_BAND blocks runs on self.threads workers
+        (its own pool, through _in_order); every other band runs on the
         calling thread, block by block in order.  A block reads only entries
         below its band, all written before the band starts.
         """
-        pool = None
-        try:
-            for band in _bands(upto):
-                if self.threads > 1 and len(band) >= _POOL_BAND:
-                    pool = pool or ThreadPoolExecutor(max_workers=self.threads)
-                    list(pool.map(lambda lohi: body(*lohi), band))
-                else:
-                    for lo, hi in band:
-                        body(lo, hi)
-        finally:
-            if pool is not None:
-                pool.shutdown()
+        for band in _bands(upto):
+            _in_order(lambda lohi: body(*lohi), band,
+                     self.threads if len(band) >= _POOL_BAND else 1)
 
     def _split(self, upto: int) -> tuple[np.ndarray, np.ndarray]:
         """(rest, e) over 0..upto with n = spf(n)^e[n] * rest[n]; rest = 1, e = 0

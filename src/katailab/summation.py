@@ -6,9 +6,11 @@ checkpoint_sums (sums over n) cuts [1, c] at the checkpoints, then into
 fixed chunks of 2^16 values.  Each chunk is summed independently (numpy's
 pairwise kernel, along the last axis) and the chunk results are combined by
 a fixed binary tree, so the result is bit-identical no matter how many
-threads computed the chunks.  A chunk's summands may also come as rows, one
-per sum: equidist.weyl_sums takes all W_N(k), k <= k_max, in one pass this
-way, one column per ddmath.BLOCK slice of the chunk.
+threads computed the chunks.  _in_order, which makes every pool of
+katailab (the sieve's too), runs each checkpoint interval's chunks on a pool
+of its own.  A chunk's summands may also come as rows, one per sum:
+equidist.weyl_sums takes all W_N(k), k <= k_max, in one pass this way, one
+column per ddmath.BLOCK slice of the chunk.
 prime_series (sums over primes p <= y) adds the terms one prime at a time in
 increasing order and reads the running sum off at each checkpoint.  The
 slopes are centred least-squares fits in closed form over math.fsum sums
@@ -38,6 +40,17 @@ def pairwise_total(parts):
         ]
         parts = merged
     return parts[0]
+
+
+def _in_order(fn, items, threads: int) -> list:
+    """[fn(i) for i in items], in item order; the calls run on a pool of
+    `threads` workers when threads > 1 and the sequence items holds two or
+    more.  The one place katailab makes threads; private, so that
+    bench/tracing.py counts its time in its caller's span."""
+    if threads > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(i) for i in items]
 
 
 def _chunks(lo: int, hi: int):
@@ -96,13 +109,7 @@ def checkpoint_sums(values_of, checkpoints, threads: int = 1):
     out, acc, lo = [], None, 1
     for c in sorted_checkpoints(checkpoints):
         if c + 1 > lo:  # a duplicate or contained checkpoint adds nothing
-            chunks = _chunks(lo, c + 1)
-            if threads > 1 and len(chunks) > 1:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    parts = list(pool.map(chunk_sum, chunks))
-            else:
-                parts = [chunk_sum(ch) for ch in chunks]
-            s = pairwise_total(parts)
+            s = pairwise_total(_in_order(chunk_sum, _chunks(lo, c + 1), threads))
             acc = s if acc is None else acc + s
             lo = c + 1
         out.append(0.0 if acc is None else acc)
@@ -118,6 +125,8 @@ def prime_series(sieve, y: int, checkpoints, terms):
     """
     sieve.require_upto("y", y)
     checkpoints = sorted(int(c) for c in checkpoints)
+    if not checkpoints:
+        raise ValueError("checkpoints must be nonempty")
     primes = sieve.primes(max(1, min(y, checkpoints[-1])))
     vals = np.asarray(terms(primes), dtype=np.float64)
     # the leading 0.0 also turns a first term of -0.0 into 0.0, as 0.0 + t does

@@ -414,6 +414,22 @@ def test_bulk_values_match_on_one_and_two_threads(monkeypatch):
     assert names == [fn.name for fn, _ in _rules()]
 
 
+def test_xi_phases_are_taken_once_per_k(monkeypatch):
+    # e(xi k) depends on k alone: one frac_mul per distinct k, not one per prime
+    fn, calls = fns.kappa_xi(Constant("sqrt", 2)), []
+    frac_mul = Constant.frac_mul
+
+    def counted(self, n):
+        calls.append(int(n))
+        return frac_mul(self, n)
+
+    monkeypatch.setattr(Constant, "frac_mul", counted)
+    primes = FactorSieve.build(10**5).primes()
+    values, _ = fn.prime_values(primes)
+    assert calls == [1] and values == [values[0]] * primes.size
+    assert values[0] == fns._e_of(float(frac_mul(Constant("sqrt", 2), np.array(1))))
+
+
 def test_concentration_scan_matches_the_per_prime_route(sieve_small):
     cps = [10, 100, 1000, sieve_small.limit]
     hits = 0

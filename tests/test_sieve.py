@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from katailab import functions as fns
-from katailab import sieve as sieve_module
+from katailab import summation
 from katailab.constants import Constant
 from katailab.cli import main
 from katailab.levelsets import (
@@ -368,7 +368,7 @@ def test_tables_sized_to_the_request_match_the_whole_table(order, limit, threads
 def test_table_bands_run_on_the_build_threads(tmp_path, monkeypatch):
     pools = []
 
-    class Recording(sieve_module.ThreadPoolExecutor):
+    class Recording(summation.ThreadPoolExecutor):
         def __init__(self, max_workers):
             pools.append(max_workers)
             super().__init__(max_workers)
@@ -378,7 +378,7 @@ def test_table_bands_run_on_the_build_threads(tmp_path, monkeypatch):
     built[2**20, 2].save(tmp_path / "c.spf")
     loaded = FactorSieve.load(tmp_path / "c.spf")
     assert loaded.threads == 1
-    monkeypatch.setattr(sieve_module, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(summation, "ThreadPoolExecutor", Recording)
     # 2^20 with two threads: the band [2^19, 2^20) of 8 blocks runs on a
     # pool, once for the split and once for the phi kernel
     for s, want in ((built[2**20, 2], [2, 2]), (built[2**20, 1], []),

@@ -1,10 +1,14 @@
 """The two reduction paths: chunked sums over n and partial sums over primes."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
+from katailab import summation
 from katailab.sieve import FactorSieve
-from katailab.summation import checkpoint_grid, geometric_checkpoints, prime_series
+from katailab.summation import _in_order, checkpoint_grid, geometric_checkpoints, prime_series
 
 
 def scalar_walk(sieve, y, checkpoints, rows):
@@ -75,9 +79,9 @@ def test_prime_series_evaluates_no_term_past_the_last_checkpoint():
 
 
 def test_checkpoints_below_one_raise(sieve_small):
-    from katailab.functions import mobius
-    from katailab.levelsets import Squarefree, empirical_density
-    from katailab.meanvalues import empirical_mean
+    from katailab.functions import liouville, mobius
+    from katailab.levelsets import Squarefree, concentration_scan, empirical_density
+    from katailab.meanvalues import empirical_mean, halasz_series, three_series
     from katailab.summation import checkpoint_sums
 
     for checkpoints, first in (([0, 10], 0), ([50, -3, 0], -3), ([-5], -5)):
@@ -88,6 +92,13 @@ def test_checkpoints_below_one_raise(sieve_small):
             empirical_density(Squarefree(), checkpoints, sieve_small)
         with pytest.raises(ValueError, match=message):
             empirical_mean(mobius(), 100, checkpoints, sieve_small)
+    # no checkpoint at all: the sums that read their extent off the last one
+    for call in (lambda: empirical_density(Squarefree(), [], sieve_small),
+                 lambda: concentration_scan(liouville(), -1, 100, [], sieve_small),
+                 lambda: halasz_series(mobius(), 0.0, 100, [], sieve_small),
+                 lambda: three_series(lambda p: 1.0, 100, [], sieve_small)):
+        with pytest.raises(ValueError, match="^checkpoints must be nonempty$"):
+            call()
 
 
 def test_checkpoint_grid():
@@ -100,3 +111,30 @@ def test_checkpoint_grid():
                        ([float("nan")], "NaN")):
         with pytest.raises(ValueError, match=match):
             checkpoint_grid(bad, 100)
+
+
+def test_in_order_keeps_the_item_order_and_pools_only_past_one(monkeypatch):
+    pools = []
+
+    class Recording(summation.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(summation, "ThreadPoolExecutor", Recording)
+    threads = []
+
+    def square(i):  # the first items cost the most, so they finish last
+        threads.append(threading.get_ident())
+        time.sleep(0.004 * (8 - i))
+        return i * i
+
+    items = list(range(8))
+    want = [square(i) for i in items]
+    assert _in_order(square, items, 2) == want and pools == [2]
+    pools.clear()
+    threads.clear()
+    assert _in_order(square, items, 1) == want
+    assert _in_order(square, [3], 2) == [9]
+    assert _in_order(square, [], 2) == []
+    assert pools == [] and set(threads) == {threading.get_ident()}
