@@ -3,7 +3,7 @@ orthogonality criteria for bounded sequences, and equidistribution along
 arithmetic sets."""
 
 from .constants import Constant, as_constant, rational
-from .sieve import FactorSieve, Factorization, build_sieve, factorize
+from .sieve import FactorSieve, build_sieve, factorize
 from . import functions
 from .levelsets import (
     Abundant,

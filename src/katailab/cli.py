@@ -49,7 +49,7 @@ def obtain_sieve(args, needed: int) -> FactorSieve:
     path = getattr(args, "cache", None)
     threads = getattr(args, "threads", 1)
     if path and os.path.exists(path):
-        sieve = FactorSieve.load(path)
+        sieve = FactorSieve.load(path, threads=threads)
         if sieve.limit < needed:
             raise ValueError(
                 f"cache {path} covers n <= {sieve.limit} but the run needs {needed}"

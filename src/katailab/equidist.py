@@ -15,9 +15,11 @@ a time from n to the final float; floors of rational powers go through exact
 integer k-th roots.  A polynomial's phases and its floors take their dd
 monomials c_i n^i from the one generator orthogonality.monomials_dd: the
 phases reduce each monomial mod 1, the floors add them to c_0 in full.
-Values at n = 1 follow the germ-at-infinity convention: every catalog
-variant is assigned fractional part 0 and floor h(1) there, so sets
-containing 1 stay usable.
+Polynomials are evaluated at every n >= 0, n = 1 included.  The other
+variants take their germ-at-infinity value at n = 1, fractional part 0 and
+floor 1 for t^c, 0 for the log variants, so sets containing 1 stay usable.
+At n = 0 floor_values gives floor(h(0)): 0 for t^c, floor(c_0) for a
+polynomial (0 for the log variants, which have no h(0)).
 
 A DiscrepancyReport makes one pass over its N points for all the Weyl sums
 W_N(k) = (1/N) sum_j e(k x_j), k = 1..k_max (weyl_sums).  checkpoint_sums
@@ -84,7 +86,9 @@ class HardyFunction:
         self.r = r if r is None else as_constant(r)
         self.coefficients = (None if coefficients is None
                              else [as_constant(x) for x in coefficients])
-        self.negative_control = bool(negative_control)
+        if not isinstance(negative_control, bool):
+            raise ValueError(f"negative_control must be a boolean, got {negative_control!r}")
+        self.negative_control = negative_control
         self._validate()
 
     def _validate(self):
@@ -199,9 +203,7 @@ class HardyFunction:
             return _rational_power_floors(n, self.c.value_exact.numerator,
                                           self.c.value_exact.denominator)
         vals = np.zeros(n.shape, dtype=np.int64)
-        big = n >= 2
-        if self.variant == "polynomial":
-            big = n >= 1
+        big = n >= (0 if self.variant == "polynomial" else 2)
 
         def floors(m):
             if self.variant == "polynomial":  # the full dd value, not reduced mod 1
@@ -222,7 +224,7 @@ class HardyFunction:
                 raise SieveRangeError(f"h({bad}) overflows the 2^62 floor guard")
             vals[big] = f.astype(np.int64)
         if self.variant == "power":
-            vals[~big] = 1  # 1^c = 1
+            vals[n == 1] = 1  # 1^c = 1, 0^c = 0
         return vals
 
     def to_json(self):

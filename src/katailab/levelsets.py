@@ -17,8 +17,10 @@ numbers are excluded exactly.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -95,6 +97,9 @@ class IntervalSetMod1:
         total = sum(float(iv.hi) - float(iv.lo) for iv in parts)
         if total > 1.0 + 1e-15:
             raise ValueError("total interval length exceeds 1")
+        if not (isinstance(eps, (int, float)) and not isinstance(eps, bool)
+                and math.isfinite(eps) and eps >= 0):
+            raise ValueError(f"window eps must be a finite number >= 0, got {eps!r}")
         self.intervals = parts
         self.eps = eps
 
@@ -396,6 +401,10 @@ class GenericLevel(LevelSet):
         if tolerance is None:
             tolerance = 0.0 if fn.integer_valued else 1e-9
         self.tolerance = float(tolerance)
+        if not (math.isfinite(self.tolerance) and self.tolerance >= 0.0):
+            raise ValueError(f"generic_level needs a finite tolerance >= 0, got {tolerance}")
+        if not (isinstance(target, numbers.Number) and cmath.isfinite(target)):
+            raise ValueError(f"generic_level needs a finite number as target, got {target!r}")
         self.name = f"level({fn.name},{target})"
 
     def _value(self, n, sieve):

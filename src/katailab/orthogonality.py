@@ -297,7 +297,7 @@ def katai_correlation(seq: BoundedSequence, p: int, q: int, x: int,
         raise ValueError("correlation needs distinct primes p != q")
     if p < 1 or q < 1:
         raise ValueError(f"correlation needs p, q >= 1, got p={p} q={q}")
-    checkpoints = sorted_checkpoints(checkpoints) if checkpoints else [int(x)]
+    checkpoints = sorted_checkpoints([] if checkpoints is None else checkpoints) or [int(x)]
     # the sum runs to the last checkpoint, which may lie past x
     top = max(int(x), checkpoints[-1]) * max(int(p), int(q))
     if isinstance(seq, LinearExponential) and top > PHASE_BUDGET:

@@ -6,8 +6,9 @@ byte-identical for any thread count.  Every composite n <= 2^31 has
 spf(n) <= 46,340 < 2^16, so the table is uint16 with 0 marking the primes
 (and n = 0, 1): half the bytes of a uint32 table of spf(n).  One accessor,
 FactorSieve.spf, decodes it: spf[n], spf[lo:hi] and spf[index array] give
-spf(n) as uint32, a prime decoded to itself and 0 at n < 2.  Factorization is
-then an O(log n) chase n -> n / spf(n).
+spf(n) as uint32, a prime decoded to itself and 0 at n < 2.  factorize(n)
+returns the (p, e) pairs of n as a tuple, p increasing, by an O(log n) chase
+n -> n / spf(n).
 
 A multiplicative (or additive) function is fixed by its values g(p^e) on
 prime powers, so every bulk table (big_omega, small_omega, mobius, tau, phi,
@@ -16,15 +17,16 @@ kernel,
 
     v(n) = v(n / p^e) * g(p, e)   (+ for additive tables),  p = spf(n), p^e || n,
 
-run block by block over [lo, hi) with hi <= 2 lo: n / p^e <= n / 2 lies below
-the block, so each block is one vectorized gather.  The blocks run band by
-band, a band being the blocks from some L up to 2 L: every block of a band
-reads only entries below L, so a band of at least 8 blocks (from 2^19 up)
-runs on the threads the sieve was built with, each such band on a pool of
-its own, and each entry is written once by the same code, whatever the thread
-count.  summation._in_order makes these pools and the build's.  A sieve loaded
-from a cache builds its tables on one thread.  Tables are sized to the
-request: table(name, x) builds only 0..x, because entry n depends only on
+run band by band.  _bands(upto) is the one band rule: the bands [L, 2 L) for
+L = 2, 4, 8, ..., the last cut at upto, each split into blocks of at most
+2^16 entries.  n / p^e <= n / 2 lies below L, so every block of a band reads
+only entries written before the band starts, and each block is one
+vectorized gather.  A band of at least 8 blocks (from 2^19 up) runs on the
+sieve's `threads` workers, each such band on a pool of its own, and each
+entry is written once by the same code, whatever the thread count.  The
+worker count is a constructor argument; build and load both pass theirs.
+summation._in_order makes these pools and the build's.  Tables are sized to
+the request: table(name, x) builds only 0..x, as entry n depends only on
 entries below it.  The cofactor n / p^e, the exponent e and each table are
 memoized on the sieve instance at the largest x asked for so far.
 
@@ -49,7 +51,6 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
@@ -69,26 +70,6 @@ _POOL_BAND = 8  # blocks in a band worth a thread pool: bands from 2^19 up
 
 class SieveRangeError(ValueError):
     """Requested index or limit outside the sieve's accepted range."""
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Canonical p1^e1 * ... * pk^ek with strictly increasing primes."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def __len__(self):
-        return len(self.pairs)
-
-    @property
-    def n(self) -> int:
-        out = 1
-        for p, e in self.pairs:
-            out *= p**e
-        return out
 
 
 def _decode(raw: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -160,10 +141,11 @@ class SpfTable:
 class FactorSieve:
     """Immutable smallest-prime-factor table for 0..limit, read through spf."""
 
-    def __init__(self, limit: int, raw: np.ndarray, crcs: np.ndarray | None = None):
+    def __init__(self, limit: int, raw: np.ndarray, crcs: np.ndarray | None = None,
+                 threads: int = 1):
         self.limit = int(limit)
         self.spf = SpfTable(raw, crcs)
-        self.threads = 1  # workers for the table bands; build() sets its own
+        self.threads = threads  # workers for the pooled table bands
         self._tables: dict[str, np.ndarray] = {}
         self._rest_e: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -200,9 +182,7 @@ class FactorSieve:
                     block[start - lo :: p] = p
 
         _in_order(mark, segments, threads)
-        sieve = FactorSieve(limit, raw)
-        sieve.threads = threads
-        return sieve
+        return FactorSieve(limit, raw, threads=threads)
 
     # -- factorization -----------------------------------------------------
 
@@ -216,8 +196,8 @@ class FactorSieve:
             raise SieveRangeError(f"n must be in [1, {self.limit}], got {n}")
         self.require_upto("n", n)
 
-    def factorize(self, n: int) -> Factorization:
-        """Canonical factorization of n (1 <= n <= limit); n=1 gives ().
+    def factorize(self, n: int) -> tuple[tuple[int, int], ...]:
+        """The (p, e) pairs of n (1 <= n <= limit), p increasing; n=1 gives ().
 
         The chase n -> n / spf(n) reads raw entries; the segments it touched
         are checked once, before the result is returned.  A raw entry that is
@@ -239,7 +219,7 @@ class FactorSieve:
         self.spf.check(m // _CRC_SEGMENT for m in seen)  # lazy: no work without checksums
         if n > 1:
             raise ValueError(f"sieve table entry {p} at n={n} is no prime factor of it")
-        return Factorization(tuple(pairs))
+        return tuple(pairs)
 
     def primes(self, upto: int | None = None) -> np.ndarray:
         """All primes <= upto (default: the sieve limit), as int64."""
@@ -263,7 +243,7 @@ class FactorSieve:
     # -- bulk tables -------------------------------------------------------
 
     def _each_block(self, upto: int, body):
-        """body(lo, hi) for every block of _blocks(upto), band by band.
+        """body(lo, hi) for every block of _bands(upto), band by band.
 
         A band of at least _POOL_BAND blocks runs on self.threads workers
         (its own pool, through _in_order); every other band runs on the
@@ -354,9 +334,10 @@ class FactorSieve:
         _atomic_write(path, CACHE_MAGIC, struct.pack("<Q", self.limit), crcs, body)
 
     @staticmethod
-    def load(path: str | os.PathLike) -> "FactorSieve":
+    def load(path: str | os.PathLike, threads: int = 1) -> "FactorSieve":
         """Map a cache file and spot-check 1024 seeded entries by trial
-        division, run as one array pass (_spot_check_truth).
+        division, run as one array pass (_spot_check_truth).  The large
+        bands of its tables run on `threads` workers, as for build().
 
         The table is memory-mapped read-only, so a request reads from disk
         only the pages of the prefix it uses, and checks their segments'
@@ -395,30 +376,18 @@ class FactorSieve:
         bad = np.flatnonzero(got != _spot_check_truth(sample, limit))
         if bad.size:
             raise ValueError(f"sieve cache failed spot check at n={int(sample[bad[0]])}")
-        return FactorSieve(int(limit), raw, crcs)
-
-
-def _blocks(upto: int):
-    # hi <= 2 * lo keeps n / p^e below the block; the cap keeps each block's
-    # temporaries small enough to stay in cache
-    lo = 2
-    while lo <= upto:
-        hi = min(2 * lo, lo + _BLOCK, upto + 1)
-        yield lo, hi
-        lo = hi
+        return FactorSieve(int(limit), raw, crcs, threads)
 
 
 def _bands(upto: int):
-    """_blocks(upto) as lists of consecutive blocks with hi <= 2 L, L the lo of
-    the band's first block, so that n / p^e <= n / 2 < L for every n of it."""
-    band = []
-    for lo, hi in _blocks(upto):
-        if band and hi > 2 * band[0][0]:
-            yield band
-            band = []
-        band.append((lo, hi))
-    if band:
-        yield band
+    """The bands [L, 2 L) of 2..upto, L = 2, 4, 8, ..., the last cut at upto,
+    each as its blocks of at most _BLOCK entries: n / p^e <= n / 2 < L for
+    every n of a band, and the cap keeps each block's temporaries in cache."""
+    start = 2
+    while start <= upto:
+        hi = min(2 * start, upto + 1)
+        yield [(lo, min(lo + _BLOCK, hi)) for lo in range(start, hi, _BLOCK)]
+        start *= 2
 
 
 def _sigma_pp(p, e):
@@ -503,6 +472,6 @@ def build_sieve(limit: int, threads: int = 1) -> FactorSieve:
     return FactorSieve.build(limit, threads=threads)
 
 
-def factorize(n: int, sieve: FactorSieve) -> Factorization:
-    """Canonical factorization of n using the sieve (1 <= n <= sieve.limit)."""
+def factorize(n: int, sieve: FactorSieve) -> tuple[tuple[int, int], ...]:
+    """The (p, e) pairs of n using the sieve (1 <= n <= sieve.limit)."""
     return sieve.factorize(n)

@@ -237,10 +237,11 @@ def test_floor_sequence_dd_variants_match_mpmath(sieve_small):
 @pytest.mark.parametrize("spec, near", [
     ("poly:0,1,sqrt2", [538_245, 826_561, 1_121_037]),
     ("poly:0.5,golden,1", [416_020, 1_762_289, 3_940_598]),
+    ("poly:5,1,sqrt2", [538_245, 826_561, 1_121_037]),  # c_0 shifts h by an integer
 ])
 def test_polynomial_floors_match_mpmath(spec, near):
     h = parse_hardy(spec)
-    n = np.concatenate([np.random.default_rng(13).integers(1, 10**5 + 1, 2000), near])
+    n = np.concatenate([[0, 1], np.random.default_rng(13).integers(1, 10**5 + 1, 2000), near])
     with mpmath.workdps(50):
         coeffs = [c.mp(50) for c in h.coefficients]
 
@@ -250,6 +251,16 @@ def test_polynomial_floors_match_mpmath(spec, near):
         assert all(abs(value(m) - mpmath.nint(value(m))) < 1e-6 for m in near)
         want = [int(mpmath.floor(value(int(m)))) for m in n]
     assert h.floor_values(n).tolist() == want
+
+
+# floor(h(0)) and floor(h(1)): 0^c = 0 and 1^c = 1, c_0 and the sum of the
+# coefficients for a polynomial, the germ value 0 for the log variants
+@pytest.mark.parametrize("spec, want", [
+    ("power:1.5", [0, 1]), ("power:sqrt2", [0, 1]), ("poly:-0.5,sqrt2", [-1, 0]),
+    ("logpow:2.5", [0, 0]), ("tlogt", [0, 0]), ("toverlogt", [0, 0]), ("loggamma", [0, 0]),
+])
+def test_floor_values_at_0_and_1(spec, want):
+    assert parse_hardy(spec).floor_values(np.array([0, 1])).tolist() == want
 
 
 def test_floor_overflow_guard():

@@ -59,6 +59,13 @@ def test_correlation_closed_form_sqrt2():
         assert abs(abs(c) - oracle) < 1e-9
         assert abs(ref - oracle) < 1e-9
     assert abs(rep.correlations[-1]) < 1e-3
+    # a numpy grid is the same grid; an empty one is [x]
+    arr = katai_correlation(LinearExponential(SQRT2), 2, 3, 10_000, np.array([10_000, 100, 1000]))
+    assert (arr.checkpoints, arr.correlations) == (rep.checkpoints, rep.correlations)
+    last = katai_correlation(LinearExponential(SQRT2), 2, 3, 10_000, [10_000])
+    for empty in ([], np.array([], dtype=np.int64)):
+        got = katai_correlation(LinearExponential(SQRT2), 2, 3, 10_000, empty)
+        assert (got.checkpoints, got.correlations) == ([10_000], last.correlations)
 
 
 def test_correlation_closed_form_many_pairs():

@@ -1,6 +1,7 @@
 """CLI subcommands, report files, provenance, and thread determinism."""
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -367,17 +368,22 @@ def test_csv_determinism_across_threads(tmp_path, cache):
     assert c.read_bytes() == d.read_bytes()
 
 
-def test_tables_built_on_two_threads_keep_the_bytes(tmp_path):
-    # no --cache: the sieve is built with --threads, so past 2^20 its phi and
-    # sigma tables are built band by band on two threads
+def test_tables_built_on_two_threads_keep_the_bytes(tmp_path, monkeypatch):
+    # the sieve, built or loaded from --cache, takes --threads, so past 2^20
+    # its phi and sigma tables are built band by band on two threads
+    cache = tmp_path / "c.spf"
+    assert run(["sieve", "--limit", "1100000", "--out", str(cache)]) == 0
+    sieves, obtain = [], cli.obtain_sieve
+    monkeypatch.setattr(cli, "obtain_sieve", lambda *a: sieves.append(obtain(*a)) or sieves[-1])
     for argv in (["meanvalue", "--function", "euler_phi_ratio", "--n", "1100000"],
                  ["density", "--set", "abundant", "--x", "1100000"]):
         outs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"{argv[0]}_{threads}.json"
-            assert run([*argv, "--threads", threads, "--json", str(out)]) == 0
+        for threads, source in itertools.product(("1", "2"), ([], ["--cache", str(cache)])):
+            out = tmp_path / f"{argv[0]}_{threads}_{len(source)}.json"
+            assert run([*argv, *source, "--threads", threads, "--json", str(out)]) == 0
             outs.append(out.read_bytes())
-        assert outs[0] == outs[1], argv[0]
+        assert outs == outs[:1] * 4, argv[0]
+    assert [s.threads for s in sieves] == [1, 1, 2, 2] * 2
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path, cache):

@@ -3,7 +3,7 @@
 import os
 import struct
 import tracemalloc
-from math import isqrt
+from math import isqrt, prod
 
 import numpy as np
 import pytest
@@ -26,11 +26,13 @@ from katailab.orthogonality import (
     turan_kubilius_variance,
 )
 from katailab.sieve import (
+    _BLOCK,
     _RULES,
     _SEGMENT,
     CACHE_MAGIC,
     FactorSieve,
     SieveRangeError,
+    _bands,
     _simple_spf,
     _spot_check_sample,
     _spot_check_truth,
@@ -121,7 +123,7 @@ def test_factorize_reconstructs_n(sieve_small):
     rng = np.random.default_rng(99)
     for n in rng.integers(1, 10_001, size=500):
         f = sieve_small.factorize(int(n))
-        assert f.n == int(n)
+        assert isinstance(f, tuple) and prod(p**e for p, e in f) == int(n)
         primes = [p for p, _ in f]
         assert primes == sorted(primes) and len(set(primes)) == len(primes)
 
@@ -377,16 +379,42 @@ def test_table_bands_run_on_the_build_threads(tmp_path, monkeypatch):
              for limit, threads in ((2**20, 2), (2**20, 1), (500_000, 2))}
     built[2**20, 2].save(tmp_path / "c.spf")
     loaded = FactorSieve.load(tmp_path / "c.spf")
-    assert loaded.threads == 1
+    loaded_2 = FactorSieve.load(tmp_path / "c.spf", threads=2)
+    assert loaded.threads == 1 and loaded_2.threads == 2
     monkeypatch.setattr(summation, "ThreadPoolExecutor", Recording)
     # 2^20 with two threads: the band [2^19, 2^20) of 8 blocks runs on a
-    # pool, once for the split and once for the phi kernel
+    # pool, once for the split and once for the phi kernel, built or loaded
     for s, want in ((built[2**20, 2], [2, 2]), (built[2**20, 1], []),
-                    (built[500_000, 2], []), (loaded, [])):
+                    (built[500_000, 2], []), (loaded, []), (loaded_2, [2, 2])):
         pools.clear()
         s.table("phi")
         assert pools == want, (s.limit, s.threads)
-    assert built[2**20, 2].table("phi").tobytes() == loaded.table("phi").tobytes()
+    phi = built[2**20, 1].table("phi").tobytes()
+    assert all(s.table("phi").tobytes() == phi for s in (built[2**20, 2], loaded, loaded_2))
+
+
+def _blocks_then_bands(upto):
+    """The band rule as first written: 2..upto cut into blocks with
+    hi <= min(2 lo, lo + _BLOCK), regrouped into runs with hi <= 2 L, L the lo
+    of the run's first block."""
+    bands, lo = [], 2
+    while lo <= upto:
+        hi = min(2 * lo, lo + _BLOCK, upto + 1)
+        if bands and hi <= 2 * bands[-1][0][0]:
+            bands[-1].append((lo, hi))
+        else:
+            bands.append([(lo, hi)])
+        lo = hi
+    return bands
+
+
+def test_bands_match_the_blocks_regrouped():
+    powers = [2**k + d for k in range(31) for d in (-1, 0, 1)]
+    rng = np.random.default_rng(23)
+    limits = [*range(300), *powers, *rng.integers(2, 2**31 + 1, 300).tolist(),
+              500_000, 10**7, 2**31]
+    for upto in limits:
+        assert list(_bands(upto)) == _blocks_then_bands(upto), upto
 
 
 def test_tables_hold_only_the_requested_prefix():

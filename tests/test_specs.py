@@ -84,6 +84,11 @@ def test_every_shorthand_is_its_json_form(flag):
 # a command reading each family's flag; a bad spelling fails before any sieve
 COMMANDS = {"--set": ["density", "--x", "100"], "--function": ["meanvalue", "--n", "100"],
             "--hardy": ["weyl", "--n", "100"]}
+_GENERIC = ('{"variant":"generic_level","function":{"function":"mobius"},'
+            '"target":{"re":%s,"im":0},"tolerance":%s}')
+_WINDOW = ('{"variant":"omega_rot","alpha":{"kind":"sqrt","arg":2},"window":{"intervals":'
+           '[{"lo":{"kind":"decimal","value":"0"},"hi":{"kind":"decimal","value":"1/2"},'
+           '"closed":"[)"}],"eps":%s}}')
 MALFORMED = {
     "--set": ["{}", '{"variant":"kfree"}', '{"variant":"kfree","k":"x"}',
               '{"variant":"nosuchset"}', '{"variant":"intersection","left":5,"right":5}',
@@ -95,7 +100,11 @@ MALFORMED = {
               '{"variant":"tau_mod","b":3,"r":true}',
               # a constant whose float overflows
               "phi_below:1e400", '{"variant":"phi_ratio_below","threshold":'
-                                 '{"kind":"decimal","value":"1e400"}}'],
+                                 '{"kind":"decimal","value":"1e400"}}',
+              # JSON-only fields: a tolerance and a target that are finite, a number eps
+              *(_GENERIC % (target, tol) for target, tol in
+                (("1", "-1"), ("1", "NaN"), ("NaN", "0"), ("1", '"x"'), ('"1"', "0"))),
+              *(_WINDOW % eps for eps in ('"x"', "NaN", "-1", "true"))],
     "--function": ["{}", '{"function":"dirichlet"}', '{"function":"archimedean","t":null}',
                    '{"function":"dirichlet","modulus":5,"exponents":[1.0]}',
                    '{"function":"dirichlet","modulus":5.0,"exponents":[1]}',
@@ -103,7 +112,10 @@ MALFORMED = {
                    # a non-finite t
                    "archimedean:inf", "archimedean:nan", '{"function":"archimedean","t":Infinity}'],
     "--hardy": ["{}", '{"hardy":"power"}', '{"hardy":"polynomial","coefficients":5}',
-                "power", "tlogt:7", "poly:0,1,x", "polynomial:0,sqrt2", "poly:0,1e400,sqrt2"],
+                "power", "tlogt:7", "poly:0,1,x", "polynomial:0,sqrt2", "poly:0,1e400,sqrt2",
+                # negative_control is a JSON boolean
+                *('{"hardy":"log_power","r":{"kind":"decimal","value":"1.5"},'
+                  f'"negative_control":{flag}}}' for flag in ('"no"', "1", "null"))],
 }
 
 
