@@ -122,10 +122,15 @@ class Constant:
 
     @staticmethod
     def from_json(obj) -> "Constant":
-        kind = obj["kind"]
+        """value is a JSON string (a number is a binary float), arg a JSON integer."""
+        kind, arg = obj["kind"], obj.get("arg")
         if kind == "decimal":
-            return rational(Fraction(obj["value"]))
-        return Constant(kind, obj.get("arg"))
+            if not isinstance(obj["value"], str):
+                raise ValueError(f"decimal value must be a JSON string, got {obj['value']!r}")
+            return rational(_fraction(obj["value"]))
+        if arg is not None and type(arg) is not int:
+            raise ValueError(f"constant arg must be a JSON integer, got {arg!r}")
+        return Constant(kind, arg)
 
     @staticmethod
     def parse(text: str) -> "Constant":
@@ -136,14 +141,7 @@ class Constant:
         for prefix in ("sqrt", "log"):
             if text.startswith(prefix) and text[len(prefix):].isdigit():
                 return Constant(prefix, int(text[len(prefix):]))
-        try:
-            value = Fraction(text)
-        except ValueError:
-            raise ValueError(
-                f"cannot parse constant {text!r}; use sqrt<k>, golden, e, pi, "
-                f"log<k>, or a decimal/rational literal"
-            ) from None
-        return rational(value)
+        return rational(_fraction(text))
 
     def __str__(self) -> str:
         if self.kind == "rational":
@@ -151,6 +149,18 @@ class Constant:
         if self.arg is not None:
             return f"{self.kind}{self.arg}"
         return self.kind
+
+
+def _fraction(text: str) -> Fraction:
+    """A decimal or rational literal as a Fraction; any other text, or a zero
+    denominator, is a ValueError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"constant {text!r} has a zero denominator") from None
+    except ValueError:
+        raise ValueError(f"cannot parse constant {text!r}; use sqrt<k>, golden, e, pi, "
+                         "log<k>, or a decimal/rational literal") from None
 
 
 def rational(value) -> Constant:

@@ -76,7 +76,8 @@ class HardyFunction:
     tests: "sublinear" (between log^2 t and t) or "between t^k and t^(k+1)";
     None when it grows like a power of t exactly (polynomials).  admissible
     says whether the separation from rational polynomials exceeds log^2, by
-    construction; only a negative_control build can leave it False.
+    construction; only a negative_control build can leave it False.  params
+    holds the spec's JSON fields, negative_control only when True.
     """
 
     def __init__(self, variant, *, c=None, coefficients=None, r=None,
@@ -90,6 +91,11 @@ class HardyFunction:
             raise ValueError(f"negative_control must be a boolean, got {negative_control!r}")
         self.negative_control = negative_control
         self._validate()
+        given = {"c": self.c, "r": self.r, "coefficients": self.coefficients}
+        self.params = {key: [x.to_json() for x in v] if isinstance(v, list) else v.to_json()
+                       for key, v in given.items() if v is not None}
+        if negative_control:
+            self.params["negative_control"] = True
 
     def _validate(self):
         v = self.variant
@@ -228,16 +234,7 @@ class HardyFunction:
         return vals
 
     def to_json(self):
-        out = {"hardy": self.variant}
-        if self.c is not None:
-            out["c"] = self.c.to_json()
-        if self.r is not None:
-            out["r"] = self.r.to_json()
-        if self.coefficients is not None:
-            out["coefficients"] = [c.to_json() for c in self.coefficients]
-        if self.negative_control:
-            out["negative_control"] = True
-        return out
+        return {"hardy": self.variant, **self.params}
 
 
 # The root route's s-th power multiplies the v-th root's rounding error by
@@ -453,8 +450,8 @@ def ud_test(h: HardyFunction, spec: LevelSet, count: int, k_max: int,
 def pq_dilation_check(h: HardyFunction, p: int, q: int, count: int,
                       k_max: int, threads: int = 1) -> DiscrepancyReport:
     """Equidistribution report for {h(pn) - h(qn)}, n = 1..count."""
-    if p == q:
-        raise ValueError("dilation check needs distinct primes p != q")
+    if p == q or min(p, q) < 1:
+        raise ValueError(f"dilation check needs distinct p, q >= 1, got p={p} q={q}")
     _require_positive("count", count)
     _require_positive("k_max", k_max)
     n = np.arange(1, count + 1, dtype=np.int64)

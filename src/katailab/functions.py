@@ -391,10 +391,16 @@ def unit_group_structure(d: int):
     return factors
 
 
+# the character table is built through Python lists of about 160 B a residue
+MAX_MODULUS = 2**22
+
+
 def dirichlet_character(d: int, exponents) -> ArithmeticFunction:
     """Dirichlet character mod d selected by exponents on the fixed generators."""
     if d < 1:
         raise CharacterGroupError(f"modulus must be >= 1, got {d}")
+    if d > MAX_MODULUS:
+        raise CharacterGroupError(f"modulus {d} is above the tabulation bound 2^22")
     factors = unit_group_structure(d)
     exponents = tuple(int(k) for k in exponents)
     if len(exponents) != len(factors):

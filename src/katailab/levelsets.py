@@ -5,7 +5,9 @@ value from the factorization of n, reader(x) feeds it the sieve table of f
 one 2^16-entry window at a time, so the two agree by construction.
 members_upto(x) is the reader's window [0, x + 1), which first_members
 scans; empirical_density, enumerate_members and orthogonality_sum reduce the
-windows as they are made, with no whole-table bool copy.
+windows as they are made, with no whole-table bool copy.  A set's JSON spec
+is {"variant": variant, **params}, params set once by its constructor, as an
+ArithmeticFunction's are.
 Rotation and real-threshold variants return a boundary flag when the decisive
 quantity lands within eps_b of an interval endpoint or threshold (the verdict
 itself is always by strict comparison).
@@ -139,14 +141,15 @@ class LevelSet:
 
     contains(n) applies the predicate to the value from the factorization of
     n, reader(x) applies the same predicate to the sieve table of f, one
-    window at a time.  A subclass names its sieve table (or overrides _value
-    / _values) and gives _holds, plus _boundary where the verdict can sit on
-    a real endpoint.  A window passes _holds the int64 n of the window only
-    if the predicate sets reads_n; otherwise n is None, which spares a
-    window-sized temporary.
+    window at a time.  A subclass names its JSON variant and its sieve table
+    (or overrides _value / _values) and gives _holds, plus _boundary where the
+    verdict can sit on a real endpoint.  A window passes _holds the int64 n of
+    the window only if the predicate sets reads_n; otherwise n is None, which
+    spares a window-sized temporary.
     """
 
     name = "abstract"
+    params = {}
     is_multiplicative_set = False
     table = None  # sieve table holding f
     reads_n = False
@@ -204,7 +207,7 @@ class LevelSet:
         return self.reader(x, sieve)(0, x + 1)
 
     def to_json(self):
-        raise NotImplementedError
+        return {"variant": self.variant, **self.params}
 
     def __repr__(self):
         return f"LevelSet({json.dumps(self.to_json(), sort_keys=True)})"
@@ -220,13 +223,14 @@ def _factor_value(table, n, sieve):
 class KFree(LevelSet):
     """No p^k divides n."""
 
+    variant = "kfree"
     is_multiplicative_set = True
 
     def __init__(self, k: int):
         if k < 2:
             raise ValueError("k-free needs k >= 2")
-        self.k = int(k)
-        self.name = f"{k}free"
+        self.k, self.name = int(k), f"{k}free"
+        self.params = {"k": self.k}
 
     def _value(self, n, sieve):
         return all(e < self.k for _, e in sieve.factorize(n))
@@ -237,39 +241,31 @@ class KFree(LevelSet):
     def _holds(self, v, n):
         return v
 
-    def to_json(self):
-        return {"variant": "kfree", "k": self.k}
-
 
 class Squarefree(KFree):
     """KFree(2), read from the sieve's memoized squarefree table."""
 
+    variant = name = "squarefree"
+
     def __init__(self):
-        super().__init__(2)
-        self.name = "squarefree"
+        self.k = 2  # no JSON fields: name and params stay the class's
 
     def _values(self, x, sieve):
         table = sieve.table("squarefree", x)
         return lambda lo, hi: table[lo:hi]
-
-    def to_json(self):
-        return {"variant": "squarefree"}
 
 
 class _CountMod(LevelSet):
     """{n : f(n) = r mod b} for an integer-valued sieve table f."""
 
     def __init__(self, b: int, r: int, table: str, variant: str):
-        self.b, self.r, self.table = int(b), int(r) % int(b), table
-        self._variant = variant
+        self.b, self.r, self.table, self.variant = int(b), int(r) % int(b), table, variant
         self.name = f"{variant}({b},{r})"
+        self.params = {"b": self.b, "r": self.r}
 
     def _holds(self, v, n):
         # a lookup over 0..max(v): v % b overflows the int8 tables for b >= 128
         return (np.arange(int(np.max(v)) + 1) % self.b == self.r).take(v)
-
-    def to_json(self):
-        return {"variant": self._variant, "b": self.b, "r": self.r}
 
 
 # the prefix of an omega spelling's tag, by the sieve table it counts
@@ -289,7 +285,6 @@ class OmegaMod(_CountMod):
         if b < 1:
             raise ValueError("modulus must be positive")
         super().__init__(b, r, counted, f"{_omega_prefix(counted)}_mod")
-        self.counted = counted
 
 
 class TauMod(_CountMod):
@@ -305,11 +300,10 @@ class OmegaRot(LevelSet):
     """{n : alpha * omega(n) mod 1 in J} (or with Omega)."""
 
     def __init__(self, alpha, window: IntervalSetMod1, counted="big_omega"):
-        self.alpha = as_constant(alpha)
-        self.window = window
-        self._variant = f"{_omega_prefix(counted)}_rot"
-        self.counted = self.table = counted
-        self.name = f"{self._variant}({self.alpha})"
+        self.alpha, self.window = as_constant(alpha), window
+        self.variant, self.table = f"{_omega_prefix(counted)}_rot", counted
+        self.name = f"{self.variant}({self.alpha})"
+        self.params = {"alpha": self.alpha.to_json(), "window": window.to_json()}
 
     def _fracs(self, k):
         return self.alpha.frac_mul(np.arange(int(np.max(k)) + 1, dtype=np.int64))
@@ -320,13 +314,6 @@ class OmegaRot(LevelSet):
     def _boundary(self, k, n):
         return self.window.near_boundary(self._fracs(k))[k]
 
-    def to_json(self):
-        return {
-            "variant": self._variant,
-            "alpha": self.alpha.to_json(),
-            "window": self.window.to_json(),
-        }
-
 
 class _SigmaVersusDouble(LevelSet):
     """sigma(n) against 2n, strict: perfect numbers are in neither set."""
@@ -334,14 +321,11 @@ class _SigmaVersusDouble(LevelSet):
     table = "sigma"
     reads_n = True
 
-    def to_json(self):
-        return {"variant": self.name}
-
 
 class Abundant(_SigmaVersusDouble):
     """sigma(n) > 2n, strict (perfect numbers excluded exactly)."""
 
-    name = "abundant"
+    variant = name = "abundant"
 
     def _holds(self, v, n):
         return v > 2 * n
@@ -350,7 +334,7 @@ class Abundant(_SigmaVersusDouble):
 class Deficient(_SigmaVersusDouble):
     """sigma(n) < 2n, strict."""
 
-    name = "deficient"
+    variant = name = "deficient"
 
     def _holds(self, v, n):
         return v < 2 * n
@@ -359,6 +343,7 @@ class Deficient(_SigmaVersusDouble):
 class PhiRatioBelow(LevelSet):
     """{n : phi(n) < x * n}; exact for rational x, flagged near real x."""
 
+    variant = "phi_ratio_below"
     table = "phi"
     reads_n = True
 
@@ -372,6 +357,7 @@ class PhiRatioBelow(LevelSet):
             raise ValueError(f"threshold {self.threshold} has a denominator above "
                              f"2^31; give a shorter decimal or a fraction p/q")
         self.name = f"phi_ratio_below({self.threshold})"
+        self.params = {"threshold": self.threshold.to_json()}
 
     def _holds(self, v, n):
         if self.threshold.kind == "rational":
@@ -384,9 +370,6 @@ class PhiRatioBelow(LevelSet):
         return (self.threshold.kind != "rational"
                 and abs(v / n - float(self.threshold)) < BOUNDARY_EPS)
 
-    def to_json(self):
-        return {"variant": "phi_ratio_below", "threshold": self.threshold.to_json()}
-
 
 class GenericLevel(LevelSet):
     """E(f, z): exact level set of an arithmetic function, with a tolerance.
@@ -395,9 +378,10 @@ class GenericLevel(LevelSet):
     modulus otherwise.
     """
 
+    variant = "generic_level"
+
     def __init__(self, fn: ArithmeticFunction, target, tolerance=None):
-        self.fn = fn
-        self.target = target
+        self.fn, self.target = fn, target
         if tolerance is None:
             tolerance = 0.0 if fn.integer_valued else 1e-9
         self.tolerance = float(tolerance)
@@ -406,6 +390,8 @@ class GenericLevel(LevelSet):
         if not (isinstance(target, numbers.Number) and cmath.isfinite(target)):
             raise ValueError(f"generic_level needs a finite number as target, got {target!r}")
         self.name = f"level({fn.name},{target})"
+        self.params = {"function": fn.to_json(), "tolerance": self.tolerance,
+                       "target": {"re": complex(target).real, "im": complex(target).imag}}
 
     def _value(self, n, sieve):
         return self.fn.eval(n, sieve)
@@ -424,20 +410,17 @@ class GenericLevel(LevelSet):
         dist = abs(complex(v) - complex(self.target))
         return abs(dist - self.tolerance) < BOUNDARY_EPS
 
-    def to_json(self):
-        t = self.target
-        target = {"re": complex(t).real, "im": complex(t).imag}
-        return {"variant": "generic_level", "function": self.fn.to_json(),
-                "target": target, "tolerance": self.tolerance}
-
 
 class Intersection(LevelSet):
     """E cap M; intersecting with a multiplicative set preserves the classes."""
+
+    variant = "intersection"
 
     def __init__(self, left: LevelSet, right: LevelSet):
         self.left, self.right = left, right
         self.is_multiplicative_set = left.is_multiplicative_set and right.is_multiplicative_set
         self.name = f"({left.name} & {right.name})"
+        self.params = {"left": left.to_json(), "right": right.to_json()}
 
     def contains(self, n, sieve):
         a = self.left.contains(n, sieve)
@@ -447,10 +430,6 @@ class Intersection(LevelSet):
     def _windows(self, x, sieve):
         left, right = self.left._windows(x, sieve), self.right._windows(x, sieve)
         return lambda lo, hi: left(lo, hi) & right(lo, hi)
-
-    def to_json(self):
-        return {"variant": "intersection",
-                "left": self.left.to_json(), "right": self.right.to_json()}
 
 
 def _one_window(fields):

@@ -53,7 +53,8 @@ class Family:
     def from_json(self, obj):
         """The object of obj's row.  An integer field (read by int, or a list
         read by [int]) must hold a JSON integer, not a float or a bool, so
-        the object, its name and its to_json agree on the value."""
+        the object, its name and its to_json agree on the value; a float
+        field holds a JSON number, not a string or a bool."""
         tag = obj[self.key]
         if tag not in self.rows:
             raise ValueError(f"unknown {self.name} {tag!r}")
@@ -64,6 +65,8 @@ class Family:
             value = obj[key]
             if read is int and not _is_int(value):
                 raise ValueError(f"field {key!r} must be an integer, got {value!r}")
+            if read is float and (isinstance(value, bool) or not isinstance(value, (int, float))):
+                raise ValueError(f"field {key!r} must be a number, got {value!r}")
             if read == [int] and not (isinstance(value, list) and all(map(_is_int, value))):
                 raise ValueError(f"field {key!r} must be a list of integers, got {value!r}")
         return row.build(obj)

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -313,6 +314,16 @@ def test_weyl_and_ergodic_reject_sizes_below_one(monkeypatch, capsys):
     for argv, flag in cases:
         assert run(argv) == 2
         assert f"argument {flag}: must be >= 1, got {argv[-1]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p,q", [(0, 3), (-2, 3), (3, 0)])
+def test_dilation_below_one_exits_2_before_any_phase(p, q, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+        assert run(["weyl", "--hardy", "power:1.5", "--n", "10",
+                    "--dilate", str(p), str(q)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: dilation check needs distinct p, q >= 1, got p={p} q={q}\n")
 
 
 def test_too_small_sieve_limit_exits_2(capsys):
