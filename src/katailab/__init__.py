@@ -2,7 +2,7 @@
 orthogonality criteria for bounded sequences, and equidistribution along
 arithmetic sets."""
 
-from .constants import Constant, as_constant, rational
+from .constants import BudgetError, Constant, as_constant, rational
 from .sieve import FactorSieve, build_sieve, factorize
 from . import functions
 from .levelsets import (

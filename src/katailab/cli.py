@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import equidist, functions, levelsets, meanvalues, orthogonality, reports
-from .constants import Constant
+from .constants import BudgetError, Constant
 from .sieve import FactorSieve, SieveRangeError
 from .summation import checkpoint_grid, checkpoints_upto
 
@@ -405,7 +405,7 @@ def main(argv=None) -> int:
     try:
         # looked up on each call: the parser outlives any rebinding of cmd_*
         return globals()[f"cmd_{args.command}"](args)
-    except SieveRangeError as err:
+    except (BudgetError, SieveRangeError) as err:
         print(f"numeric budget violated: {err}", file=sys.stderr)
         return 3
     except MemoryError as err:

@@ -24,6 +24,27 @@ import numpy as np
 from . import ddmath
 
 
+class BudgetError(ValueError):
+    """A value reached its row of BUDGETS; the CLI exits 3."""
+
+
+BUDGETS = {  # every numeric limit of katailab: a checked value stays below its row
+    "phase": 2**40,     # n*max(p,q) of a LinearExponential correlation (frac_mul)
+    "argument": 2**53,  # a Hardy function's argument, exact in float64
+    "hardy": 2**58,     # |h(n)| of a non-polynomial Hardy function, phase within 1e-12
+    "floor": 2**62,     # floor(h(n)), an int64 with headroom
+    "int64": 2**63,     # n*max(p,q), an int64 index
+    "monomial": 2**80,  # n^i of a polynomial phase, still representable in dd
+}
+
+
+def require_below(name: str, value, subject: str, at: str = "") -> None:
+    """BudgetError naming the row unless value is below BUDGETS[name] (NaN is not)."""
+    if not value < BUDGETS[name]:
+        raise BudgetError(f"{subject} exceeds the {name} budget "
+                          f"2^{BUDGETS[name].bit_length() - 1}{at}")
+
+
 def _dd_from_mp(x) -> tuple[float, float]:
     hi = float(x)
     lo = float(x - mpmath.mpf(hi))
@@ -98,7 +119,7 @@ class Constant:
 
         Exact for rational constants with denominator < 2^30; for tagged
         irrationals the error stays below 1e-12 for n <= 2^40 and below
-        ~2^-43 all the way up to the 2^62 floor guard.
+        ~2^-43 all the way up to the `floor` row of BUDGETS.
         """
         n = np.asarray(n)
         if self.kind == "rational" and 0 < self.value_exact.denominator < 2**30:

@@ -10,11 +10,11 @@ experiments need (log^r with r <= 2, all-rational polynomials) are
 constructible only behind an explicit negative_control flag.
 
 Fractional parts go through the double-double layer (monomials reduced
-per-monomial, budget-guarded at n^i < 2^80), one ddmath.blockwise() slice at
-a time from n to the final float; floors of rational powers go through exact
-integer k-th roots.  A polynomial's phases and its floors take their dd
-monomials c_i n^i from the one generator orthogonality.monomials_dd: the
-phases reduce each monomial mod 1, the floors add them to c_0 in full.
+per-monomial, every limit a row of constants.BUDGETS), one ddmath.blockwise()
+slice at a time from n to the final float; floors of rational powers go
+through exact integer k-th roots.  A polynomial's phases and its floors take
+their dd monomials c_i n^i from the one generator orthogonality.monomials_dd:
+the phases reduce each monomial mod 1, the floors add them to c_0 in full.
 Polynomials are evaluated at every n >= 0, n = 1 included.  The other
 variants take their germ-at-infinity value at n = 1, fractional part 0 and
 floor 1 for t^c, 0 for the log variants, so sets containing 1 stay usable.
@@ -56,11 +56,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ddmath
-from .constants import Constant, as_constant
+from .constants import BUDGETS, Constant, as_constant, require_below
 from .levelsets import LevelSet, first_members
 from .orthogonality import e_of, monomials_dd, polynomial_frac
 from .reports import DecayProfile, DiscrepancyReport
-from .sieve import FactorSieve, SieveRangeError
+from .sieve import FactorSieve
 from .specs import Family, Spelling, constant
 from .summation import checkpoint_sums, checkpoints_upto, geometric_checkpoints
 
@@ -167,36 +167,36 @@ class HardyFunction:
         return float(h[0] + l[0])
 
     def fractional_parts(self, n: np.ndarray) -> np.ndarray:
-        """{h(n)} for an int64 array; n = 1 contributes 0 by the germ convention."""
+        """{h(n)} for an int64 array, 0 at n = 1 by the germ convention; |n|, and
+        |h(n)| past the polynomials, pass constants.BUDGETS before any evaluation."""
         n = np.asarray(n, dtype=np.int64)
+        top = max(int(n.max(initial=0)), -int(n.min(initial=0)))
+        require_below("argument", top, f"Hardy argument n = {top}")
         if self.variant == "polynomial":
             return polynomial_frac(self.coefficients, n)
-        out = np.zeros(n.shape, dtype=np.float64)
-        big = n >= 2
-        if big.any():
-            out[big] = ddmath.blockwise(lambda t: ddmath.frac(self._dd_values(t)),
-                                        n[big].astype(np.float64))
-        return out
+        if top >= 2:
+            require_below("hardy", abs(self.eval(top)), f"|h({top})|")
+        return ddmath.blockwise(lambda m: np.where(  # n < 2 takes the germ value 0
+            m < 2, 0.0, ddmath.frac(self._dd_values(np.maximum(m, 2).astype(np.float64)))), n)
 
     def dilated_difference_parts(self, p: int, q: int, n: np.ndarray) -> np.ndarray:
-        """{h(pn) - h(qn)}: the sequence behind the dilation criterion."""
+        """{h(pn) - h(qn)}, the sequence behind the dilation criterion, from fractional_parts."""
         n = np.asarray(n, dtype=np.int64)
-        if self.variant == "polynomial":
-            # a_i ((pn)^i - (qn)^i) = (a_i (p^i - q^i)) n^i: scale each
-            # coefficient exactly in dd and reuse the monomial reduction
-            scaled = [ddmath.mul_f(c.dd, float(p**i - q**i))
-                      for i, c in enumerate(self.coefficients)]
-            return polynomial_frac(scaled, n)
+        top = max(abs(p), abs(q)) * max(int(n.max(initial=0)), -int(n.min(initial=0)))
+        require_below("int64", top, f"n*max(p,q) = {top}")
+        self.fractional_parts(np.array([top]))  # every budget row, before any block
 
         def parts(m):
-            hp = self._dd_values((p * m).astype(np.float64))
-            hq = self._dd_values((q * m).astype(np.float64))
-            return ddmath.frac(ddmath.sub(hp, hq))
+            d = self.fractional_parts(p * m)
+            d -= self.fractional_parts(q * m)
+            d -= np.floor(d)
+            np.subtract(d, 1.0, out=d, where=d >= 1.0)
+            return d
 
         return ddmath.blockwise(parts, n)
 
     def floor_values(self, n: np.ndarray) -> np.ndarray:
-        """floor(h(n)) as exact int64; overflow-guarded at 2^62.
+        """floor(h(n)) as exact int64, below the `floor` row of BUDGETS.
 
         Rational power exponents go through exact integer k-th roots; the
         other variants use the double-double value (exact up to its ~2^-40
@@ -221,13 +221,13 @@ class HardyFunction:
             fh, fl = ddmath.floor((h, l))
             # the floor of a normalized dd rounds to at most h, so keeping h
             # past the guard gives f >= 2^62 exactly where h is, same argmax
-            return np.where(h >= float(2**62), h, fh + fl)
+            return np.where(h >= BUDGETS["floor"], h, fh + fl)
 
         if big.any():
-            f = ddmath.blockwise(floors, n[big])
-            if np.any(f >= float(2**62)):
-                bad = int(n[big][int(np.argmax(f))])
-                raise SieveRangeError(f"h({bad}) overflows the 2^62 floor guard")
+            m = n[big]
+            f = ddmath.blockwise(floors, m)
+            worst = int(np.argmax(f))
+            require_below("floor", f[worst], f"h({m[worst]})")
             vals[big] = f.astype(np.int64)
         if self.variant == "power":
             vals[n == 1] = 1  # 1^c = 1, 0^c = 0
@@ -253,7 +253,7 @@ def _dd_power(x, c: Constant):
 
 
 def _rational_power_floors(n: np.ndarray, u: int, v: int) -> np.ndarray:
-    """floor(m^(u/v)) for an int64 array with m >= 0, exact; guarded at 2^62.
+    """floor(m^(u/v)) for an int64 array with m >= 0, exact, below the `floor` row.
 
     Entries with m^u < 2^62 take the int64 route of _int64_roots; the
     rest go through exact Python integers, in order, so the guard names the
@@ -266,8 +266,7 @@ def _rational_power_floors(n: np.ndarray, u: int, v: int) -> np.ndarray:
     for i in np.flatnonzero(~fast):
         m = int(flat[i])
         root = _int_root(m**u, v)
-        if root >= 2**62:
-            raise SieveRangeError(f"floor(h({m})) = {root} overflows the 2^62 guard")
+        require_below("floor", root, f"floor(h({m})) = {root}")
         out[i] = root
     return out.reshape(n.shape)
 

@@ -23,9 +23,11 @@ value mod 1, the difference, in (-1, 1), rounds by at most u/2; e is
 e(phi(pn) - phi(qn)).  Constant.frac_mul has eps <= u + 2^-60 while
 |n theta| <= 2^42: its last addition lands below 2, and its other roundings
 act on numbers below 2^-10.  A LinearExponential term is then within
-17.3 u < 1.93e-15 for pn up to PHASE_BUDGET.  polynomial_frac adds one
-rounding per monomial, so a quadratic with no constant term has
+17.3 u < 1.93e-15 for pn below constants.BUDGETS["phase"].  polynomial_frac
+adds one rounding per monomial, so a quadratic with no constant term has
 eps <= 3u + 2^-60 and a term within 42.5 u < 4.8e-15 while (pn)^2 <= 2^40.
+e of equidist's dilation {h(pn) - h(qn)} obeys the same bound, eps being
+that of its two Hardy phases.
 Other sequences keep np.multiply(a(pn), conj(a(qn))), bit for bit.  Both
 summands run one ddmath.blockwise() slice at a time, so a 2^16-entry chunk
 holds only its indices and its terms.
@@ -53,13 +55,11 @@ import mpmath
 import numpy as np
 
 from . import ddmath
-from .constants import Constant, as_constant
+from .constants import Constant, as_constant, require_below
 from .levelsets import LevelSet
 from .reports import CorrelationReport, DecayProfile, TuranKubiliusReport
-from .sieve import FactorSieve, SieveRangeError
+from .sieve import FactorSieve
 from .summation import checkpoint_grid, checkpoint_sums, checkpoints_upto, sorted_checkpoints
-
-PHASE_BUDGET = 2**40
 
 
 _E_TABLE_SIZE = 256
@@ -215,7 +215,7 @@ class TableSequence(BoundedSequence):
     def eval_array(self, n):
         n = np.asarray(n, dtype=np.int64)
         if int(n.max(initial=0)) > self.values.size:
-            raise SieveRangeError("table sequence indexed past its length")
+            raise ValueError("table sequence indexed past its length")
         return self.values[n - 1]
 
 
@@ -236,21 +236,13 @@ def monomials_dd(coeff_dd, m: np.ndarray):
 
 def polynomial_frac(coefficients, n: np.ndarray) -> np.ndarray:
     """{sum_i c_i n^i} with each monomial (from monomials_dd) reduced
-    separately in dd by ddmath.frac_into.
-
-    Coefficients are Constants or raw (hi, lo) pairs.  Errors out once n^i
-    reaches 2^80: past that the two-term representation cannot keep the
-    fractional part meaningful.
-    """
+    separately in dd by ddmath.frac_into; coefficients are Constants or
+    raw (hi, lo) pairs.  Every n^i must pass the `monomial` row of
+    constants.BUDGETS."""
     n = np.asarray(n, dtype=np.int64)
-    nmax = int(n.max(initial=0))
     coeff_dd = [c if isinstance(c, tuple) else c.dd for c in coefficients]
-    for i in range(1, len(coeff_dd)):
-        if nmax**i >= 2**80:
-            raise SieveRangeError(
-                f"monomial n^{i} exceeds the 2^80 phase-precision budget "
-                f"at n={nmax}"
-            )
+    nmax, deg = max(int(n.max(initial=0)), -int(n.min(initial=0))), len(coeff_dd) - 1
+    require_below("monomial", nmax**deg, f"monomial n^{deg}", f" at n={nmax}")
 
     def frac_sum(m):
         total = np.zeros(m.shape, dtype=np.float64)
@@ -300,10 +292,9 @@ def katai_correlation(seq: BoundedSequence, p: int, q: int, x: int,
     checkpoints = sorted_checkpoints([] if checkpoints is None else checkpoints) or [int(x)]
     # the sum runs to the last checkpoint, which may lie past x
     top = max(int(x), checkpoints[-1]) * max(int(p), int(q))
-    if isinstance(seq, LinearExponential) and top > PHASE_BUDGET:
-        raise SieveRangeError(f"n*max(p,q) = {top} exceeds the 2^40 phase budget")
-    if top >= 2**63:
-        raise SieveRangeError(f"n*max(p,q) = {top} does not fit in int64")
+    if isinstance(seq, LinearExponential):
+        require_below("phase", top, f"n*max(p,q) = {top}")
+    require_below("int64", top, f"n*max(p,q) = {top}")
 
     term = functools.partial(_correlation_terms, seq, p, q)
     sums = checkpoint_sums(_blockwise_terms(term), checkpoints, threads=threads)

@@ -1,5 +1,6 @@
 """Hardy catalog, Weyl sums, star discrepancy, dilation and ergodic tests."""
 
+import functools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -11,7 +12,7 @@ import pytest
 from katailab import ddmath, equidist
 from katailab import functions as fns
 from katailab.cli import parse_hardy
-from katailab.constants import GOLDEN, SQRT2, rational
+from katailab.constants import GOLDEN, SQRT2, BudgetError, rational
 from katailab.equidist import (
     AdmissibilityError,
     Mod1Sequence,
@@ -35,7 +36,6 @@ from katailab.equidist import (
 from katailab.levelsets import GenericLevel, OmegaMod, Squarefree, TruncationError
 from katailab.orthogonality import e_of, polynomial_frac
 from katailab.reports import render_csv, render_json
-from katailab.sieve import SieveRangeError
 
 mpmath.mp.dps = 40
 
@@ -210,6 +210,74 @@ def test_dilated_phases_match_mpmath():
         assert min(err, 1 - err) < 1e-10
 
 
+def _hardy_mp(h, x):
+    """h(x) at 80 digits."""
+    with mpmath.workdps(80):
+        x, v = mpmath.mpf(int(x)), h.variant
+        if v == "power":
+            return x ** h.c.mp(80)
+        if v == "polynomial":
+            return sum(c.mp(80) * x**i for i, c in enumerate(h.coefficients))
+        if v == "log_power":
+            return mpmath.log(x) ** h.r.mp(80)
+        return {"t_log_t": lambda: x * mpmath.log(x), "t_over_log_t": lambda: x / mpmath.log(x),
+                "log_gamma": lambda: mpmath.loggamma(x)}[v]()
+
+
+def _phase_bound(h, args):
+    """1e-12, plus for a polynomial 5 i u^2 |c_i| x^i per monomial of each
+    argument x: each of the i dd products behind c_i x^i adds a relative
+    error of at most 5 u^2 (Joldes, Muller and Popescu, ACM TOMS 44, 2017),
+    and the `monomial` row bounds only what a dd pair can represent."""
+    if h.variant != "polynomial":
+        return 1e-12
+    return 1e-12 + sum(5 * i * 2.0**-106 * abs(float(c)) * float(x) ** i
+                       for x in args for i, c in enumerate(h.coefficients))
+
+
+def _hardy_edge(h):
+    """The largest n whose |h(n)| stays below 2^57.99, by bisection."""
+    lo, hi = 2, 2**53
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if abs(_hardy_mp(h, mid)) < mpmath.mpf(2) ** 57.99 else (lo, mid)
+    return lo
+
+
+ORACLE_SPECS = ("power:1.5", "power:2.7", "power:sqrt2", "power:golden", "poly:0,sqrt2",
+                "poly:0,sqrt2,sqrt2", "logpow:3", "tlogt", "toverlogt", "loggamma")
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_every_phase_route_meets_its_bound_or_raises(spec):
+    # at n and at q*n near 2^20, 2^36, 2^46, 2^53 and 2^62, and at the last
+    # n the hardy row lets through: a phase within its bound, or BudgetError
+    h = parse_hardy(spec)
+    tops = [2**k for k in (20, 36, 46, 53, 62)]
+    if h.variant != "polynomial":
+        tops.append(_hardy_edge(h) + 1)
+    returned = 0
+    for top in tops:
+        calls = [(h.fractional_parts, [], np.array([top - 1, top - 1_000_003]))]
+        for p, q in ((2, 3), (2, top // 2**10 + 1)):
+            m = np.array([(top - 1) // q, (top - 1_000_003) // q])
+            calls.append((functools.partial(h.dilated_difference_parts, p, q), [p, q], m))
+        for call, pq, m in calls:
+            try:
+                got = call(m.astype(np.int64))
+            except BudgetError:
+                assert top > 2**20, (spec, top)  # no budget refuses the smallest points
+                continue
+            returned += 1
+            for g, x in zip(got, m):
+                want = (_hardy_mp(h, pq[0] * x) - _hardy_mp(h, pq[1] * x) if pq
+                        else _hardy_mp(h, x))
+                err = abs(mpmath.mpf(float(g)) - mpmath.frac(want))
+                bound = _phase_bound(h, [k * x for k in pq] if pq else [x])
+                assert min(err, 1 - err) <= bound, (spec, top, pq, int(x), float(err))
+    assert returned >= 6, spec
+
+
 # -- floor sequences and ergodic tests ----------------------------------------
 
 
@@ -265,7 +333,7 @@ def test_floor_values_at_0_and_1(spec, want):
 
 def test_floor_overflow_guard():
     hp = power(rational("15.5"))
-    with pytest.raises(SieveRangeError, match="2\\^62"):
+    with pytest.raises(BudgetError, match="2\\^62"):
         hp.floor_values(np.array([10_000], dtype=np.int64))
 
 
@@ -491,15 +559,15 @@ def test_blocked_guards_match_whole_array(monkeypatch):
     past_budget[B + 5] = 2**41  # n^2 = 2^82
     past_guard = n.copy()
     past_guard[10], past_guard[2 * B + 3] = 2**45, 2**46  # h >= 2^62 in two blocks
-    zero_late = n.copy()
-    zero_late[-1] = 0  # log(0) in the last block
+    past_argument = n.copy()
+    past_argument[2 * B + 3] = 2**52  # 3n = 3 * 2^52 in the last block
     poly = [rational(0), rational(1), SQRT2]
     cases = [
         (lambda: polynomial_frac(poly, past_budget), "n\\^2 exceeds .* at n=2199023255552"),
         (lambda: power(SQRT2).floor_values(past_guard), "h\\(70368744177664\\)"),
         (lambda: polynomial(poly).floor_values(past_guard), "h\\(70368744177664\\)"),
-        (lambda: t_log_t().dilated_difference_parts(2, 3, zero_late), "positive"),
-        (lambda: log_gamma().dilated_difference_parts(2, 3, zero_late), ">= 2"),
+        (lambda: t_log_t().dilated_difference_parts(2, 3, past_argument),
+         "n = 13510798882111488 exceeds the argument budget"),
     ]
     for call, match in cases:
         with pytest.raises(ValueError, match=match) as blocked:

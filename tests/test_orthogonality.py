@@ -11,7 +11,7 @@ from mpmath import libmp
 
 from katailab import ddmath
 from katailab import functions as fns
-from katailab.constants import GOLDEN, PI, SQRT2, Constant, rational
+from katailab.constants import GOLDEN, PI, SQRT2, BudgetError, Constant, rational
 from katailab.levelsets import Abundant, GenericLevel, OmegaMod, Squarefree
 from katailab.orthogonality import (
     ConstantSequence,
@@ -28,7 +28,6 @@ from katailab.orthogonality import (
     turan_kubilius_variance,
 )
 from katailab.reports import render_csv, render_json
-from katailab.sieve import SieveRangeError
 from katailab.summation import CHUNK, checkpoint_sums
 
 mpmath.mp.dps = 40
@@ -83,9 +82,7 @@ def test_correlation_rejects_equal_primes():
 
 
 def test_correlation_phase_budget():
-    from katailab.sieve import SieveRangeError
-
-    with pytest.raises(SieveRangeError, match="phase budget"):
+    with pytest.raises(BudgetError, match="phase budget"):
         katai_correlation(LinearExponential(SQRT2), 2, 10_000_019, 2**40, [2**40])
 
 
@@ -153,11 +150,9 @@ def test_polynomial_sequence_phases_match_mpmath():
 
 
 def test_polynomial_budget_guard():
-    from katailab.sieve import SieveRangeError
-
     seq = PolynomialExponential([rational(0), SQRT2])
     big = np.array([2**41], dtype=np.int64)
-    with pytest.raises(SieveRangeError, match="budget"):
+    with pytest.raises(BudgetError, match="budget"):
         polynomial_frac([rational(0)] * 3 + [SQRT2], big)  # n^3 at n=2^41
     # linear monomial at 2^39 stays inside the budget
     seq.eval_array(np.array([2**39], dtype=np.int64))
@@ -431,15 +426,15 @@ def test_correlation_rejects_int64_overflow():
     for seq, p, q, x in ((ConstantSequence(1.0), 2, 3, 2**62),
                          (PolynomialExponential([rational(0), SQRT2]), 5, 3, 2**61),
                          (TableSequence([1.0]), 2**62, 3, 2)):
-        with pytest.raises(SieveRangeError, match="int64"):
+        with pytest.raises(BudgetError, match="int64"):
             katai_correlation(seq, p, q, x)
 
 
 def test_correlation_budget_counts_checkpoints_past_x():
     # the sum runs to the last checkpoint, so the budgets apply there too
-    with pytest.raises(SieveRangeError, match="phase budget"):
+    with pytest.raises(BudgetError, match="phase budget"):
         katai_correlation(LinearExponential(SQRT2), 2, 3, 1000, [10, 2**39])
-    with pytest.raises(SieveRangeError, match="int64"):
+    with pytest.raises(BudgetError, match="int64"):
         katai_correlation(ConstantSequence(1.0), 2, 3, 1000, [10, 2**62])
 
 

@@ -357,6 +357,23 @@ def test_exit_code_numeric_budget(cache):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv, row", [
+    (["--set", "squarefree", "--hardy", "power:10.5", "--n", "100000"], "hardy"),
+    (["--hardy", "power:1.5", "--n", "1000", "--dilate", "2", str(2**53 + 1)], "argument"),
+    (["--hardy", "poly:0,sqrt2", "--n", "10", "--dilate", "2", str(2**62)], "int64"),
+    (["--hardy", "poly:0,sqrt2", "--n", "10", "--dilate", "2", str(2**55 + 3)], "argument"),
+    (["--hardy", "power:1.5", "--n", "10", "--dilate", "2", str(10**30)], "int64"),
+])
+def test_phases_past_a_budget_exit_3(argv, row, cache, capsys):
+    # each of these once exited 0 with wrong phases, or ended in a traceback
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+        assert run(["weyl", *argv, "--cache", cache]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric budget violated: ") and err.count("\n") == 1
+    assert f"the {row} budget" in err
+
+
 def test_negative_correlation_prime_exits_2(capsys):
     # a negative p would pass a bare x*max(p,q) check and wrap p*n in int64
     assert run(["katai", "--theta", "sqrt2", "--x", "1000000",
@@ -501,10 +518,10 @@ PINNED_DIGESTS = {
     "total_third": "d831cbf4c51f0e9054d204a2cadf91e7cf600b15a09a5a0546743694dadba600",
     "floor_ergodic": "22f0332e521ade5e1367edd2eb824594349daa9d241fdc3fad6843f303a6e54a",
     "ud_power": "b7b2da74bc72ac5abc1b2ded1e98c0c762e09f290e9677c8b6f950d899df7035",
-    "dilation": "42d743c016116d3bb1986daef66ec91ad317d5dc83fa8febbcb9afece72163d1",
+    "dilation": "6cdb0d8a432e1ccfa4f2c54b4f499ae2fd22d3fd108f34f0adad1daa6c5e7b83",
     "ud_power_blocks": "628f11878f118e4b453c7d191bcdf7ff1580c20252123130c9fde6f59aa6a644",
     "ud_loggamma_blocks": "fe0a4f29793df5f23da9178635c1f326fd14a86d51e176e3cb14110729f4ba7b",
-    "dilation_blocks": "1c57dc7c23f5e4d1b91c03581b53fa865bf0643960b4db4c0b4a30922cdcf0d9",
+    "dilation_blocks": "c3b36a24bd1cad15d01b677dd43d50b47554c0494b6b89aa0bbbee3c4fc1f4ef",
     "ud_poly_blocks": "1e96fddf18bdc08728e94410bcc5dc5fad9138c8cd96ed6058170f620ee3b5e1",
     "floor_ergodic_tlogt": "d58d7a475991122191468dfd75ae09bec1145eec741ba7122210a00b2882ed9e",
 }
@@ -651,8 +668,8 @@ README_DIGESTS = {
              "05157a0020a5d2cb93c9d3b666cbf26c40a25091133210fc1aa0aaa0813d5c12"],
     "tk_x_list": ["57e0204d947b4c6d0b4c235f5464fee51c22cf24a2df6951a72c5e69759d89fa",
                   "364acbe8274620759c9f53baa01b46c7fca07e6ec04f72d7f989fdc1c3b2a185"],
-    "weyl_dilate": ["816b2eba1fbbf82c6120f12d2e3efc8e80afe2ef2f31282f4b396658f30cfcff",
-                    "d5a43f4009d87d0fc6edecb7b3c63030872a4446c8726a58b0354539da9969b0"],
+    "weyl_dilate": ["925dd1d5ab327d65f9327cff6cafc71d549ff441b10e3c8f7fcc346cccc80717",
+                    "f2baa86b8f4f9abbeb2e501fd2aef1b4dfd4aa1e6e923439bd93b5ec5b9b899f"],
     "weyl_set": ["be7a81d4ca196adea05a132c446de17b77ef134d7ab0f402753f1ffc939f4b2d",
                  "6aeef76adc0c017b719c193752fdcad2cac1fd72cdd78d7c3b28b275029bd992"],
 }
