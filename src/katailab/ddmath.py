@@ -2,9 +2,9 @@
 
 A value x is carried as a pair (hi, lo) of float64 with hi = fl(hi + lo) and
 |lo| <= ulp(hi)/2, giving ~106 significant bits.  This is the precision layer
-behind every phase computation in the package: n*theta mod 1 stays accurate
-to < 1e-12 for n up to 2^40, and monomial phases a*n^i are trustworthy while
-n^i < 2^80.
+behind the Hardy and polynomial phases of the package: monomial phases
+a*n^i are representable while n^i < 2^80.  The linear phase n*theta mod 1
+takes the fixed-point route of Constant.turns instead.
 
 The kernels (two_sum, two_prod via Dekker splitting, div, sqrt, log by a
 Newton step) follow the classic QD library algorithms of Hida, Li and Bailey
@@ -22,10 +22,6 @@ CPython/numpy provide.  The transcendental layer on top:
 - log_gamma shifts arguments below 12 up by the recurrence and sums the
   Stirling series there: the terms 1/(12x), 1/(360x^3) and 1/(1260x^5) in
   dd, the five later ones as one float polynomial in 1/x^2.
-- frac_int_mul, the phase {n c} behind Constant.frac_mul of an
-  irrational constant for |n| < 2^53, runs the two_prod and floor steps in
-  place in four buffers per block, in the order of the whole-array formula,
-  so its bits are that formula's.
 - mul_into and frac_into write a dd product and a fractional part in
   place into buffers the caller passes; the polynomial phases
   (orthogonality.monomials_dd and polynomial_frac) run each block through
@@ -115,14 +111,6 @@ def two_prod(a, b):
 
 def from_float(a):
     return np.asarray(a, dtype=np.float64), np.zeros_like(np.asarray(a, dtype=np.float64))
-
-
-def from_int(n):
-    """Exact dd from an int64 array."""
-    n = np.asarray(n)
-    hi = n.astype(np.float64)
-    lo = (n - hi.astype(np.int64)).astype(np.float64)
-    return hi, lo
 
 
 def neg(x):
@@ -273,49 +261,6 @@ def frac_into(x, work):
     # rounding can land exactly on 1.0; wrap it
     np.subtract(h, 1.0, out=h, where=h >= 1.0)
     return h
-
-
-def frac_int_mul(c, n):
-    """{n * c} for a dd constant c and exact-integer-valued float/array n.
-
-    n must be exactly representable in float64 (|n| <= 2^53); accuracy is
-    ~2^-52 absolute plus n * 2^-106 from the dd representation of c, i.e.
-    below 1e-12 for |n| <= 2^40.  Runs blockwise(), so its buffers stay in
-    cache.
-    """
-    return blockwise(functools.partial(_frac_int_mul_block, c),
-                     np.asarray(n, dtype=np.float64))
-
-
-def _frac_int_mul_block(c, n):
-    # the steps of p, e = two_prod(n, c[0]) and of
-    # {p - floor(p) + (e + n c[1])}, in the same order, written in place
-    # into four buffers shaped like n (0-d too)
-    chi, clo = _split(c[0])
-    p, e, nhi, w = (np.empty_like(n) for _ in range(4))
-    np.multiply(n, c[0], out=p)
-    np.multiply(n, _SPLITTER, out=nhi)
-    np.subtract(nhi, n, out=w)
-    np.subtract(nhi, w, out=nhi)
-    nlo = np.subtract(n, nhi, out=w)
-    np.multiply(nhi, chi, out=e)
-    e -= p
-    np.multiply(nhi, clo, out=nhi)
-    e += nhi
-    np.multiply(nlo, chi, out=nhi)
-    e += nhi
-    nlo *= clo
-    e += nlo
-    np.floor(p, out=w)
-    p -= w  # exact: p and floor(p) share high bits
-    np.multiply(n, c[1], out=w)
-    e += w
-    p += e
-    np.floor(p, out=w)
-    p -= w
-    # rounding can land exactly on 1.0; wrap it
-    np.subtract(p, 1.0, out=p, where=p >= 1.0)
-    return p
 
 
 # ln2/1024 in three parts (Cody-Waite).  The first two have 32 significant

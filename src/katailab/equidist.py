@@ -170,25 +170,36 @@ class HardyFunction:
         """{h(n)} for an int64 array, 0 at n = 1 by the germ convention; |n|, and
         |h(n)| past the polynomials, pass constants.BUDGETS before any evaluation."""
         n = np.asarray(n, dtype=np.int64)
-        top = max(int(n.max(initial=0)), -int(n.min(initial=0)))
+        self._require_phase_budgets(max(int(n.max(initial=0)), -int(n.min(initial=0))))
+        return self._fractional_parts(n)
+
+    def _require_phase_budgets(self, top: int) -> None:
+        """The rows a phase at |n| <= top must pass before polynomial_frac,
+        which checks `monomial` itself: `argument` on top and, past the
+        polynomials, `hardy` on |h(top)|."""
         require_below("argument", top, f"Hardy argument n = {top}")
+        if self.variant != "polynomial" and top >= 2:
+            require_below("hardy", abs(self.eval(top)), f"|h({top})|")
+
+    def _fractional_parts(self, n: np.ndarray) -> np.ndarray:
+        """fractional_parts once its budgets have passed."""
         if self.variant == "polynomial":
             return polynomial_frac(self.coefficients, n)
-        if top >= 2:
-            require_below("hardy", abs(self.eval(top)), f"|h({top})|")
         return ddmath.blockwise(lambda m: np.where(  # n < 2 takes the germ value 0
             m < 2, 0.0, ddmath.frac(self._dd_values(np.maximum(m, 2).astype(np.float64)))), n)
 
     def dilated_difference_parts(self, p: int, q: int, n: np.ndarray) -> np.ndarray:
-        """{h(pn) - h(qn)}, the sequence behind the dilation criterion, from fractional_parts."""
+        """{h(pn) - h(qn)}, the sequence behind the dilation criterion, from
+        fractional_parts; the `argument` and `hardy` rows are checked once, on
+        max(p,q) max|n|."""
         n = np.asarray(n, dtype=np.int64)
         top = max(abs(p), abs(q)) * max(int(n.max(initial=0)), -int(n.min(initial=0)))
         require_below("int64", top, f"n*max(p,q) = {top}")
-        self.fractional_parts(np.array([top]))  # every budget row, before any block
+        self._require_phase_budgets(top)
 
         def parts(m):
-            d = self.fractional_parts(p * m)
-            d -= self.fractional_parts(q * m)
+            d = self._fractional_parts(p * m)
+            d -= self._fractional_parts(q * m)
             d -= np.floor(d)
             np.subtract(d, 1.0, out=d, where=d >= 1.0)
             return d
@@ -196,11 +207,13 @@ class HardyFunction:
         return ddmath.blockwise(parts, n)
 
     def floor_values(self, n: np.ndarray) -> np.ndarray:
-        """floor(h(n)) as exact int64, below the `floor` row of BUDGETS.
+        """floor(h(n)) as exact int64, |h(n)| below the `floor` row of BUDGETS.
 
         Rational power exponents go through exact integer k-th roots; the
-        other variants use the double-double value (exact up to its ~2^-40
-        worst-case margin near an integer).
+        other variants read n, below the `argument` row, as a float64 and
+        floor the double-double value (exact up to its ~2^-40 worst-case
+        margin near an integer), adding its two integer-valued words as
+        int64.
         """
         n = np.asarray(n, dtype=np.int64)
         if np.any(n < 0):
@@ -208,6 +221,8 @@ class HardyFunction:
         if self.variant == "power" and not self.c.is_irrational:
             return _rational_power_floors(n, self.c.value_exact.numerator,
                                           self.c.value_exact.denominator)
+        top = int(n.max(initial=0))
+        require_below("argument", top, f"Hardy argument n = {top}")
         vals = np.zeros(n.shape, dtype=np.int64)
         big = n >= (0 if self.variant == "polynomial" else 2)
 
@@ -219,16 +234,21 @@ class HardyFunction:
             else:
                 h, l = self._dd_values(m.astype(np.float64))
             fh, fl = ddmath.floor((h, l))
-            # the floor of a normalized dd rounds to at most h, so keeping h
-            # past the guard gives f >= 2^62 exactly where h is, same argmax
-            return np.where(h >= BUDGETS["floor"], h, fh + fl)
+            size = np.abs(h)
+            below = size < BUDGETS["floor"]  # where both words are integers below 2^62
+            f = np.where(below, fh, 0.0).astype(np.int64)
+            f += np.where(below, fl, 0.0).astype(np.int64)
+            # past the guard take |h|'s bits: as int64 they order like |h| and
+            # lie above 2^62, so the argmax below names the largest |h|
+            f[~below] = size[~below].view(np.int64)
+            return f
 
         if big.any():
             m = n[big]
             f = ddmath.blockwise(floors, m)
             worst = int(np.argmax(f))
             require_below("floor", f[worst], f"h({m[worst]})")
-            vals[big] = f.astype(np.int64)
+            vals[big] = f
         if self.variant == "power":
             vals[n == 1] = 1  # 1^c = 1, 0^c = 0
         return vals

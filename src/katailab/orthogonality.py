@@ -8,29 +8,32 @@ Decay of (1/x)|sum 1_E(n) a(n)| is reported on a geometric grid with a fitted
 log-log slope; nothing here claims an asymptotic, the profiles reproduce fixed
 desk-scale numbers.
 
-Phases a(pn) are always evaluated at the integer pn through the double-double
-path, never by scaling a(n): phase accuracy is what every downstream test
-hangs on.  A polynomial phase takes its dd monomials c_i n^i from
-monomials_dd, the generator that equidist's polynomial floors share.
+Phases a(pn) are always evaluated at the integer pn, through the fixed-point
+turns of a linear phase or the double-double path, never by scaling a(n):
+phase accuracy is what every downstream test hangs on.  A polynomial phase
+takes its dd monomials c_i n^i from monomials_dd, the generator that
+equidist's polynomial floors share.
 
 A PhaseSequence is a(n) = e(phi(n)), so a correlation term a(pn) conj(a(qn))
-is e(phi(pn) - phi(qn)): the float phases {phi(pn)} and {phi(qn)} are
-subtracted and one e(x) is taken of the difference, not two e(x) and a
-complex product.  With u = 2^-53: if each phase is within eps of its exact
-value mod 1, the difference, in (-1, 1), rounds by at most u/2; e is
-2 pi-Lipschitz, |e(a) - e(b)| = 2 |sin pi (a - b)|; and e_of adds at most
-(9/8) sqrt2 u.  So a term is within 2 pi (2 eps + u/2) + (9/8) sqrt2 u of
-e(phi(pn) - phi(qn)).  Constant.frac_mul has eps <= u + 2^-60 while
-|n theta| <= 2^42: its last addition lands below 2, and its other roundings
-act on numbers below 2^-10.  A LinearExponential term is then within
-17.3 u < 1.93e-15 for pn below constants.BUDGETS["phase"].  polynomial_frac
+is e(phi(pn) - phi(qn)).  Each phase comes as turns(n), {phi(n)} in units
+of 2^-64 as a uint64, and the term is e of the difference turns(pn) -
+turns(qn), exact mod 2^64, through _e_turns, the integer front-end of
+e_of's kernel: one e(x) per term, not two and a complex product.  With
+u = 2^-53: if each turns(n) is within tau units of {phi(n)} 2^64, the
+difference is within 2 tau, _e_turns adds at most 2 units, e is
+2 pi-Lipschitz, and the kernel adds at most (9/8) sqrt2 u.  So a term is
+within 2 pi (2 tau + 2) 2^-64 + (9/8) sqrt2 u of e(phi(pn) - phi(qn)).
+A LinearExponential takes theta.turns, with tau < 3.001 for pn below 2^53
+(constants.Constant.turns), so its term is within 1.62 u < 1.8e-16: the
+`phase` row of constants.BUDGETS limits the correlation's length, not its
+accuracy.  Other phase sequences scale their float phases by 2^64, so
+tau = eps 2^64 + 1 for phases within eps of exact mod 1.  polynomial_frac
 adds one rounding per monomial, so a quadratic with no constant term has
-eps <= 3u + 2^-60 and a term within 42.5 u < 4.8e-15 while (pn)^2 <= 2^40.
-e of equidist's dilation {h(pn) - h(qn)} obeys the same bound, eps being
-that of its two Hardy phases.
-Other sequences keep np.multiply(a(pn), conj(a(qn))), bit for bit.  Both
-summands run one ddmath.blockwise() slice at a time, so a 2^16-entry chunk
-holds only its indices and its terms.
+eps <= 3u + 2^-60 and a term within 39.5 u < 4.4e-15 while (pn)^2 <= 2^40.
+The phase route sums each ddmath.BLOCK slice on its own and hands
+checkpoint_sums one sum per slice, as equidist.weyl_sums does.  Other
+sequences keep np.multiply(a(pn), conj(a(qn))) over a whole 2^16-entry
+chunk, bit for bit, one ddmath.blockwise() slice at a time.
 
 e(x) = cos 2 pi x + i sin 2 pi x is table-driven (Tang, ACM TOMS 15, 1989),
 with no libm call, so its bits do not depend on the CPU numpy dispatches to.
@@ -40,7 +43,7 @@ with |d| <= 1/2.  Short Horner polynomials give 1 - cos r and sin r for
 r = 2 pi d / 256, |r| <= pi/256, and one rotation by the correctly rounded
 cos and sin of 2 pi j / 256 from a 256-entry table finishes the job: each
 component is within 2^-53 + 2^-56 of the exact value (the derivation is in
-_e_block).  The table is built on first use from mpmath cospi/sinpi, so
+_e_rotate).  The table is built on first use from mpmath cospi/sinpi, so
 e(0), e(1/4), e(1/2) and e(3/4) come out exact, and the kernel runs one
 ddmath.blockwise() slice at a time into a few reused buffers.
 """
@@ -79,17 +82,57 @@ def _e_table():
     mpmath's cospi and sinpi are exact at the multiples of 1/2, so the
     quarter points are exactly 0 and +-1.
     """
-    with mpmath.workdps(40):
-        turns = [mpmath.mpf(j) / (_E_TABLE_SIZE // 2) for j in range(_E_TABLE_SIZE)]
-        table = (np.array([float(mpmath.cospi(t)) for t in turns]),
-                 np.array([float(mpmath.sinpi(t)) for t in turns]))
+    ctx = mpmath.MPContext()  # its own 40 digits: the first call may be in a worker thread
+    ctx.dps = 40
+    turns = [ctx.mpf(j) / (_E_TABLE_SIZE // 2) for j in range(_E_TABLE_SIZE)]
+    table = (np.array([float(ctx.cospi(t)) for t in turns]),
+             np.array([float(ctx.sinpi(t)) for t in turns]))
     for part in table:
         part.flags.writeable = False  # shared by every later call
     return table
 
 
 def _e_block(x):
-    """e(x) for one 1-d block of float phases.
+    """e(x) for one 1-d block of float phases (the derivation is in _e_rotate).
+
+    x is shifted by rint(x), exactly; then y = 256 x splits as j + d with
+    j = rint(y), and d = y - j is exact with |d| <= 1/2.
+    """
+    d = np.rint(x)
+    np.subtract(x, d, out=d)  # exact: a multiple of ulp(x) of size <= 1/2
+    d *= _E_TABLE_SIZE
+    j = np.rint(d)
+    d -= j  # exact again, |d| <= 1/2
+    idx = j.astype(np.intp)
+    idx &= _E_TABLE_SIZE - 1  # j mod 256; NaN phases stay NaN through r
+    return _e_rotate(np.multiply(d, _E_STEP, out=d), idx, j)
+
+
+def _e_turns(t):
+    """e(t 2^-64) for one 1-d block of uint64 turns: _e_block's integer front-end.
+
+    t + 2^55 (mod 2^64) holds j, the top 8 bits of t rounded to nearest,
+    in its top byte, and its low 56 bits less 2^55 are the signed
+    remainder t - j 2^56, exactly, in [-2^55, 2^55).  That remainder is
+    d 2^56 for _e_block's d; it converts to float64 within 2 units, and
+    exactly when it has 53 significant bits or fewer, and r = d _E_STEP is
+    one product by _E_STEP 2^-56.  So a float phase x in [2^-12, 1), whose
+    x 2^64 is an integer, gives e_of(x) bit for bit, except at the ties
+    256 x = j + 1/2, which this rounds up and rint rounds to even.
+    """
+    a = t + np.uint64(1 << 55)
+    idx = (a >> np.uint64(56)).astype(np.intp)
+    a &= np.uint64((1 << 56) - 1)
+    rem = a.view(np.int64)
+    rem -= 1 << 55
+    r = rem.astype(np.float64)
+    r *= _E_STEP * 2.0**-56
+    return _e_rotate(r, idx, a.view(np.float64))  # a is spent: its buffer is the work
+
+
+def _e_rotate(r, idx, work):
+    """e(j/256 + r/(2 pi)) for |r| <= pi/256 and table indices idx = j mod 256;
+    overwrites the float buffers r and work.
 
     With 2 pi x = 2 pi j / 256 + r, e(x) = (C + iS)(1 - m + i s) for the
     table entries C, S of j and m = 1 - cos r, s = sin r, that is
@@ -109,15 +152,7 @@ def _e_block(x):
     1.8e-16 of e(x).
     """
     cos_t, sin_t = _e_table()
-    d = np.rint(x)
-    np.subtract(x, d, out=d)  # exact: a multiple of ulp(x) of size <= 1/2
-    d *= _E_TABLE_SIZE
-    j = np.rint(d)
-    d -= j  # exact again, |d| <= 1/2
-    idx = j.astype(np.intp)
-    idx &= _E_TABLE_SIZE - 1  # j mod 256; NaN phases stay NaN through r
-    r = np.multiply(d, _E_STEP, out=d)
-    r2 = np.multiply(r, r, out=j)
+    r2 = np.multiply(r, r, out=work)
     # m = 1 - cos r = r^2 (1/2 - r^2 (1/24 - r^2/720))
     m = np.multiply(r2, 1.0 / 720)
     np.subtract(1.0 / 24, m, out=m)
@@ -134,7 +169,7 @@ def _e_block(x):
     np.subtract(r, s, out=s)
     c = cos_t.take(idx)
     sn = sin_t.take(idx)
-    out = np.empty(x.shape, dtype=np.complex128)
+    out = np.empty(r.shape, dtype=np.complex128)
     re, im = out.real, out.imag
     t = np.multiply(sn, s, out=r)
     np.multiply(c, m, out=re)
@@ -166,6 +201,11 @@ class PhaseSequence(BoundedSequence):
     def phase_array(self, n: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def turns(self, n: np.ndarray) -> np.ndarray:
+        """{phi(n)} in units of 2^-64, as uint64: the float phases times
+        2^64, exact for phases >= 2^-12 and truncated by under a unit below."""
+        return np.multiply(self.phase_array(n), 2.0**64).astype(np.uint64)
+
     def eval_array(self, n):
         return e_of(self.phase_array(n))
 
@@ -179,6 +219,9 @@ class LinearExponential(PhaseSequence):
 
     def phase_array(self, n):
         return self.theta.frac_mul(np.asarray(n, dtype=np.int64))
+
+    def turns(self, n):
+        return self.theta.turns(n)
 
     def to_json(self):
         return {"sequence": "linear_exponential", "theta": self.theta.to_json()}
@@ -276,10 +319,20 @@ def _blockwise_terms(term):
 
 
 def _correlation_terms(seq, p, q, n):
-    """a(pn) conj(a(qn)) for one block of n; e(phi(pn) - phi(qn)) for phases."""
+    """a(pn) conj(a(qn)) for one block of n; for phases, e of the uint64
+    turn difference turns(pn) - turns(qn), exact mod 2^64."""
     if isinstance(seq, PhaseSequence):
-        return _e_block(np.subtract(seq.phase_array(p * n), seq.phase_array(q * n)))
+        d = seq.turns(p * n)
+        d -= seq.turns(q * n)
+        return _e_turns(d)
     return np.multiply(seq.eval_array(p * n), np.conj(seq.eval_array(q * n)))
+
+
+def _block_sums(seq, p, q, lo, hi):
+    """checkpoint_sums' values_of for a PhaseSequence: one sum of the terms
+    per ddmath.BLOCK slice of [lo, hi), as equidist.weyl_sums does."""
+    return np.array([np.sum(_correlation_terms(seq, p, q, np.arange(
+        b, min(b + ddmath.BLOCK, hi), dtype=np.int64))) for b in range(lo, hi, ddmath.BLOCK)])
 
 
 def katai_correlation(seq: BoundedSequence, p: int, q: int, x: int,
@@ -295,9 +348,14 @@ def katai_correlation(seq: BoundedSequence, p: int, q: int, x: int,
     if isinstance(seq, LinearExponential):
         require_below("phase", top, f"n*max(p,q) = {top}")
     require_below("int64", top, f"n*max(p,q) = {top}")
+    if isinstance(seq, PolynomialExponential):  # polynomial_frac reads n as a float64
+        require_below("argument", top, f"n*max(p,q) = {top}")
 
-    term = functools.partial(_correlation_terms, seq, p, q)
-    sums = checkpoint_sums(_blockwise_terms(term), checkpoints, threads=threads)
+    if isinstance(seq, PhaseSequence):
+        values_of = functools.partial(_block_sums, seq, p, q)
+    else:
+        values_of = _blockwise_terms(functools.partial(_correlation_terms, seq, p, q))
+    sums = checkpoint_sums(values_of, checkpoints, threads=threads)
     corr = [s / c for s, c in zip(sums, checkpoints)]
     refs = None
     if isinstance(seq, LinearExponential):

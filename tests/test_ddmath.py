@@ -64,49 +64,74 @@ def test_pow_matches_mpmath():
         assert mp_rel_err((ph[i], pl[i]), mpmath.power(mpmath.mpf(b), mpmath.mpf(1.5))) < 1e-29
 
 
-def test_frac_int_mul_accuracy_bound():
-    # spec bound: n * alpha mod 1 accurate below 1e-12 up to n = 2^40
+# Constant.frac_mul of a tagged irrational is turns(n) rounded to the nearest
+# float: within 2^-54 + 3.001 2^-64 of {n c} below 2^53, 2^-54 + 2^-52 above
+# (constants.Constant.turns and frac_mul).
+def frac_mul_bound(n):
+    return 2.0**-54 + (3.001 * 2.0**-64 if abs(n) < 2**53 else 2.0**-52)
+
+
+def turns_bound(n):
+    """Units of 2^-64 by which turns(n) may miss {n c} 2^64."""
+    return 3.001 if abs(n) < 2**53 else 3074
+
+
+def test_frac_mul_accuracy_bound():
+    from katailab.constants import SQRT2
+
     sqrt2 = mpmath.sqrt(2)
-    dd = (float(sqrt2), float(sqrt2 - mpmath.mpf(float(sqrt2))))
     ns = np.concatenate(
         [
             RNG.integers(1, 2**40, size=300),
             [1, 2, 6, 10**7, 2**40 - 1],
         ]
     ).astype(np.int64)
-    got = ddmath.frac_int_mul(dd, ns.astype(np.float64))
+    got = SQRT2.frac_mul(ns)
     for i, n in enumerate(ns):
         want = mpmath.frac(int(n) * sqrt2)
         err = abs(mpmath.mpf(got[i]) - want)
-        assert min(err, 1 - err) < 1e-12, (n, got[i], want)
+        assert min(err, 1 - err) <= frac_mul_bound(n), (n, got[i], want)
 
 
-def _frac_int_mul_formula(c, n):
-    # the whole-array formula the in-place frac_int_mul keeps, step for step
-    n = np.asarray(n, dtype=np.float64)
-    p, e = ddmath.two_prod(n, c[0])
-    out = (p - np.floor(p)) + (e + n * c[1])
-    out = out - np.floor(out)
-    return np.where(out >= 1.0, out - 1.0, out)
+TURNS_N = [1, -1, 3, -3, 10**6 + 3, 2**36 + 5, 2**40 - 1, 2**46 + 7, 2**53 - 1, 2**53 + 1,
+           2**62 + 9, -2**62, 2**63 - 1, -2**63]
 
 
-def test_frac_int_mul_in_place_is_the_formula_bit_for_bit():
-    from katailab.constants import GOLDEN, PI, SQRT2, Constant
+@pytest.mark.parametrize("spelling", ["sqrt2", "sqrt3", "sqrt7", "golden", "e", "pi", "log2",
+                                      "log3", "2/7", "-3/10", "1/1099511627777"])
+def test_frac_mul_and_turns_against_mpmath(spelling):
+    from katailab.constants import Constant
 
-    rng = np.random.default_rng(53)
-    consts = [SQRT2.dd, GOLDEN.dd, PI.dd, Constant("log", 3).dd, (-0.3, 1e-17)]
-    for c in consts:
-        for top in (2**20, 2**40, 2**53):
-            n = rng.integers(-top, top, 20_000).astype(np.float64)
-            n[:4] = [0.0, 1.0, top, -top]
-            got = ddmath.frac_int_mul(c, n)
-            assert np.array_equal(got.view(np.int64),
-                                  _frac_int_mul_formula(c, n).view(np.int64)), (c, top)
-        for scalar in (7, 2.0**52 + 1, np.float64(123456789.0), np.array(2.0**50),
-                       np.array([[3.0, 5.0]])):
-            got, want = ddmath.frac_int_mul(c, scalar), _frac_int_mul_formula(c, scalar)
-            assert type(got) is type(want) and got.shape == want.shape
-            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (c, scalar)
+    c = Constant.parse(spelling)
+    n = np.array(TURNS_N, dtype=np.int64)
+    fracs, turns = c.frac_mul(n), c.turns(n)
+    assert fracs.dtype == np.float64 and turns.dtype == np.uint64
+    with mpmath.workdps(80):
+        theta = c.mp(80)
+        for m, f, t in zip(TURNS_N, fracs.tolist(), turns.tolist()):
+            want = mpmath.frac(m * theta)
+            err = abs(mpmath.mpf(f) - want)
+            assert 0.0 <= f < 1.0 and min(err, 1 - err) <= frac_mul_bound(m), (m, f)
+            units = abs(mpmath.mpf(t) - want * 2**64)
+            units = min(units, 2**64 - units)
+            assert units <= turns_bound(m), (m, float(units))
+
+
+def test_turns_keep_shapes_and_wrap_without_warnings():
+    import warnings
+
+    from katailab.constants import GOLDEN, rational
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in (GOLDEN, rational(Fraction(5, 3)), rational(7)):
+            assert c.turns(np.int64(-2**63)).shape == ()
+            assert c.frac_mul(np.array([[3, -5]])).shape == (1, 2)
+            assert c.turns(np.array([], dtype=np.int64)).shape == (0,)
+            n = np.arange(-50, 50)
+            want = np.array([c.turns(np.array(m)) for m in n.tolist()], dtype=np.uint64)
+            assert np.array_equal(c.turns(n), want)
+    assert rational(7).turns(np.array([2**62])).tolist() == [0]
 
 
 def _seeded_dd(rng, size):
@@ -177,9 +202,26 @@ def test_constant_dd_is_computed_once():
     assert c == Constant("sqrt", 7) and hash(c) == hash(Constant("sqrt", 7))
 
 
+def test_memoized_constants_ignore_the_global_mpmath_precision(monkeypatch):
+    # dd, the fixed-point fraction and the e(x) table may first be built in a
+    # worker thread, so none may read or set the precision every thread shares
+    from katailab.constants import Constant
+    from katailab.orthogonality import _e_table
+
+    want = {tag: (Constant(*tag).dd, Constant(*tag).turns(np.array([1, 3, 2**40 + 1])))
+            for tag in (("sqrt", 7), ("pi",), ("log", 5))}
+    table = _e_table()
+    monkeypatch.setattr(mpmath, "workdps", None)  # any call to it raises
+    with mpmath.workprec(8):  # a global precision of 8 bits
+        for tag, (dd, turns) in want.items():
+            c = Constant(*tag)
+            assert c.dd == dd and np.array_equal(c.turns(np.array([1, 3, 2**40 + 1])), turns)
+        fresh = _e_table.__wrapped__()
+    assert all(np.array_equal(a, b) for a, b in zip(fresh, table))
+
+
 def test_frac_mul_wide_integers_past_float_exactness():
-    # floors can reach 2^62: past 2^53 the reduction goes through an exact
-    # two-term split of the integer
+    # floors can reach 2^62: past 2^53 only the low limb's carry is rounded
     from katailab.constants import SQRT2
 
     sqrt2 = mpmath.sqrt(2)

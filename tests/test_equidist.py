@@ -337,6 +337,48 @@ def test_floor_overflow_guard():
         hp.floor_values(np.array([10_000], dtype=np.int64))
 
 
+# n where floor(h(n)) passes 2^53: the two dd words are added as int64
+@pytest.mark.parametrize("spec, ns", [
+    ("power:e", [2**20 + 1, 2**21 + 1, 3_000_001, 4_000_037]),
+    ("power:sqrt2", [2**42 + 1]),
+    ("tlogt", [2**53 - 2**45, 2**50 + 3]),
+])
+def test_floors_past_2_53_are_exact(spec, ns):
+    h = parse_hardy(spec)
+    with mpmath.workdps(60):
+        want = [int(mpmath.floor(_hardy_mp(h, m))) for m in ns]
+    assert h.floor_values(np.array(ns, dtype=np.int64)).tolist() == want
+
+
+def test_floor_values_refuse_n_past_the_argument_budget():
+    for spec in ("tlogt", "power:sqrt2", "poly:0,sqrt2"):
+        with pytest.raises(BudgetError, match="n = 9007199254740993 exceeds the argument"):
+            parse_hardy(spec).floor_values(np.array([5, 2**53 + 1], dtype=np.int64))
+    # the exact rational-power route reads n as an integer
+    assert power(rational("0.5")).floor_values(np.array([2**53 + 1])).tolist() == [
+        math.isqrt(2**53 + 1)]
+
+
+def test_negative_floor_past_the_guard_raises():
+    # sqrt2 n - n^2 is -2^66 at n = 2^33: no int64 holds its floor
+    h = parse_hardy("poly:0,sqrt2,-1")
+    assert h.floor_values(np.array([5])).tolist() == [math.floor(5 * math.sqrt(2)) - 25]
+    with pytest.raises(BudgetError, match="h\\(8589934592\\) exceeds the floor budget"):
+        h.floor_values(np.array([5, 2**33]))
+
+
+@pytest.mark.parametrize("spec", ["tlogt", "loggamma", "power:sqrt2"])
+def test_dilation_checks_its_budgets_once(spec, monkeypatch):
+    h = parse_hardy(spec)
+    n = np.arange(1, 3 * ddmath.BLOCK + 8, dtype=np.int64)  # four slices
+    want = h.dilated_difference_parts(2, 3, n)
+    calls, evaluate = [], type(h).eval
+    monkeypatch.setattr(type(h), "eval", lambda self, t: calls.append(t) or evaluate(self, t))
+    got = h.dilated_difference_parts(2, 3, n)
+    assert calls == [3 * int(n[-1])]  # the hardy row on max(p,q) max n, once
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_ergodic_weyl_integer_alpha_trivial():
     prof = ergodic_weyl_test(np.arange(1, 1001), rational(3))
     assert all(v == 1.0 for v in prof.values)

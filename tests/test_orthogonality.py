@@ -19,7 +19,9 @@ from katailab.orthogonality import (
     PolynomialExponential,
     TableSequence,
     _correlation_terms,
+    _e_block,
     _e_table,
+    _e_turns,
     e_of,
     katai_correlation,
     monomials_dd,
@@ -317,6 +319,90 @@ def test_quadratic_phase_route_meets_bound_up_to_budget():
         n = _seeded_n(rng, 2**20 // max(p, q), 2**10)  # (pn)^2 <= 2^40
         err = _term_error(seq, lambda m: c1 * m + c2 * m * m, p, q, n)
         assert err <= QUADRATIC_TERM_BOUND, (p, q, err)
+
+
+# The turn route (orthogonality module docstring): 2 pi (2 tau + 2) 2^-64 +
+# (9/8) sqrt2 u, with tau < 3.001 units for a linear phase below 2^53 and
+# tau = (3u + 2^-60) 2^64 + 1 for a quadratic one
+TURN = 2.0**-64
+LINEAR_TURN_BOUND = 2 * math.pi * 8.002 * TURN + 1.125 * math.sqrt(2) * U
+QUADRATIC_TURN_BOUND = (2 * math.pi * (2 * ((3 * U + 2.0**-60) / TURN + 1) + 2) * TURN
+                        + 1.125 * math.sqrt(2) * U)
+
+
+def test_turn_bounds_are_the_documented_ones():
+    assert LINEAR_TURN_BOUND < 1.62 * U < 1.8e-16
+    assert QUADRATIC_TURN_BOUND < 39.5 * U < 4.4e-15
+
+
+def test_linear_turn_terms_meet_the_tighter_bound():
+    rng = np.random.default_rng(2027)
+    for theta in (SQRT2, GOLDEN, PI, Constant("e"), Constant("log", 3)):
+        t = theta.mp(60)
+        for p, q in ((2, 3), (13, 7), (47, 2)):
+            n = _seeded_n(rng, 2**40 // max(p, q), 2**20)
+            err = _term_error(LinearExponential(theta), lambda m: m * t, p, q, n)
+            assert err <= LINEAR_TURN_BOUND, (theta, p, q, err)
+    # the bound rests on tau, not on the phase row: pn up to 2^53 as well
+    t = SQRT2.mp(60)
+    n = _seeded_n(rng, 2**53 // 7, 2**30)
+    assert _term_error(LinearExponential(SQRT2), lambda m: m * t, 7, 5, n) <= LINEAR_TURN_BOUND
+
+
+def test_quadratic_turn_terms_meet_the_tighter_bound():
+    rng = np.random.default_rng(2028)
+    seq = PolynomialExponential([rational(0), GOLDEN, SQRT2])
+    with mpmath.workdps(60):
+        c1, c2 = GOLDEN.mp(60), SQRT2.mp(60)
+    for p, q in ((2, 3), (13, 7), (5, 11)):
+        n = _seeded_n(rng, 2**20 // max(p, q), 2**10)  # (pn)^2 <= 2^40
+        err = _term_error(seq, lambda m: c1 * m + c2 * m * m, p, q, n)
+        assert err <= QUADRATIC_TURN_BOUND, (p, q, err)
+
+
+def test_turn_front_end_is_e_block_bit_for_bit():
+    rng = np.random.default_rng(64)
+    x = np.concatenate([rng.uniform(2.0**-11, 1.0, 200_000),
+                        np.arange(1, 256) / 256,  # r = 0
+                        2.0**-11 * (1 + rng.random(1000)),
+                        1 - 2.0**-53 * rng.integers(1, 2**20, 1000),
+                        np.nextafter(np.arange(1, 512, 2) / 512, 0.0),
+                        np.nextafter(np.arange(1, 512, 2) / 512, 1.0)])
+    x = x[(x * 512) % 2 != 1]  # rint rounds the ties to even, the front-end up
+    turns = (x * 2.0**64).astype(np.uint64)
+    assert np.array_equal(turns.astype(np.float64) * TURN, x)  # x 2^64 is exact
+    assert np.array_equal(_e_turns(turns).view(np.int64), _e_block(x).view(np.int64))
+    assert np.array_equal(_e_turns(np.array([0, 2**62, 2**63, 3 * 2**62], dtype=np.uint64)),
+                          [1, 1j, -1, -1j])
+
+
+def test_polynomial_correlation_past_the_argument_budget():
+    # polynomial_frac reads n as a float64, so p*n must stay below 2^53
+    seq = PolynomialExponential([rational(0), SQRT2])
+    with pytest.raises(BudgetError, match="n\\*max\\(p,q\\) = 1125899906842625000 exceeds "
+                                          "the argument budget 2\\^53"):
+        katai_correlation(seq, 2, 2**50 + 1, 1000)
+    katai_correlation(seq, 2, 2**50 + 1, 7)  # 7 (2^50 + 1) < 2^53
+
+
+def test_phase_route_sums_match_the_geometric_sum():
+    # sum_{n<=c} e(n beta) = e(beta) (e(c beta) - 1) / (e(beta) - 1) for
+    # beta = (p - q) theta, at 60 digits.  Besides the terms' own bound, the
+    # float sums add at most 31 roundings per component: numpy's np.sum over
+    # a ddmath.BLOCK slice (8 accumulators of 16 terms, then 3 + 7 pairwise
+    # levels) and the few slice, chunk and checkpoint additions after it.
+    seq, p, q = LinearExponential(GOLDEN), 5, 3
+    x = 2 * CHUNK + 3 * ddmath.BLOCK + 11
+    checkpoints = [100, CHUNK + 7, x]
+    got = [katai_correlation(seq, p, q, x, checkpoints, threads=t).correlations for t in (1, 2)]
+    assert np.array(got[0]).view(np.int64).tolist() == np.array(got[1]).view(np.int64).tolist()
+    with mpmath.workdps(60):
+        beta = (p - q) * GOLDEN.mp(60)
+        eb = mpmath.expjpi(2 * beta)
+        for c, corr in zip(checkpoints, got[0]):
+            want = eb * (mpmath.expjpi(2 * c * beta) - 1) / (eb - 1) / c
+            err = abs(mpmath.mpc(corr) - want)
+            assert err <= LINEAR_TURN_BOUND + 31 * math.sqrt(2) * U, (c, float(err))
 
 
 def test_product_route_bits_unchanged():

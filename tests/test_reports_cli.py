@@ -513,7 +513,7 @@ PINNED_DIGESTS = {
     "density_omega": "3d5cfd289e867b98ce3f87fee91f3a287a7b2e379a9f09f9705728fde3f4eb57",
     "seminorm_phi": "3dc7275f666ae2b8e49126d7debf919cdc73b710c08ba87c164e22f129ddf4af",
     "mean_liouville": "22ee0d89cbc142ff2a59db4552ef6b5133065b23722d17817302b0a1f41bf258",
-    "total_golden": "48e76c65d39b290aa488fe039e7d93e7ed1697d643cfe7c7aa764097c900cc52",
+    "total_golden": "fc93c2ef576c1905747411e34f29dd982eaecf219a75681ac11063fddd32553a",
     "total_integer": "c3b39fef6ff154537c401601c939e1ecf5be0c7a12519ecfd42b4f3b1f0e9b42",
     "total_third": "d831cbf4c51f0e9054d204a2cadf91e7cf600b15a09a5a0546743694dadba600",
     "floor_ergodic": "22f0332e521ade5e1367edd2eb824594349daa9d241fdc3fad6843f303a6e54a",
@@ -523,7 +523,7 @@ PINNED_DIGESTS = {
     "ud_loggamma_blocks": "fe0a4f29793df5f23da9178635c1f326fd14a86d51e176e3cb14110729f4ba7b",
     "dilation_blocks": "c3b36a24bd1cad15d01b677dd43d50b47554c0494b6b89aa0bbbee3c4fc1f4ef",
     "ud_poly_blocks": "1e96fddf18bdc08728e94410bcc5dc5fad9138c8cd96ed6058170f620ee3b5e1",
-    "floor_ergodic_tlogt": "d58d7a475991122191468dfd75ae09bec1145eec741ba7122210a00b2882ed9e",
+    "floor_ergodic_tlogt": "79dc0e798b14039a357fe2e5a49170f31672cb03e6c6233f29ad1a35c4fdd828",
 }
 
 
@@ -658,10 +658,10 @@ README_DIGESTS = {
                       "3c87fe84d905edaa8e051483f55aa2eaed27fd8decd752022d4bd5f5f971bab5"],
     "ergodic_total": ["f811729baa7ccd2ae7efbf4a01186859a983f835eaac19ae59e768232a0d4546",
                       "ac670bcdd0a9bc037f8d13a487c4c6ba3f54358f77c99613f0a4e9649f078acb"],
-    "katai_correlation": ["e3e6402b65dc7c788d2e6db844746b04da9dd9b2f31dfdd68e079bda01a07cdd",
-                          "55ab83f37af6e2a72239942d191e3e19c96cf6734c17509c6fed35e3efa26eee"],
-    "katai_decay": ["8318a58e9922646c9180c2c5359abc4c1e2b591ac8cddbaa9e2c24f971dd832c",
-                    "bae3af6cab255d7b78e8096d36948c26ad6f7be41a817114adeac0821128c338"],
+    "katai_correlation": ["d253839ee4977c474ad5b5c123d0e228ffea5641da234ba9b2179a586eb5252d",
+                          "c7db8f96771380f2254c2515e8b67e3b7eaec4e345ba484a9743b896a000bf18"],
+    "katai_decay": ["71d2dc5b39d7b2487035be11d09c13a49fcde852b3d9c408855dc090c6cf8431",
+                    "cbfe0dea42b9e9a948ea923e3a865c7a100f0c86fe78ee51e88d221caeec1ba1"],
     "meanvalue_euler_product": ["971db357a8982cfcc4fb756d99459aa993ad57176823c4b51597e0b933011d0b",
                                 "aa057a721cbfe130478c7f1bc4fc8d677c7df51cd5b54c5a5a89c848951cd891"],
     "tk_x": ["8fbc4769d83a6db8f9a7d1c6ade4711cb1d370cd19e0f50eb0329515dfdf36ba",
