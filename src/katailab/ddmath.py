@@ -6,16 +6,23 @@ behind the Hardy and polynomial phases of the package: monomial phases
 a*n^i are representable while n^i < 2^80.  The linear phase n*theta mod 1
 takes the fixed-point route of Constant.turns instead.
 
-The kernels (two_sum, two_prod via Dekker splitting, div, sqrt, log by a
-Newton step) follow the classic QD library algorithms of Hida, Li and Bailey
-(2001).  They assume round-to-nearest binary64 and no FMA contraction, which
-CPython/numpy provide.  The transcendental layer on top:
+The kernels (two_sum, two_prod via Dekker splitting, div, sqrt) follow the
+classic QD library algorithms of Hida, Li and Bailey (2001).  They assume
+round-to-nearest binary64 and no FMA contraction, which CPython/numpy
+provide.  The transcendental layer on top:
 
 - exp is table-driven (Tang, ACM TOMS 15, 1989): x = (1024 m + j) ln2/1024 + r
   with |r| <= ln2/2048, a 1024-entry dd table of 2^(j/1024), a short dd
   Horner polynomial for e^r - 1 and a scaling by 2^m.  The table is built
   on first use from exact integers, so it is the correctly rounded dd of
-  each entry.  log, pow_dd and log_gamma all go through it.
+  each entry.  pow_dd goes through it.
+- log runs Tang's reduction the other way (ACM TOMS 16, 1990), on the
+  same table: x = 2^k m, a 4096-bucket index over m picks j and a float
+  c near 2^(-j/1024), and log x = (1024 k + j) ln2/1024 + log1p(m c - 1)
+  - log(c 2^(j/1024)), the last term once from the table's exact
+  integers.  It takes no exp step and makes no libm call, so its bits do
+  not depend on the libm build; log_gamma, pow_dd and the log-based Hardy
+  phases go through it.  Its blocks run in per-thread scratch arrays.
 - rational_pow is the root route for x^(u/v): a float seed for the v-th
   root, one dd Newton step (sqrt for v = 2), then binary powering.  No exp
   or log is involved, and x^u is never formed.
@@ -26,7 +33,7 @@ CPython/numpy provide.  The transcendental layer on top:
   place into buffers the caller passes; the polynomial phases
   (orthogonality.monomials_dd and polynomial_frac) run each block through
   them.  frac is frac_into on a copy of its input, so the fractional part
-  has one body.  mul keeps its own three lines because exp, log and
+  has one body.  mul keeps its own three lines because exp and
   log_gamma also call it on numpy scalars, where out= buffers would cost
   more than the product; mul_into takes mul's steps in the same order, and
   tests/test_ddmath.py checks the two bit for bit.
@@ -48,6 +55,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 
 import numpy as np
 
@@ -277,14 +285,12 @@ _INV24 = (0.041666666666666664, 2.3129646346357427e-18)
 
 
 @functools.cache
-def exp2_table():
-    """2^(j/1024) for j < 1024 as dd arrays (hi, lo), each correctly rounded.
+def _exp2_fixed():
+    """2^(j/1024) 2^140 for j < 1024 as a tuple of truncated integers.
 
-    Exact integers scaled by 2^140: ten integer square roots of 2 give
-    2^(1/1024), and 1023 chained products the rest.  Each step truncates
-    by under one unit, so the table is within 2^-127 of 2^(j/1024), far
-    below the dd rounding; float() of an int rounds correctly.  Built on
-    first use, in about a millisecond.
+    Ten integer square roots of 2 give 2^(1/1024), and 1023 chained
+    products the rest.  Each step truncates by under one unit, so entry j
+    is within 2^-127 of 2^(j/1024) once scaled back.
     """
     scale = _TABLE_SCALE
     root = 2 << scale
@@ -293,6 +299,19 @@ def exp2_table():
     fixed = [1 << scale]
     for _ in range((1 << _TABLE_BITS) - 1):
         fixed.append((fixed[-1] * root) >> scale)
+    return tuple(fixed)
+
+
+@functools.cache
+def exp2_table():
+    """2^(j/1024) for j < 1024 as dd arrays (hi, lo), each correctly rounded.
+
+    The integers of _exp2_fixed are within 2^-127 of 2^(j/1024), far below
+    the dd rounding, and float() of an int rounds correctly.  Built on
+    first use, in about a millisecond.
+    """
+    scale = _TABLE_SCALE
+    fixed = _exp2_fixed()
     hi = [float(f) for f in fixed]
     lo = [float(f - int(h)) for f, h in zip(fixed, hi)]
     table = np.ldexp(hi, -scale), np.ldexp(lo, -scale)
@@ -337,20 +356,264 @@ def _exp_scaled(x):
     return add(t, mul(t, s)), ki >> _TABLE_BITS
 
 
-def log(x):
-    """dd natural log: y + log(1 + c) for the float64 seed y and c = x exp(-y) - 1.
+_LOG_BUCKET_BITS = 12
+_LOG_BLOCK = 1 << 13  # 17 scratch arrays of 64 KiB stay in a core's L2 cache
+_SCRATCH = threading.local()
+_MANTISSA = (1 << 52) - 1
+_EXPONENT_ONE = 1023 << 52  # the bits of 1.0
+_TINY = 2.0**-1022  # least normal float
+_INV3 = (0.3333333333333333, 1.850371707708594e-17)  # 1/3 as a two-term split
+_INV3_SPLIT = tuple(float(v) for v in _split(np.float64(_INV3[0])))
 
-    log(1 + c) is taken as c - c^2/2: |c| is up to 2^-52 |y|, so the
-    square matters once |y| is large, and the next term is below 2^-110.
-    exp(-y) = e 2^m is applied as x 2^m times e, so its low word never
-    drops into the subnormal range, even for x near 1e300.
+
+def _log_scratch():
+    """The scratch arrays of _log_into, _LOG_BLOCK entries each, one set per
+    thread: made once, so a call pays no allocation or page faults."""
+    work = getattr(_SCRATCH, "log", None)
+    if work is None:
+        work = _SCRATCH.log = ([np.empty(_LOG_BLOCK) for _ in range(14)],
+                               [np.empty(_LOG_BLOCK, dtype=np.int64) for _ in range(3)])
+    return work
+
+
+@functools.cache
+def _log_table():
+    """Per-bucket (c, delta, J) for log: 4096 buckets over m in [1, 2).
+
+    Bucket b holds m in [1 + b/4096, 1 + (b + 1)/4096).  Its j is the one
+    whose exp2_table entry is nearest the bucket's midpoint in ratio,
+    found by comparing the midpoint with the table's hi words; j = 1024
+    (2^1, c = 1/2) serves the last buckets.  c is the float nearest
+    2^(-j/1024), which is half the correctly rounded hi word of
+    2^((1024 - j)/1024).  delta = log(c 2^(j/1024)) is u - u^2/2 for
+    u = c 2^(j/1024) - 1, |u| < 2^-52, taken from the integers of
+    _exp2_fixed exactly and rounded once.  J = j - 1023 * 1024
+    turns a float's biased exponent e into K = 1024 e + J = 1024 k + j.
     """
-    if np.any(x[0] <= 0.0):
-        raise ValueError("log requires positive arguments")
-    y = np.log(x[0])
-    e, m = _exp_scaled((-y, np.zeros_like(y)))
-    c = add_f(mul((np.ldexp(x[0], m), np.ldexp(x[1], m)), e), -1.0)
-    return add((y, np.zeros_like(y)), add_f(c, -0.5 * c[0] * c[0]))
+    size = 1 << _TABLE_BITS
+    scale = _TABLE_SCALE
+    hi = np.append(exp2_table()[0], 2.0)
+    c = hi[::-1] / 2.0
+    mid = 1.0 + (np.arange(1 << _LOG_BUCKET_BITS) + 0.5) / (1 << _LOG_BUCKET_BITS)
+    j = np.searchsorted(hi, mid, side="right") - 1
+    j += np.abs(mid * c[j + 1] - 1.0) < np.abs(mid * c[j] - 1.0)
+    fixed = _exp2_fixed() + (2 << scale,)
+    one = 1 << (53 + scale)
+    delta = []
+    for cj, fj in zip(c.tolist(), fixed):
+        u = int(cj * 2.0**53) * fj - one  # u 2^(53 + scale)
+        delta.append(math.ldexp(float((u << (54 + scale)) - u * u), -2 * (53 + scale) - 1))
+    table = c[j], np.array(delta)[j], j - (1023 * size)
+    for part in table:
+        part.flags.writeable = False
+    return table
+
+
+def _split_into(a, hi, lo):
+    np.multiply(a, _SPLITTER, out=hi)
+    np.subtract(hi, a, out=lo)
+    hi -= lo
+    np.subtract(a, hi, out=lo)
+
+
+def _two_prod_into(a, a_split, b, b_split, p, e, w):
+    # two_prod(a, b) into (p, e) from the splits of a and b
+    (ah, al), (bh, bl) = a_split, b_split
+    np.multiply(a, b, out=p)
+    np.multiply(ah, bh, out=e)
+    e -= p
+    np.multiply(ah, bl, out=w)
+    e += w
+    np.multiply(al, bh, out=w)
+    e += w
+    np.multiply(al, bl, out=w)
+    e += w
+
+
+def _quick_two_sum_into(a, b, s, e):
+    # quick_two_sum(a, b) into (s, e); s is neither a nor b, and e is not b
+    np.add(a, b, out=s)
+    np.subtract(s, a, out=e)
+    np.subtract(b, e, out=e)
+
+
+def _log_into(h, l, shift, out, f, i):
+    """One block of log: out = log((h, l)), in the scratch arrays f and i.
+
+    h holds positive normal floats; K is lowered by shift where the
+    caller scaled a subnormal up by 2^54 (shift may be None), and l is
+    None for a zero low word.  f is 14 float64 arrays and i 3 int64
+    arrays, all shaped like h.
+    """
+    C, D, J = _log_table()
+    bits = h.view(np.int64)
+    b, K, mb = i
+    np.right_shift(bits, 52 - _LOG_BUCKET_BITS, out=b)
+    b &= (1 << _LOG_BUCKET_BITS) - 1
+    np.right_shift(bits, 52, out=K)
+    K <<= _TABLE_BITS
+    K += np.take(J, b, out=mb)
+    if shift is not None:
+        K -= shift
+    k = f[0]
+    np.copyto(k, K)
+    np.bitwise_and(bits, _MANTISSA, out=mb)
+    mb |= _EXPONENT_ONE
+    m = mb.view(np.float64)  # h = 2^k' m with m in [1, 2)
+    c = np.take(C, b, out=f[1])
+    # r = m c - 1 exactly: p - 1 is exact, and (p - 1, e) is normalized
+    p, e = f[6], f[7]
+    _split_into(m, f[2], f[3])
+    _split_into(c, f[4], f[5])
+    _two_prod_into(m, f[2:4], c, f[4:6], p, e, f[8])
+    p -= 1.0
+    rh, rl = f[1], f[2]
+    _quick_two_sum_into(p, e, rh, rl)
+    # rh^2 = s2 + e2, rh^3 = p3 + f3, rh^4 = s4 + e4 and p3/3 = a3 + b3, exactly
+    rh_split, s2_split = f[3:5], f[7:9]
+    s2, e2, p3, f3, s4, e4, a3, b3 = f[5], f[6], f[9], f[10], f[11], f[12], f[3], f[4]
+    _split_into(rh, *rh_split)
+    _two_prod_into(rh, rh_split, rh, rh_split, s2, e2, f[13])
+    _split_into(s2, *s2_split)
+    _two_prod_into(s2, s2_split, rh, rh_split, p3, f3, f[13])
+    _two_prod_into(s2, s2_split, s2, s2_split, s4, e4, f[13])
+    _split_into(p3, f[7], f[8])
+    _two_prod_into(p3, f[7:9], _INV3[0], _INV3_SPLIT, a3, b3, f[13])
+    # the small terms of log1p(r), summed in float: r^5/5 - ... - r^10/10
+    # by Horner in rh, then the low parts of r, r^2/2, r^3/3 and r^4/4
+    acc, w = f[7], f[8]
+    np.multiply(rh, 0.1, out=acc)
+    for inv in (1.0 / 9, 1.0 / 8, 1.0 / 7, 1.0 / 6):
+        np.subtract(inv, acc, out=acc)
+        acc *= rh
+    np.subtract(0.2, acc, out=acc)
+    acc *= s4
+    acc *= rh
+    np.multiply(p3, rl, out=w)  # r^4/4 beyond s4/4: e4/4 + s2 e2/2 + rh^3 rl
+    acc -= w
+    np.multiply(s2, e2, out=w)
+    w *= 0.5
+    acc -= w
+    np.multiply(e4, 0.25, out=w)
+    acc -= w
+    # r^3/3 beyond a3: b3 + p3 (1/3)_lo + (f3 + rh e2 + 3 s2 rl)/3
+    np.multiply(s2, rl, out=w)
+    w *= 3.0
+    w += f3
+    np.multiply(rh, e2, out=f3)
+    w += f3
+    w *= _INV3[0]
+    w += b3
+    acc += w
+    np.multiply(p3, _INV3[1], out=w)
+    acc += w
+    np.multiply(rh, rl, out=w)  # r - r^2/2 beyond rh - s2/2: rl - e2/2 - rh rl
+    acc -= w
+    np.multiply(e2, 0.5, out=w)
+    acc -= w
+    acc += rl
+    np.multiply(k, _LN2_1024[2], out=w)
+    acc += w
+    # rh - s2/2 + a3 - s4/4, each fast two-sum exact as |r| < 1; lows into acc
+    s4 *= -0.25
+    s2 *= -0.5
+    u, v = f[9], f[10]
+    _quick_two_sum_into(a3, s4, u, v)
+    acc += v
+    _quick_two_sum_into(s2, u, f[11], v)
+    acc += v
+    _quick_two_sum_into(rh, f[11], u, v)
+    acc += v
+    # K ln2/1024 - delta + (u, acc): K c2 - delta is a fast two-sum (delta is
+    # 0 where K is), then one two_sum with u and one fast two-sum with K c1
+    kc2, minus_delta, g, gq = f[3], f[1], f[4], f[2]
+    np.multiply(k, _LN2_1024[1], out=kc2)
+    np.take(D, b, out=minus_delta)
+    np.negative(minus_delta, out=minus_delta)
+    _quick_two_sum_into(kc2, minus_delta, g, gq)
+    acc += gq
+    s, t = f[5], f[6]
+    np.add(g, u, out=s)  # two_sum(g, u) into (s, t)
+    np.subtract(s, g, out=w)
+    np.subtract(u, w, out=t)
+    np.subtract(s, w, out=w)
+    np.subtract(g, w, out=w)
+    t += w
+    acc += t
+    k *= _LN2_1024[0]
+    big, low = f[9], f[10]
+    _quick_two_sum_into(k, s, big, low)
+    if l is not None:
+        np.divide(l, h, out=w)  # log(h + l) = log h + l/h + O(2^-107)
+        low += w
+    low += acc
+    _quick_two_sum_into(big, low, *out)
+
+
+def log(x):
+    """dd natural log, table-driven (after Tang, ACM TOMS 16, 1990); no libm call.
+
+    x = (h, l) with h = 2^k m, m in [1, 2).  The top 12 bits of m pick a
+    bucket, and the bucket a table index j in [0, 1024], a float c
+    nearest 2^(-j/1024) and delta = log(c 2^(j/1024)) (_log_table).  Then
+
+        log x = K ln2/1024 + log1p(r) - delta + log1p(l/h),
+        K = 1024 k + j,  r = m c - 1,  |r| < 2^-11.08 in every bucket.
+
+    K ln2/1024 takes the Cody-Waite parts _LN2_1024: |K| < 2^21, so K c1
+    and K c2 are exact.  r is exact as a dd (rh, rl): Dekker's product
+    gives m c = p + e, and p - 1 is exact.  log1p(r) = r - r^2/2 + ...
+    - r^10/10 (the rest is below 2^-125): rh^2, rh^3, rh^4 and rh^3/3 are
+    exact dd products; their low words, the cross terms with rl and the
+    terms from r^5/5 (below 2^-57.7) on, by Horner in rh, are summed in
+    float.  The four leading words are joined by fast two-sums, exact as
+    |r| < 1, and so are K c2 - delta (delta = 0 where K = 0) and the sum
+    with K c1; the one two_sum adds log1p(r) to K c2 - delta.
+
+    Error bound for a float x, in the style of Joldes, Muller and Popescu
+    (ACM TOMS 44, 2017), with u = 2^-53:
+      - delta, |delta| < 2^-52, is rounded once: at most 2^-106;
+      - log1p(r): the float products and the Horner tail err by under
+        2^-108, and the fourteen float additions of small terms into one
+        sum below 2^-57 by under 2^-111 each;
+      - K c3 and the split of ln2/1024 err by under 2^-115 |log x|;
+      - the final low word is rounded once, by at most
+        u^2 max(1/2, |log x|).
+    So |err| <= 3 2^-106 max(1, |log x|) = 3.7e-32 max(1, |log x|).  These
+    worst cases do not meet: the tests hold log to 2e-32 max(1, |log x|)
+    over the float range, the integers to 2^53 and every bucket and
+    binade edge, and read under 1e-32.  Where K = 0 (x within 2^-12 of 1)
+    delta and K vanish and every term scales with r, so the error is
+    relative, under 2^-100 |log x|; elsewhere |log x| > 2^-12.1.  A low
+    word adds the quotient l/h (|l/h| <= u; its rounding and the dropped
+    (l/h)^2/2 are 2^-107 each) and widens two roundings of the final low
+    word: at most 2^-104.7 max(1, |log x|) more.
+    """
+    h, l = np.broadcast_arrays(*(np.asarray(a, dtype=np.float64) for a in x))
+    shape = h.shape
+    h, l = (np.ascontiguousarray(a.reshape(-1)) for a in (h, l))
+    least, low_words = h.min(initial=np.inf), (l.min(initial=0.0), l.max(initial=0.0))
+    if not (least > 0.0 and h.max(initial=0.0) < np.inf
+            and -np.inf < low_words[0] and low_words[1] < np.inf):
+        raise ValueError("log requires positive finite arguments")
+    shift = None
+    if least < _TINY:  # scale subnormals up by 2^54, exactly
+        tiny = h < _TINY
+        h, l = h.copy(), l.copy()
+        h[tiny] *= 2.0**54
+        l[tiny] *= 2.0**54
+        shift = np.where(tiny, 54 << _TABLE_BITS, 0)
+    if low_words == (0.0, 0.0):
+        l = None
+    out = np.empty_like(h), np.empty_like(h)
+    f, i = _log_scratch()
+    for lo in range(0, h.size, _LOG_BLOCK):
+        part = slice(lo, lo + _LOG_BLOCK)
+        n = min(_LOG_BLOCK, h.size - lo)
+        _log_into(h[part], None if l is None else l[part],
+                  None if shift is None else shift[part],
+                  (out[0][part], out[1][part]), [a[:n] for a in f], [a[:n] for a in i])
+    return out[0].reshape(shape), out[1].reshape(shape)
 
 
 def pow_dd(x, c):
@@ -440,8 +703,8 @@ def log_gamma(x):
     """dd log-gamma for x >= 2 (vectorized); shifts x < 12 up by recurrence."""
     h = np.atleast_1d(np.asarray(x[0], dtype=np.float64))
     l = np.atleast_1d(np.asarray(x[1], dtype=np.float64)) * np.ones_like(h)
-    if np.any(h < 2.0):
-        raise ValueError("log_gamma requires arguments >= 2")
+    if not (h.min(initial=2.0) >= 2.0 and h.max(initial=2.0) < np.inf):
+        raise ValueError("log_gamma requires finite arguments >= 2")
     # log_gamma(t) = log_gamma(t + k) - sum of log(t + j) for j < k, with the
     # least k that puts t + k at 12 or above
     th, tl = h.copy(), l

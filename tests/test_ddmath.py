@@ -347,6 +347,19 @@ def _taylor_log(x):
     return ddmath.add((y, np.zeros_like(y)), corr)
 
 
+def _newton_log(x):
+    """The log that ddmath ran before its table route: y + log(1 + c) for the
+    libm seed y and c = x exp(-y) - 1, through the table-driven exp.
+
+    log(1 + c) is taken as c - c^2/2; exp(-y) = e 2^m is applied as x 2^m
+    times e, so its low word never drops into the subnormal range.
+    """
+    y = np.log(x[0])
+    e, m = ddmath._exp_scaled((-y, np.zeros_like(y)))
+    c = ddmath.add_f(ddmath.mul((np.ldexp(x[0], m), np.ldexp(x[1], m)), e), -1.0)
+    return ddmath.add((y, np.zeros_like(y)), ddmath.add_f(c, -0.5 * c[0] * c[0]))
+
+
 # the eight Stirling coefficients, all as two-term splits
 _STIRLING_ALL_DD = [
     (0.08333333333333333, 4.625929269271485e-18),
@@ -431,6 +444,157 @@ def test_log_over_the_float_range():
     for i, y in enumerate(ys):
         want = mpmath.log(mpmath.mpf(y))
         assert abs(_mp(got, i) - want) < 2e-32 * max(1, abs(want)), y
+
+
+def _log_errors(x):
+    """(|ddmath.log(x) - log x|, |log x|) per entry, against 40-digit mpmath."""
+    got = ddmath.log(x)
+    err, mag = [], []
+    with mpmath.workdps(40):
+        for i in range(got[0].size):
+            want = mpmath.log(mpmath.mpf(x[0][i]) + mpmath.mpf(x[1][i]))
+            err.append(float(abs(_mp(got, i) - want)))
+            mag.append(float(abs(want)))
+    return np.array(err), np.array(mag)
+
+
+def _log_edge_points(rng):
+    """Bucket edges and table points 2^(j/1024) in [1/2, 2] and at seeded
+    exponents, powers of 2 (subnormal ones too), seeded subnormals and
+    DBL_MAX, each with its two float neighbours; and 2^k (1 - 2^-52)."""
+    m = np.concatenate([1.0 + np.arange(4097) / 4096, np.append(ddmath.exp2_table()[0], 2.0)])
+    points = np.concatenate([m, m / 2, np.ldexp(m, rng.integers(-1022, 1023, m.size)),
+                             np.ldexp(1.0, np.arange(-1074, 1024)),
+                             rng.integers(1, 2**52, 200) * 2.0**-1074])
+    points = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, np.inf),
+                             np.ldexp(1.0 - 2.0**-52, np.arange(-1021, 1025)),
+                             [np.finfo(float).max, np.nextafter(np.finfo(float).max, 0.0)]])
+    return points[points > 0.0]
+
+
+def test_log_accuracy_gate():
+    # seeded points over the float range and the integers, then edge points;
+    # all within the stated bound, 2e-32 max(1, |log x|)
+    rng = np.random.default_rng(28)
+    xs = np.concatenate([
+        np.exp(rng.uniform(math.log(1e-300), math.log(1e300), 10**4)),
+        np.floor(np.exp(rng.uniform(math.log(2.0), math.log(2.0**53), 10**4))),
+        [2.0, 3.0, 2.0**53 - 1, 2.0**53],
+        _log_edge_points(rng),
+    ])
+    err, mag = _log_errors(ddmath.from_float(xs))
+    bad = err >= 2e-32 * np.maximum(1.0, mag)
+    assert not np.any(bad), xs[bad][:5]
+
+
+def test_log_is_relatively_accurate_near_one():
+    # where K = 0 (x within 2^-12 of 1) delta = 0 and the error is relative;
+    # elsewhere |log x| > 2^-12.1, so the absolute bound gives under 1e-28
+    rng = np.random.default_rng(29)
+    steps = np.arange(1, 65)
+    xs = np.concatenate([1.0 + rng.uniform(-(2.0**-8), 2.0**-8, 4000),
+                         1.0 + steps * 2.0**-52, 1.0 - steps * 2.0**-53,
+                         1.0 + rng.uniform(-(2.0**-12), 2.0**-12, 1000)])
+    err, mag = _log_errors(ddmath.from_float(xs))
+    assert np.all(err <= 1e-28 * mag)
+    k_zero = np.abs(xs - 1.0) < 2.0**-12
+    assert np.all(err[k_zero] <= 2.0**-100 * mag[k_zero])
+
+
+def test_log_of_dd_arguments():
+    # a low word l adds log1p(l/h) ~ l/h; the docstring bounds what that
+    # costs by 2^-104.7 max(1, |log x|) on top of the float bound
+    rng = np.random.default_rng(30)
+    h = np.exp(rng.uniform(math.log(1e-300), math.log(1e300), 3000))
+    h = np.concatenate([h, 1.0 + rng.uniform(-(2.0**-8), 2.0**-8, 500)])
+    lo = np.spacing(h) * rng.uniform(-0.5, 0.5, h.size)
+    lo[::3] = np.spacing(h[::3]) * np.where(rng.random(lo[::3].size) < 0.5, -0.5, 0.5)
+    x = ddmath.quick_two_sum(h, lo)
+    assert np.count_nonzero(x[1]) > h.size * 0.9
+    err, mag = _log_errors(x)
+    assert np.all(err <= (2e-32 + 2.0**-104.7) * np.maximum(1.0, mag))
+
+
+def test_log_matches_newton_log():
+    rng = np.random.default_rng(31)
+    xs = np.concatenate([np.exp(rng.uniform(math.log(1e-300), math.log(1e300), 5 * 10**4)),
+                         np.floor(np.exp(rng.uniform(math.log(2.0), math.log(2.0**53), 5 * 10**4)))])
+    x = ddmath.from_float(xs)
+    got = ddmath.log(x)
+    diff = ddmath.sub(got, _newton_log(x))
+    # each is within 2e-32 max(1, |log x|) of log x
+    assert np.all(np.abs(diff[0] + diff[1]) <= 4e-32 * np.maximum(1.0, np.abs(got[0])))
+
+
+def test_log_table_buckets():
+    from fractions import Fraction
+
+    c, delta, J = ddmath._log_table()
+    assert c.size == delta.size == J.size == 4096
+    j = J + 1023 * 1024
+    assert j.min() == 0 and j.max() == 1024
+    with mpmath.workdps(60):
+        for b in range(4096):
+            cb = Fraction(c[b])
+            for edge in (1 + Fraction(b, 4096), 1 + Fraction(b + 1, 4096)):
+                assert float(abs(edge * cb - 1)) < 2.0**-11.08, b  # |r| over the bucket
+            exact = mpmath.mpf(2) ** (mpmath.mpf(int(j[b])) / 1024)
+            assert c[b] == float(1 / exact), b
+            assert delta[b] == float(mpmath.log(mpmath.mpf(c[b]) * exact)), b
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 0.0, -1.0])
+def test_log_and_log_gamma_refuse_bad_arguments_without_warnings(bad):
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="log requires positive finite arguments"):
+            ddmath.log(ddmath.from_float(np.array([2.0, bad])))
+        with pytest.raises(ValueError, match="log_gamma requires finite arguments >= 2"):
+            ddmath.log_gamma(ddmath.from_float(np.array([3.0, bad])))
+        if not np.isfinite(bad):  # a non-finite low word
+            with pytest.raises(ValueError, match="log requires positive finite arguments"):
+                ddmath.log((np.array([2.0, 3.0]), np.array([0.0, bad])))
+
+
+def test_log_keeps_shapes():
+    for shape in ((), (0,), (3,), (2, 3)):
+        x = np.full(shape, 3.0)
+        got = ddmath.log((x, 0.0))
+        assert got[0].shape == got[1].shape == shape
+    assert ddmath.log((np.float64(3.0), np.float64(1e-17)))[0].shape == ()
+
+
+LOG_ROUTE_SPECS = ("logpow:2.5", "logpow:3", "tlogt", "toverlogt", "loggamma")
+
+
+def test_log_routes_call_no_libm_log_exp_or_mpmath(monkeypatch):
+    # log, log_gamma and the Hardy phases that use them reach no np.log, no
+    # exp step and no mpmath; logpow:e is exp(e log t), so only its exp may run
+    rng = np.random.default_rng(32)
+    n = np.concatenate([np.arange(1, 3000), [10**6 + 3, 2**40 + 1]]).astype(np.int64)
+    t = ddmath.from_float(np.exp(rng.uniform(math.log(1e-300), math.log(1e300), 2000)))
+    g = ddmath.from_float(rng.uniform(2.0, 1e6, 2000))
+    hardy = {spec: parse_hardy(spec) for spec in LOG_ROUTE_SPECS + ("logpow:e",)}
+    want = {spec: h.fractional_parts(n) for spec, h in hardy.items()}
+    want_log, want_gamma = ddmath.log(t), ddmath.log_gamma(g)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("refused call")
+
+    monkeypatch.setattr(np, "log", refuse)
+    for name in ("MPContext", "mpf", "workdps", "workprec", "log", "loggamma", "exp", "power"):
+        monkeypatch.setattr(mpmath, name, refuse)
+    assert np.array_equal(hardy["logpow:e"].fractional_parts(n), want["logpow:e"])
+    monkeypatch.setattr(ddmath, "_exp_scaled", refuse)
+    fresh = ddmath._log_table.__wrapped__()  # the tables build without them too
+    assert all(np.array_equal(a, b) for a, b in zip(fresh, ddmath._log_table()))
+    assert ddmath._exp2_fixed.__wrapped__() == ddmath._exp2_fixed()
+    for spec in LOG_ROUTE_SPECS:
+        assert np.array_equal(hardy[spec].fractional_parts(n), want[spec]), spec
+    for got, ref in ((ddmath.log(t), want_log), (ddmath.log_gamma(g), want_gamma)):
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
 
 
 @pytest.mark.parametrize("c", ["1/2", "3/2", "5/2", "7/3", "355/113"])
